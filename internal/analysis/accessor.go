@@ -19,9 +19,19 @@ var accessorLayers = map[string]bool{
 	"treadmarks": true,
 }
 
+// frameMethods are the (*vm.Space) methods whose result is a page frame:
+// Frame/EnsureFrame return it as a slice, ReadFrame/WriteFrame (the
+// permission-split tables core's accessors test) as an array pointer.
+var frameMethods = map[string]bool{
+	"Frame":       true,
+	"EnsureFrame": true,
+	"ReadFrame":   true,
+	"WriteFrame":  true,
+}
+
 // Accessor flags direct element access to vm.Space-backed page frames
-// (indexing, slicing, or copy/append consumption of Frame/EnsureFrame
-// results) outside the accessor layers.
+// (indexing, slicing, dereferencing, or copy/append consumption of the
+// results of frameMethods) outside the accessor layers.
 var Accessor = &Analyzer{
 	Name: "accessor",
 	Doc: "forbid direct vm.Space frame access outside the layers that " +
@@ -50,7 +60,7 @@ func runAccessor(pass *Pass) error {
 
 // checkFrameAccess flags frame-derived element accesses within one function
 // body. Taint is tracked one assignment deep: a variable assigned from a
-// Frame/EnsureFrame call is itself a frame.
+// frameMethods call is itself a frame.
 func checkFrameAccess(pass *Pass, body *ast.BlockStmt) {
 	tainted := map[types.Object]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -80,6 +90,10 @@ func checkFrameAccess(pass *Pass, body *ast.BlockStmt) {
 			if isFrameExpr(pass, n.X, tainted) {
 				pass.Reportf(n.Pos(), "direct slice of a vm.Space page frame outside the accessor layer: route the access through core.Proc accessors so fault and mprotect costs are charged")
 			}
+		case *ast.StarExpr:
+			if isFrameExpr(pass, n.X, tainted) {
+				pass.Reportf(n.Pos(), "direct dereference of a vm.Space page frame outside the accessor layer: route the access through core.Proc accessors so fault and mprotect costs are charged")
+			}
 		case *ast.CallExpr:
 			id, ok := ast.Unparen(n.Fun).(*ast.Ident)
 			if !ok {
@@ -106,7 +120,7 @@ func checkFrameAccess(pass *Pass, body *ast.BlockStmt) {
 }
 
 // isFrameExpr reports whether the expression denotes a page frame: a direct
-// Frame/EnsureFrame call or a variable assigned from one.
+// frameMethods call or a variable assigned from one.
 func isFrameExpr(pass *Pass, expr ast.Expr, tainted map[types.Object]bool) bool {
 	expr = ast.Unparen(expr)
 	if isFrameCall(pass, expr) {
@@ -116,9 +130,9 @@ func isFrameExpr(pass *Pass, expr ast.Expr, tainted map[types.Object]bool) bool 
 	return ok && tainted[pass.Info.Uses[id]]
 }
 
-// isFrameCall reports whether the expression is a call of (*vm.Space).Frame
-// or (*vm.Space).EnsureFrame (matched by method name, receiver type Space,
-// and receiver package name vm).
+// isFrameCall reports whether the expression is a call of one of the
+// (*vm.Space) frameMethods (matched by method name, receiver type Space, and
+// receiver package name vm).
 func isFrameCall(pass *Pass, expr ast.Expr) bool {
 	call, ok := ast.Unparen(expr).(*ast.CallExpr)
 	if !ok {
@@ -129,7 +143,7 @@ func isFrameCall(pass *Pass, expr ast.Expr) bool {
 		return false
 	}
 	f, ok := pass.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || (f.Name() != "Frame" && f.Name() != "EnsureFrame") {
+	if !ok || !frameMethods[f.Name()] {
 		return false
 	}
 	recv := f.Type().(*types.Signature).Recv()

@@ -148,17 +148,17 @@ var escEntryCtx = map[string]dctx{
 // may-mutate on rooted reference arguments.
 var escPureMethods = map[string]bool{
 	// core.Runtime getters.
-	"core.Runtime.Net":                 true,
-	"core.Runtime.Engine":              true,
-	"core.Runtime.Config":              true,
-	"core.Runtime.Program":             true,
-	"core.Runtime.NumPages":            true,
-	"core.Runtime.InitialPage":         true,
-	"core.Runtime.ComputeProcs":        true,
-	"core.Runtime.ComputeProcsOnNode":  true,
-	"core.Runtime.ProcByRank":          true,
-	"core.Runtime.ProcBySimID":         true,
-	"core.Runtime.ServerProc":          true,
+	"core.Runtime.Net":                true,
+	"core.Runtime.Engine":             true,
+	"core.Runtime.Config":             true,
+	"core.Runtime.Program":            true,
+	"core.Runtime.NumPages":           true,
+	"core.Runtime.InitialPage":        true,
+	"core.Runtime.ComputeProcs":       true,
+	"core.Runtime.ComputeProcsOnNode": true,
+	"core.Runtime.ProcByRank":         true,
+	"core.Runtime.ProcBySimID":        true,
+	"core.Runtime.ServerProc":         true,
 	// core.Proc getters (safe on procs resolved through the runtime).
 	"core.Proc.EP":    true,
 	"core.Proc.Rank":  true,

@@ -23,3 +23,14 @@ func Bulk(sp *vm.Space, buf []byte) {
 func NilCheck(sp *vm.Space) bool {
 	return sp.Frame(3) == nil
 }
+
+// The permission-split tables hand out the same frames as array pointers.
+func ViaTables(sp *vm.Space, buf []byte) byte {
+	if fr := sp.WriteFrame(4); fr != nil {
+		fr[0] = 1 // want `direct index of a vm\.Space page frame`
+	}
+	rd := sp.ReadFrame(4)
+	copy(buf, rd[:])                    // want `direct slice of a vm\.Space page frame`
+	page := *rd                         // want `direct dereference of a vm\.Space page frame`
+	return page[1] + sp.ReadFrame(5)[2] // want `direct index of a vm\.Space page frame`
+}

@@ -13,3 +13,10 @@ func WriteByte(sp *vm.Space, page, off int, b byte) {
 	fr := sp.EnsureFrame(page)
 	fr[off] = b
 }
+
+func ReadFast(sp *vm.Space, page, off int) byte {
+	if fr := sp.ReadFrame(page); fr != nil {
+		return fr[off]
+	}
+	return ReadByte(sp, page, off)
+}

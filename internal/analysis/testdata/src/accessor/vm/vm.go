@@ -19,3 +19,9 @@ func (s *Space) EnsureFrame(page int) []byte {
 	}
 	return s.frames[page]
 }
+
+// ReadFrame and WriteFrame stand in for the permission-split frame tables:
+// the frame as an array pointer, nil when the access would fault.
+func (s *Space) ReadFrame(page int) *[PageSize]byte { return (*[PageSize]byte)(s.frames[page]) }
+
+func (s *Space) WriteFrame(page int) *[PageSize]byte { return s.ReadFrame(page) }

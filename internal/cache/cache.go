@@ -124,8 +124,8 @@ func (c *L1) Misses() uint64 { return c.misses }
 // ResetStats zeroes the hit/miss counters without touching cache contents.
 func (c *L1) ResetStats() { c.hits, c.misses = 0, 0 }
 
-// len64 returns the number of significant bits in mask+0 pattern; for a mask
-// of form 2^k-1 it returns k.
+// len64 returns the number of significant bits in mask: k for a mask of the
+// form 2^k-1.
 func len64(mask uint64) int {
 	n := 0
 	for mask != 0 {

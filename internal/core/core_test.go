@@ -381,6 +381,101 @@ func TestMaterializedFrame(t *testing.T) {
 	}
 }
 
+// revokeProtocol is the baseline with one request kind: its handler drops the
+// serving processor's frame for the requested page and makes the page
+// inaccessible, as a TreadMarks invalidation would.
+type revokeProtocol struct {
+	NullProtocol
+	revokedAt sim.Time
+	faultsAt  []sim.Time // rank 0's faults on the revoked page
+}
+
+func (r *revokeProtocol) Setup(rt *Runtime) {}
+
+func (r *revokeProtocol) fault(p *Proc, page int) {
+	if p.Rank() == 0 && page == 0 {
+		r.faultsAt = append(r.faultsAt, p.Sim().Now())
+	}
+	r.mapPage(p, page)
+}
+
+func (r *revokeProtocol) OnReadFault(p *Proc, page int)  { r.fault(p, page) }
+func (r *revokeProtocol) OnWriteFault(p *Proc, page int) { r.fault(p, page) }
+
+func (r *revokeProtocol) Service(p *Proc, m sim.Msg, req msg.Request) {
+	page := req.Data.(int)
+	p.Space().DropFrame(page)
+	p.Space().SetProt(page, vm.ProtNone)
+	r.revokedAt = p.Sim().Now()
+}
+
+// TestRangeAccessorsRefaultAfterHandlerRevokes: a request handler, run from
+// the checkpoint of one element of a ReadF64Range/WriteF64Range, takes the
+// page away; the very next element must fault rather than use a frame looked
+// up earlier in the run.
+func TestRangeAccessorsRefaultAfterHandlerRevokes(t *testing.T) {
+	const elems = vm.PageSize / 8
+	for _, write := range []bool{false, true} {
+		var proto *revokeProtocol
+		cfg := seqConfig()
+		cfg.ProcsPerNode = 2
+		cfg.NewProtocol = func(rt *Runtime) Protocol {
+			proto = &revokeProtocol{NullProtocol: NullProtocol{rt: rt}}
+			return proto
+		}
+		l := NewLayout()
+		arr := l.F64Pages(elems)
+		prog := &Program{
+			Name:        "revoke",
+			SharedBytes: l.Size(),
+			Init: func(w *ImageWriter) {
+				for i := 0; i < elems; i++ {
+					w.WriteF64(arr.Addr(i), -1)
+				}
+			},
+			Body: func(p *Proc) {
+				if p.Rank() == 1 {
+					// Lands while rank 0 is part-way through the page, which
+					// takes it 10 us.
+					p.EP().Send(p.Runtime().ComputeProcs()[0].EP(), 0, 0, 8)
+					return
+				}
+				buf := make([]float64, elems)
+				if !write {
+					p.ReadF64Range(arr.Addr(0), buf)
+					return
+				}
+				for i := range buf {
+					buf[i] = float64(i)
+				}
+				p.WriteF64Range(arr.Addr(0), buf)
+				// Stores before the revocation went to the dropped frame;
+				// every later one must be in the frame the re-fault mapped.
+				revoked := false
+				for i := range buf {
+					switch got := arr.At(p, i); {
+					case got == float64(i):
+						revoked = true
+					case got != -1 || revoked:
+						t.Errorf("write: element %d = %v after the run", i, got)
+					}
+				}
+				if !revoked {
+					t.Error("write: no store reached the remapped frame")
+				}
+			},
+		}
+		if _, err := Run(cfg, prog); err != nil {
+			t.Fatal(err)
+		}
+		// First touch, then the re-fault: taken at the clock the handler
+		// returned at, i.e. before another element was charged.
+		if len(proto.faultsAt) != 2 || proto.faultsAt[1] != proto.revokedAt || proto.revokedAt == 0 {
+			t.Errorf("write=%v: faults on the page at %v, revoked at %d", write, proto.faultsAt, proto.revokedAt)
+		}
+	}
+}
+
 const vmPageSize = 8192
 
 // BenchmarkSharedAccess measures the simulator's shared-memory fast path
@@ -398,6 +493,37 @@ func BenchmarkSharedAccess(b *testing.B) {
 		Body: func(p *Proc) {
 			for i := 0; i < n; i++ {
 				arr.Set(p, i%arr.N, float64(i))
+			}
+		},
+	}
+	b.ResetTimer()
+	if _, err := Run(cfg, prog); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSharedAccessScattered is BenchmarkSharedAccess with consecutive
+// accesses 16 pages apart, wrapping over 64 pages: the pattern of the
+// applications' column and neighbour-list walks, where no protection lookup
+// can be shared between consecutive accesses.
+func BenchmarkSharedAccessScattered(b *testing.B) {
+	cfg := seqConfig()
+	c := cache.Alpha21064A
+	cfg.Cache = &c
+	l := NewLayout()
+	const pages, stride = 64, 16 * vmPageSize / 8
+	arr := l.F64Pages(pages * vmPageSize / 8)
+	n := b.N
+	prog := &Program{
+		Name:        "hotpath-scattered",
+		SharedBytes: l.Size(),
+		Body: func(p *Proc) {
+			for i, at := 0, 0; i < n; i++ {
+				arr.Set(p, at, float64(i))
+				// Stepping 16 pages plus one element visits every element.
+				if at += stride + 1; at >= arr.N {
+					at -= arr.N
+				}
 			}
 		},
 	}

@@ -16,22 +16,6 @@ import (
 // noticed with bounded delay (the real interrupt latency dominates it).
 const Quantum = 5 * sim.Microsecond
 
-// tlbSize is the number of entries in the per-processor translation cache
-// (direct-mapped by page number; must be a power of two). Sized so a stencil
-// touching a handful of rows plus its write target stays fully cached.
-const tlbSize = 16
-
-// tlbEntry caches one page translation: the protection and frame observed at
-// a given mapping epoch. The entry is valid only while the space's epoch is
-// unchanged (any SetProt/DropFrame/frame allocation bumps it), which makes
-// hits provably equivalent to a fresh table walk.
-type tlbEntry struct {
-	page  int
-	epoch uint64
-	prot  vm.Prot
-	frame []byte
-}
-
 // Proc is one simulated processor's DSM context: the simulation processor,
 // its page table and frames, its L1 model, its messaging endpoint, and its
 // statistics. Application bodies receive a *Proc and perform all shared
@@ -49,16 +33,11 @@ type Proc struct {
 	proto     Protocol
 	writeHook bool
 
-	// tlb is the translation fast path: sequential same-page accesses skip
-	// the page-table walk and nil-frame check. noFastPath (SIM_NO_FASTPATH)
-	// keeps the original walk-every-access path alive so tests can assert
-	// the two produce byte-identical results.
-	tlb        [tlbSize]tlbEntry
+	// noFastPath (SIM_NO_FASTPATH) disables the CheckpointQuiet guard so
+	// every checkpoint polls and tests the quantum, letting tests assert that
+	// skipping quiet checkpoints leaves results byte-identical.
 	noFastPath bool
 
-	// doubleBit/mcRegion synthesize the cache-visible address of a doubled
-	// write (paper §3.3.1): the MC copy region is far away (different tag)
-	// with the page-offset index bit flipped.
 	stats    Stats
 	snap     Stats // frozen copy taken at Finish
 	finished bool
@@ -110,9 +89,13 @@ func (p *Proc) ChargeProtocol(d sim.Time) { p.Charge(CatProtocol, d) }
 // message is visible and YieldIfQuantum is a no-op under quantum — so
 // skipping cannot change any virtual-time result.
 func (p *Proc) checkpoint() {
-	if !p.noFastPath && p.sp.CheckpointQuiet(Quantum) {
-		return
+	if p.noFastPath || !p.sp.CheckpointQuiet(Quantum) {
+		p.pollAndYield()
 	}
+}
+
+// pollAndYield is the checkpoint proper, out of line behind the quiet guard.
+func (p *Proc) pollAndYield() {
 	p.ep.PollVisible()
 	p.sp.YieldIfQuantum(Quantum)
 }
@@ -142,38 +125,28 @@ func (p *Proc) PollPoint() {
 	p.checkpoint()
 }
 
-// access charges one shared-memory reference, including the L1 model.
+// access charges one shared-memory reference, including the L1 model, and
+// checkpoints. Charge and checkpoint are written out here because neither
+// fits the inliner's budget, and this runs once per simulated load or store:
+// the quiet case is straight-line code with no call.
 func (p *Proc) access(a Addr) {
 	c := p.costs.MemAccess
 	if p.l1 != nil && !p.l1.Access(a) {
 		c += p.costs.CacheMiss
 	}
-	p.Charge(CatUser, c)
-	p.checkpoint()
-}
-
-// fillTLB caches the translation for a page whose frame is materialized.
-// The entry records the current epoch; any later mapping mutation on the
-// space invalidates it wholesale.
-func (p *Proc) fillTLB(page int, fr []byte) {
-	if p.noFastPath {
-		return
+	p.sp.Advance(c)
+	p.stats.Cat[CatUser] += c
+	if p.noFastPath || !p.sp.CheckpointQuiet(Quantum) {
+		p.pollAndYield()
 	}
-	p.tlb[page&(tlbSize-1)] = tlbEntry{page: page, epoch: p.space.Epoch(), prot: p.space.Prot(page), frame: fr}
 }
 
-// readable returns the frame for the page containing a, running the
-// protocol's read-fault handler first if the page is not readable.
-func (p *Proc) readable(a Addr) []byte {
+// readSlow returns the frame for a read of a whose page the frame table has
+// no entry for: the page is unreadable, so the protocol's read-fault handler
+// runs first, or readable but never copied in (materialize). Every reading
+// accessor opens with ReadFrame and comes here on nil.
+func (p *Proc) readSlow(a Addr) *[vm.PageSize]byte {
 	page := vm.PageOf(a)
-	if !p.noFastPath {
-		if e := &p.tlb[page&(tlbSize-1)]; e.page == page && e.frame != nil &&
-			e.epoch == p.space.Epoch() && e.prot.CanRead() {
-			// Same mapping epoch: the walk below would observe exactly the
-			// cached protection and frame.
-			return e.frame
-		}
-	}
 	if !p.space.Prot(page).CanRead() {
 		p.stats.ReadFaults++
 		p.sp.Yield() // faults are globally visible protocol actions
@@ -182,24 +155,13 @@ func (p *Proc) readable(a Addr) []byte {
 			panic(fmt.Sprintf("core: proc %d page %d still unreadable after fault", p.sp.ID, page))
 		}
 	}
-	fr := p.space.Frame(page)
-	if fr == nil {
-		fr = p.materialize(page)
-	}
-	p.fillTLB(page, fr)
-	return fr
+	p.MaterializedFrame(page) // first touch: copy in the initial image
+	return p.space.ReadFrame(page)
 }
 
-// writable returns the frame for the page containing a, running the
-// protocol's write-fault handler first if the page is not writable.
-func (p *Proc) writable(a Addr) []byte {
+// writeSlow is readSlow for a write (WriteFrame, write-fault handler).
+func (p *Proc) writeSlow(a Addr) *[vm.PageSize]byte {
 	page := vm.PageOf(a)
-	if !p.noFastPath {
-		if e := &p.tlb[page&(tlbSize-1)]; e.page == page && e.frame != nil &&
-			e.epoch == p.space.Epoch() && e.prot.CanWrite() {
-			return e.frame
-		}
-	}
 	if !p.space.Prot(page).CanWrite() {
 		p.stats.WriteFaults++
 		p.sp.Yield()
@@ -208,12 +170,8 @@ func (p *Proc) writable(a Addr) []byte {
 			panic(fmt.Sprintf("core: proc %d page %d still unwritable after fault", p.sp.ID, page))
 		}
 	}
-	fr := p.space.Frame(page)
-	if fr == nil {
-		fr = p.materialize(page)
-	}
-	p.fillTLB(page, fr)
-	return fr
+	p.MaterializedFrame(page)
+	return p.space.WriteFrame(page)
 }
 
 // materialize lazily creates a frame for a page whose protection allows
@@ -242,14 +200,20 @@ func (p *Proc) MaterializedFrame(page int) []byte {
 
 // ReadF64 reads a float64 from shared memory.
 func (p *Proc) ReadF64(a Addr) float64 {
-	fr := p.readable(a)
+	fr := p.space.ReadFrame(vm.PageOf(a))
+	if fr == nil {
+		fr = p.readSlow(a)
+	}
 	p.access(a)
 	return math.Float64frombits(binary.LittleEndian.Uint64(fr[vm.Offset(a):]))
 }
 
 // WriteF64 writes a float64 to shared memory.
 func (p *Proc) WriteF64(a Addr, v float64) {
-	fr := p.writable(a)
+	fr := p.space.WriteFrame(vm.PageOf(a))
+	if fr == nil {
+		fr = p.writeSlow(a)
+	}
 	binary.LittleEndian.PutUint64(fr[vm.Offset(a):], math.Float64bits(v))
 	p.access(a)
 	if p.writeHook {
@@ -259,14 +223,20 @@ func (p *Proc) WriteF64(a Addr, v float64) {
 
 // ReadI64 reads an int64 from shared memory.
 func (p *Proc) ReadI64(a Addr) int64 {
-	fr := p.readable(a)
+	fr := p.space.ReadFrame(vm.PageOf(a))
+	if fr == nil {
+		fr = p.readSlow(a)
+	}
 	p.access(a)
 	return int64(binary.LittleEndian.Uint64(fr[vm.Offset(a):]))
 }
 
 // WriteI64 writes an int64 to shared memory.
 func (p *Proc) WriteI64(a Addr, v int64) {
-	fr := p.writable(a)
+	fr := p.space.WriteFrame(vm.PageOf(a))
+	if fr == nil {
+		fr = p.writeSlow(a)
+	}
 	binary.LittleEndian.PutUint64(fr[vm.Offset(a):], uint64(v))
 	p.access(a)
 	if p.writeHook {
@@ -275,91 +245,37 @@ func (p *Proc) WriteI64(a Addr, v int64) {
 }
 
 // ReadF64Range reads len(dst) consecutive float64 elements starting at a
-// into dst. It is semantically identical to len(dst) individual ReadF64
-// calls at a, a+8, ...: the same faults are taken, the same per-element
-// access and L1 costs are charged in the same order, and the same
-// checkpoints fire at the same clock values. The fast path checks
-// protection once per page run instead of once per element, re-translating
-// only when protocol work inside a checkpoint moved the mapping epoch.
+// into dst. It is len(dst) ReadF64 calls at a, a+8, ... with the call
+// overhead removed: every element checks protection, charges its access and
+// L1 cost and checkpoints, so a handler run from a checkpoint that downgrades
+// the current page makes the very next element fault.
 func (p *Proc) ReadF64Range(a Addr, dst []float64) {
-	if p.noFastPath {
-		for i := range dst {
-			dst[i] = p.ReadF64(a + Addr(i)*8)
+	for i := range dst {
+		ea := a + Addr(i)*8
+		fr := p.space.ReadFrame(vm.PageOf(ea))
+		if fr == nil {
+			fr = p.readSlow(ea)
 		}
-		return
-	}
-	i := 0
-outer:
-	for i < len(dst) {
-		addr := a + Addr(i)*8
-		fr := p.readable(addr)
-		epoch := p.space.Epoch()
-		off := vm.Offset(addr)
-		run := (vm.PageSize - off) / 8
-		if run <= 0 {
-			// Element straddles the end of its page: defer to the scalar
-			// path so the failure mode is identical.
-			dst[i] = p.ReadF64(addr)
-			i++
-			continue
-		}
-		if rem := len(dst) - i; run > rem {
-			run = rem
-		}
-		for k := 0; k < run; k++ {
-			p.access(addr + Addr(k)*8)
-			dst[i+k] = math.Float64frombits(binary.LittleEndian.Uint64(fr[off+8*k:]))
-			if p.space.Epoch() != epoch {
-				// A checkpoint inside access ran protocol work that changed
-				// the mapping; re-translate before the next element.
-				i += k + 1
-				continue outer
-			}
-		}
-		i += run
+		p.access(ea)
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(fr[vm.Offset(ea):]))
 	}
 }
 
 // WriteF64Range writes len(src) consecutive float64 elements starting at a.
-// Like ReadF64Range, it is bit-exact with the equivalent sequence of
-// WriteF64 calls, including per-element write hooks for protocols that
-// request them.
+// Like ReadF64Range, it is the equivalent sequence of WriteF64 calls,
+// including per-element write hooks for protocols that request them.
 func (p *Proc) WriteF64Range(a Addr, src []float64) {
-	if p.noFastPath {
-		for i, v := range src {
-			p.WriteF64(a+Addr(i)*8, v)
+	for i, v := range src {
+		ea := a + Addr(i)*8
+		fr := p.space.WriteFrame(vm.PageOf(ea))
+		if fr == nil {
+			fr = p.writeSlow(ea)
 		}
-		return
-	}
-	i := 0
-outer:
-	for i < len(src) {
-		addr := a + Addr(i)*8
-		fr := p.writable(addr)
-		epoch := p.space.Epoch()
-		off := vm.Offset(addr)
-		run := (vm.PageSize - off) / 8
-		if run <= 0 {
-			p.WriteF64(addr, src[i])
-			i++
-			continue
+		binary.LittleEndian.PutUint64(fr[vm.Offset(ea):], math.Float64bits(v))
+		p.access(ea)
+		if p.writeHook {
+			p.proto.OnSharedWrite(p, ea, 8)
 		}
-		if rem := len(src) - i; run > rem {
-			run = rem
-		}
-		for k := 0; k < run; k++ {
-			ea := addr + Addr(k)*8
-			binary.LittleEndian.PutUint64(fr[off+8*k:], math.Float64bits(src[i+k]))
-			p.access(ea)
-			if p.writeHook {
-				p.proto.OnSharedWrite(p, ea, 8)
-			}
-			if p.space.Epoch() != epoch {
-				i += k + 1
-				continue outer
-			}
-		}
-		i += run
 	}
 }
 

@@ -235,3 +235,41 @@ func durOn(bytes int64, bw int64) sim.Time {
 	}
 	return sim.Time(bytes * int64(sim.Second) / bw)
 }
+
+// writePipes is every processor's write-through pipe in one cluster. The
+// backends embed it and differ only in the bandwidth the pipe drains at and
+// the depth of the write buffer in front of it.
+type writePipes struct {
+	pipe []pipeState
+	bw   int64
+	// wordDur and bufDur are durOn of one 8-byte store and of the whole write
+	// buffer, computed once so that a doubled store costs no division.
+	wordDur, bufDur sim.Time
+}
+
+func newWritePipes(nprocs int, bw, bufferBytes int64) writePipes {
+	return writePipes{
+		pipe:    make([]pipeState, nprocs),
+		bw:      bw,
+		wordDur: durOn(8, bw),
+		bufDur:  durOn(bufferBytes, bw),
+	}
+}
+
+// push queues bytes on p's pipe and stalls p while the write buffer cannot
+// absorb the backlog.
+func (w *writePipes) push(p *sim.Proc, bytes int64) {
+	d := w.wordDur
+	if bytes != 8 {
+		d = durOn(bytes, w.bw)
+	}
+	ps := &w.pipe[p.ID]
+	if ps.drainAt < p.Now() {
+		ps.drainAt = p.Now()
+	}
+	ps.drainAt += d
+	ps.bytes += bytes
+	if ps.drainAt-p.Now() > w.bufDur {
+		p.AdvanceTo(ps.drainAt - w.bufDur)
+	}
+}

@@ -120,8 +120,8 @@ type mcNet struct {
 	linkFree []sim.Time
 	aggFree  sim.Time
 
-	// pipe[p] is the write-through pipe state for processor p.
-	pipe []pipeState
+	// The write-through pipes drain at link bandwidth.
+	writePipes
 }
 
 // newMemoryChannel creates a Memory Channel for the engine's cluster.
@@ -130,10 +130,10 @@ func newMemoryChannel(eng *sim.Engine, params MCParams) (*mcNet, error) {
 		return nil, err
 	}
 	return &mcNet{
-		params:   params,
-		eng:      eng,
-		linkFree: make([]sim.Time, eng.Config().Nodes),
-		pipe:     make([]pipeState, eng.NumProcs()),
+		params:     params,
+		eng:        eng,
+		linkFree:   make([]sim.Time, eng.Config().Nodes),
+		writePipes: newWritePipes(eng.NumProcs(), params.LinkBandwidth, params.WriteBufferBytes),
 	}, nil
 }
 
@@ -198,17 +198,8 @@ func (n *mcNet) RemoteRead(p *sim.Proc, src int, bytes int64, tc TrafficClass) s
 
 // WriteThrough implements Interconnect.
 func (n *mcNet) WriteThrough(p *sim.Proc, home int, bytes int64) {
-	ps := &n.pipe[p.ID]
-	if ps.drainAt < p.Now() {
-		ps.drainAt = p.Now()
-	}
-	ps.drainAt += durOn(bytes, n.params.LinkBandwidth)
-	ps.bytes += bytes
 	n.bytesByClass[TrafficDoubling] += bytes
-	// Stall if the write buffer cannot absorb the backlog.
-	if backlog := ps.drainAt - p.Now(); backlog > durOn(n.params.WriteBufferBytes, n.params.LinkBandwidth) {
-		p.AdvanceTo(ps.drainAt - durOn(n.params.WriteBufferBytes, n.params.LinkBandwidth))
-	}
+	n.push(p, bytes)
 }
 
 // FenceTime implements Interconnect (drain plus latency).

@@ -102,7 +102,7 @@ type rdmaNet struct {
 	qpFree  []sim.Time
 	nicFree []sim.Time
 
-	pipe []pipeState
+	writePipes
 }
 
 // newRDMA creates an RDMA fabric for the engine's cluster.
@@ -112,11 +112,11 @@ func newRDMA(eng *sim.Engine, params RDMAParams) (*rdmaNet, error) {
 	}
 	nodes := eng.Config().Nodes
 	return &rdmaNet{
-		params:  params,
-		nodes:   nodes,
-		qpFree:  make([]sim.Time, nodes*nodes),
-		nicFree: make([]sim.Time, nodes),
-		pipe:    make([]pipeState, eng.NumProcs()),
+		params:     params,
+		nodes:      nodes,
+		qpFree:     make([]sim.Time, nodes*nodes),
+		nicFree:    make([]sim.Time, nodes),
+		writePipes: newWritePipes(eng.NumProcs(), params.NICBandwidth, params.WriteBufferBytes),
 	}, nil
 }
 
@@ -192,16 +192,8 @@ func (n *rdmaNet) RemoteRead(p *sim.Proc, src int, bytes int64, tc TrafficClass)
 // WriteThrough implements Interconnect: doubled writes drain through the
 // NIC at adapter bandwidth.
 func (n *rdmaNet) WriteThrough(p *sim.Proc, home int, bytes int64) {
-	ps := &n.pipe[p.ID]
-	if ps.drainAt < p.Now() {
-		ps.drainAt = p.Now()
-	}
-	ps.drainAt += durOn(bytes, n.params.NICBandwidth)
-	ps.bytes += bytes
 	n.bytesByClass[TrafficDoubling] += bytes
-	if backlog := ps.drainAt - p.Now(); backlog > durOn(n.params.WriteBufferBytes, n.params.NICBandwidth) {
-		p.AdvanceTo(ps.drainAt - durOn(n.params.WriteBufferBytes, n.params.NICBandwidth))
-	}
+	n.push(p, bytes)
 }
 
 // FenceTime implements Interconnect (drain plus latency).

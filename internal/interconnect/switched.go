@@ -107,7 +107,7 @@ type switchNet struct {
 	linkFree   []sim.Time
 	uplinkFree []sim.Time
 
-	pipe []pipeState
+	writePipes
 }
 
 // newSwitched creates a switched fabric for the engine's cluster.
@@ -125,7 +125,7 @@ func newSwitched(eng *sim.Engine, params SwitchedParams) (*switchNet, error) {
 		nodes:      nodes,
 		linkFree:   make([]sim.Time, nodes),
 		uplinkFree: make([]sim.Time, leaves),
-		pipe:       make([]pipeState, eng.NumProcs()),
+		writePipes: newWritePipes(eng.NumProcs(), params.LinkBandwidth, params.WriteBufferBytes),
 	}, nil
 }
 
@@ -217,16 +217,8 @@ func (n *switchNet) RemoteRead(p *sim.Proc, src int, bytes int64, tc TrafficClas
 // WriteThrough implements Interconnect: doubled writes drain through the
 // node's access link.
 func (n *switchNet) WriteThrough(p *sim.Proc, home int, bytes int64) {
-	ps := &n.pipe[p.ID]
-	if ps.drainAt < p.Now() {
-		ps.drainAt = p.Now()
-	}
-	ps.drainAt += durOn(bytes, n.params.LinkBandwidth)
-	ps.bytes += bytes
 	n.bytesByClass[TrafficDoubling] += bytes
-	if backlog := ps.drainAt - p.Now(); backlog > durOn(n.params.WriteBufferBytes, n.params.LinkBandwidth) {
-		p.AdvanceTo(ps.drainAt - durOn(n.params.WriteBufferBytes, n.params.LinkBandwidth))
-	}
+	n.push(p, bytes)
 }
 
 // FenceTime implements Interconnect: drain plus the fabric diameter, since

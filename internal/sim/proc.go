@@ -52,8 +52,12 @@ type Proc struct {
 
 	// jstate is this processor's splitmix64 cost-jitter stream, seeded at Run
 	// from (schedule seed, proc ID) when a jittering schedule is committed.
-	// Advanced only by the owning goroutine, in program order.
-	jstate uint64
+	// Advanced only by the owning goroutine, in program order. jitterK is the
+	// schedule's cost-jitter fraction quantized to 1/1024ths (zero: no
+	// jitter), set by SetSchedule; it lives here so Advance tests it without
+	// leaving the Proc.
+	jstate  uint64
+	jitterK int64
 }
 
 // Engine returns the engine this processor belongs to.
@@ -64,23 +68,30 @@ func (p *Proc) Now() Time { return p.now }
 
 // Advance adds d nanoseconds of local work to the processor's clock. It never
 // yields; callers that can tolerate a scheduling point should follow up with
-// YieldIfQuantum.
-//
-// Under a cost-jittering schedule (SetSchedule) the charged duration is
-// inflated by a seed-derived amount in [0, d*CostJitter]: never shrunk, never
-// past the declared fraction, so every jittered cost stays within the range
-// the model layer declared legal. Integer arithmetic only; the intermediate
-// product bounds d below ~100 virtual days per call, far past any real
-// charge.
+// YieldIfQuantum. Kept small enough to inline into every charging call site:
+// the rare cases live in advanceSlow.
 func (p *Proc) Advance(d Time) {
+	if d < 0 || p.jitterK != 0 {
+		d = p.advanceSlow(d)
+	}
+	p.now += d
+}
+
+// advanceSlow rejects a negative duration and applies cost jitter. Under a
+// cost-jittering schedule (SetSchedule) the charged duration is inflated by a
+// seed-derived amount in [0, d*CostJitter]: never shrunk, never past the
+// declared fraction, so every jittered cost stays within the range the model
+// layer declared legal. Integer arithmetic only; the intermediate product
+// bounds d below ~100 virtual days per call, far past any real charge.
+func (p *Proc) advanceSlow(d Time) Time {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: proc %d Advance(%d): negative duration", p.ID, d))
 	}
-	if k := p.eng.jitterK; k != 0 && d > 0 {
+	if d > 0 {
 		u := int64(jitterNext(&p.jstate) & 1023)
-		d += (d * u / 1024) * k / 1024
+		d += (d * u / 1024) * p.jitterK / 1024
 	}
-	p.now += d
+	return d
 }
 
 // AdvanceTo moves the clock forward to t if t is in the future; it is a no-op

@@ -105,12 +105,15 @@ func (e *Engine) SetSchedule(s Schedule) {
 		panic(err.Error())
 	}
 	e.sched = s
-	e.jitterK = 0
+	var k int64
 	if s.Enabled() && s.CostJitter > 0 {
 		// Quantize the fraction to 1/1024ths once, up front: the hot path
 		// then stays in integer arithmetic (no float op is ever schedule- or
 		// host-dependent).
-		e.jitterK = int64(s.CostJitter*1024 + 0.5)
+		k = int64(s.CostJitter*1024 + 0.5)
+	}
+	for _, p := range e.procs {
+		p.jitterK = k
 	}
 }
 

@@ -164,10 +164,8 @@ type Engine struct {
 	parallelActive bool
 
 	// sched is the committed schedule perturbation (zero value: canonical
-	// order); jitterK is its cost-jitter fraction quantized to 1/1024ths so
-	// the Advance hot path stays in integer arithmetic. See schedule.go.
-	sched   Schedule
-	jitterK int64
+	// order). See schedule.go.
+	sched Schedule
 
 	rounds      uint64 // horizon windows executed (parallel mode)
 	crossEvents uint64 // cross-domain events drained (parallel mode)

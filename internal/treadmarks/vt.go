@@ -61,17 +61,37 @@ type Interval struct {
 
 // sortIntervals orders interval records so that, per creating processor, ids
 // ascend (required for contiguous log appends) and across processors a
-// causal linear extension holds.
+// causal linear extension holds. Each record's VT sum is computed once, not
+// per comparison; (sum, Proc, ID) is a strict total order, so the result does
+// not depend on the sort algorithm.
 func sortIntervals(recs []Interval) {
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		sa, sb := a.VT.Sum(), b.VT.Sum()
-		if sa != sb {
-			return sa < sb
-		}
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		return a.ID < b.ID
-	})
+	s := bySum{recs: recs, sums: make([]int64, len(recs))}
+	for i, r := range recs {
+		s.sums[i] = r.VT.Sum()
+	}
+	sort.Sort(s)
+}
+
+// bySum sorts recs by (sums[i], Proc, ID), keeping sums parallel to recs.
+type bySum struct {
+	recs []Interval
+	sums []int64
+}
+
+func (s bySum) Len() int { return len(s.recs) }
+
+func (s bySum) Less(i, j int) bool {
+	if s.sums[i] != s.sums[j] {
+		return s.sums[i] < s.sums[j]
+	}
+	a, b := &s.recs[i], &s.recs[j]
+	if a.Proc != b.Proc {
+		return a.Proc < b.Proc
+	}
+	return a.ID < b.ID
+}
+
+func (s bySum) Swap(i, j int) {
+	s.recs[i], s.recs[j] = s.recs[j], s.recs[i]
+	s.sums[i], s.sums[j] = s.sums[j], s.sums[i]
 }

@@ -65,13 +65,12 @@ func (p Prot) CanWrite() bool { return p == ProtReadWrite }
 // page's data.
 type Space struct {
 	prot   []Prot
-	frames [][]byte
-	// epoch counts mapping mutations (protection changes, frame drops and
-	// allocations). Cached (page, prot, frame) translations — internal/core
-	// keeps a small per-processor cache to skip the table walk on sequential
-	// same-page accesses — are valid only while the epoch they were filled
-	// at is still current.
-	epoch uint64
+	frames []*[PageSize]byte
+	// rd[p] (wr[p]) is page p's frame iff the frame exists and the protection
+	// allows a read (a write), else nil: the no-fault check of internal/core's
+	// accessors is one indexed load and a nil test. Both are a function of
+	// (prot[p], frames[p]) that every mutator re-establishes through sync.
+	rd, wr []*[PageSize]byte
 }
 
 // NewSpace creates a space covering numPages pages, all ProtNone and
@@ -82,7 +81,9 @@ func NewSpace(numPages int) *Space {
 	}
 	return &Space{
 		prot:   make([]Prot, numPages),
-		frames: make([][]byte, numPages),
+		frames: make([]*[PageSize]byte, numPages),
+		rd:     make([]*[PageSize]byte, numPages),
+		wr:     make([]*[PageSize]byte, numPages),
 	}
 }
 
@@ -92,37 +93,56 @@ func (s *Space) NumPages() int { return len(s.prot) }
 // Prot returns the protection of page p.
 func (s *Space) Prot(page int) Prot { return s.prot[page] }
 
-// Epoch returns the mapping-mutation counter. Any SetProt, DropFrame, or
-// frame allocation bumps it, invalidating all cached translations for this
-// space.
-func (s *Space) Epoch() uint64 { return s.epoch }
+// sync re-derives page p's rd/wr entries from its protection and frame.
+func (s *Space) sync(page int) {
+	var rd, wr *[PageSize]byte
+	if s.prot[page].CanRead() {
+		rd = s.frames[page]
+	}
+	if s.prot[page].CanWrite() {
+		wr = s.frames[page]
+	}
+	s.rd[page], s.wr[page] = rd, wr
+}
 
 // SetProt changes the protection of page p. Cost accounting (the mprotect
 // cost) is the caller's responsibility.
 func (s *Space) SetProt(page int, prot Prot) {
 	s.prot[page] = prot
-	s.epoch++
+	s.sync(page)
 }
+
+// ReadFrame returns page p's frame if a read needs neither a fault nor a
+// frame allocation, else nil.
+func (s *Space) ReadFrame(page int) *[PageSize]byte { return s.rd[page] }
+
+// WriteFrame is ReadFrame for a write.
+func (s *Space) WriteFrame(page int) *[PageSize]byte { return s.wr[page] }
 
 // Frame returns page p's local frame, or nil if the page has never been
 // mapped on this processor.
-func (s *Space) Frame(page int) []byte { return s.frames[page] }
+func (s *Space) Frame(page int) []byte {
+	if f := s.frames[page]; f != nil {
+		return f[:]
+	}
+	return nil
+}
 
 // EnsureFrame returns page p's local frame, allocating a zeroed one if
 // needed.
 func (s *Space) EnsureFrame(page int) []byte {
 	if s.frames[page] == nil {
-		s.frames[page] = make([]byte, PageSize)
-		s.epoch++
+		s.frames[page] = new([PageSize]byte)
+		s.sync(page)
 	}
-	return s.frames[page]
+	return s.frames[page][:]
 }
 
 // DropFrame discards page p's local frame (full unmap, e.g. when TreadMarks
 // invalidates a page whose contents will be refetched).
 func (s *Space) DropFrame(page int) {
 	s.frames[page] = nil
-	s.epoch++
+	s.sync(page)
 }
 
 // Superpages: Digital Unix limits the number of distinct Memory Channel

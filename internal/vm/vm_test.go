@@ -128,43 +128,60 @@ func TestProtMonotonicity(t *testing.T) {
 	}
 }
 
-// TestEpochTracksMappingMutations checks that every mapping mutation — and
-// only mapping mutations — bumps the epoch that validates cached
-// translations.
-func TestEpochTracksMappingMutations(t *testing.T) {
-	s := NewSpace(4)
-	e0 := s.Epoch()
-
-	s.SetProt(2, ProtRead)
-	if s.Epoch() != e0+1 {
-		t.Fatalf("SetProt: epoch %d, want %d", s.Epoch(), e0+1)
+// TestFrameTablesFollowProtAndFrame drives random SetProt/EnsureFrame/
+// DropFrame sequences and checks after every step, on every page, that
+// ReadFrame and WriteFrame are what a walk of Prot and Frame would decide:
+// nil exactly when the access would fault or materialize, the frame's own
+// backing array otherwise.
+func TestFrameTablesFollowProtAndFrame(t *testing.T) {
+	const pages = 5
+	check := func(s *Space, step int) bool {
+		for pg := 0; pg < pages; pg++ {
+			fr, prot := s.Frame(pg), s.Prot(pg)
+			for _, c := range []struct {
+				name    string
+				got     *[PageSize]byte
+				allowed bool
+			}{
+				{"ReadFrame", s.ReadFrame(pg), prot.CanRead()},
+				{"WriteFrame", s.WriteFrame(pg), prot.CanWrite()},
+			} {
+				want := c.allowed && fr != nil
+				if (c.got != nil) != want {
+					t.Errorf("step %d page %d (prot %v, frame %v): %s non-nil = %v, want %v",
+						step, pg, prot, fr != nil, c.name, c.got != nil, want)
+					return false
+				}
+				if want && &c.got[0] != &fr[0] {
+					t.Errorf("step %d page %d: %s is not the page's frame", step, pg, c.name)
+					return false
+				}
+			}
+		}
+		return true
 	}
-	s.EnsureFrame(2)
-	if s.Epoch() != e0+2 {
-		t.Fatalf("EnsureFrame alloc: epoch %d, want %d", s.Epoch(), e0+2)
+	f := func(ops []uint16) bool {
+		s := NewSpace(pages)
+		if !check(s, -1) {
+			return false
+		}
+		for i, op := range ops {
+			pg := int(op>>8) % pages
+			switch op % 5 {
+			case 0, 1, 2:
+				s.SetProt(pg, Prot(op%5))
+			case 3:
+				s.EnsureFrame(pg)
+			case 4:
+				s.DropFrame(pg)
+			}
+			if !check(s, i) {
+				return false
+			}
+		}
+		return true
 	}
-	// Re-ensuring an existing frame changes no mapping and must not
-	// invalidate translations.
-	s.EnsureFrame(2)
-	if s.Epoch() != e0+2 {
-		t.Fatalf("EnsureFrame existing: epoch %d, want %d", s.Epoch(), e0+2)
-	}
-	// Reads of the table never bump.
-	_ = s.Prot(2)
-	_ = s.Frame(2)
-	if s.Epoch() != e0+2 {
-		t.Fatalf("read accessors bumped epoch to %d", s.Epoch())
-	}
-	s.DropFrame(2)
-	if s.Epoch() != e0+3 {
-		t.Fatalf("DropFrame: epoch %d, want %d", s.Epoch(), e0+3)
-	}
-	// Writing through a frame mutates data, not the mapping: frame identity
-	// is unchanged, so cached translations stay valid.
-	fr := s.EnsureFrame(1)
-	e1 := s.Epoch()
-	fr[0] = 0xff
-	if s.Epoch() != e1 {
-		t.Fatalf("frame data write bumped epoch to %d", s.Epoch())
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -11,7 +11,10 @@
 #                        diffable per PR;
 #   3. gofmt           — formatting for tracked Go files, including testdata
 #                        fixtures (git ls-files, so untracked scratch
-#                        directories like .seedtree/ never fail lint).
+#                        directories like .seedtree/ never fail lint);
+#   4. inlining        — the functions every simulated load and store goes
+#                        through must stay within the compiler's inlining
+#                        budget (DESIGN.md §3a item 3).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,5 +31,16 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
+
+echo "== inlining =="
+inlinable=$(go build -gcflags=-m ./internal/vm ./internal/cache ./internal/sim 2>&1 |
+    sed -n 's/.*: can inline //p')
+for fn in '(*Space).ReadFrame' '(*Space).WriteFrame' '(*L1).Access' \
+    '(*Proc).Advance' '(*Proc).CheckpointQuiet'; do
+    if ! grep -qxF -- "$fn" <<<"$inlinable"; then
+        echo "$fn is no longer inlinable: the shared-access fast path now pays a call for it" >&2
+        exit 1
+    fi
+done
 
 echo "lint OK"
