@@ -18,6 +18,19 @@ type lockSpace struct {
 	words *interconnect.WordArray // [lock*nodes + node]
 	flags [][]bool                // [lock][node]: node-local test-and-set flag
 	nodes int
+	spins []lockSpin // [rank]: the acquire each compute processor has in flight
+}
+
+// lockSpin is one processor's acquire in flight. A processor sits in at most
+// one acquire at a time, so the state lives here with its three spin
+// conditions bound once at construction and an acquire allocates nothing.
+type lockSpin struct {
+	ls             *lockSpace
+	p              *core.Proc
+	id, node, base int
+	won            bool
+
+	takeFlag, sawLoopback, outlasted func() bool
 }
 
 func newLockSpace(rt *core.Runtime, name string, numLocks int) *lockSpace {
@@ -26,32 +39,64 @@ func newLockSpace(rt *core.Runtime, name string, numLocks int) *lockSpace {
 		words: rt.Net().NewWordArray(name, numLocks*nodes, interconnect.TrafficSync),
 		flags: make([][]bool, numLocks),
 		nodes: nodes,
+		spins: make([]lockSpin, len(rt.ComputeProcs())),
 	}
 	for i := range ls.flags {
 		ls.flags[i] = make([]bool, nodes)
 	}
+	for i := range ls.spins {
+		s := &ls.spins[i]
+		s.ls = ls
+		s.takeFlag, s.sawLoopback, s.outlasted = s.tryFlag, s.loopedBack, s.tournament
+	}
 	return ls
+}
+
+// tryFlag wins the per-node test-and-set flag if it is free.
+func (s *lockSpin) tryFlag() bool {
+	flag := &s.ls.flags[s.id][s.node]
+	if *flag {
+		return false
+	}
+	*flag = true
+	return true
+}
+
+// loopedBack reports whether our node's entry has appeared via loop-back.
+func (s *lockSpin) loopedBack() bool {
+	return s.ls.words.Read(s.p.Sim(), s.base+s.node) == 1
+}
+
+// tournament ends when we are the sole contender (won) or a lower node
+// arrives (drop out).
+func (s *lockSpin) tournament() bool {
+	anySet := false
+	for n := 0; n < s.ls.nodes; n++ {
+		if n == s.node || s.ls.words.Read(s.p.Sim(), s.base+n) == 0 {
+			continue
+		}
+		if n < s.node {
+			return true // lower contender appeared: drop out
+		}
+		anySet = true
+	}
+	s.won = !anySet
+	return s.won
 }
 
 // acquire takes cluster lock id on behalf of p.
 func (ls *lockSpace) acquire(p *core.Proc, id int) {
 	node := p.Node()
+	base := id * ls.nodes
+	s := &ls.spins[p.Rank()]
+	s.p, s.id, s.node, s.base, s.won = p, id, node, base, false
 	// Step 1: win the per-node flag with ll/sc (intra-node).
 	p.ChargeProtocol(p.Costs().LLSC)
-	p.SpinWait("node lock flag", func() bool {
-		if ls.flags[id][node] {
-			return false
-		}
-		ls.flags[id][node] = true
-		return true
-	})
-	base := id * ls.nodes
+	p.SpinWait("node lock flag", s.takeFlag)
 	for attempt := 1; ; attempt++ {
 		// Step 2: set our node's entry and wait for it via loop-back.
 		ls.words.WriteLoopback(p.Sim(), base+node, 1)
-		p.SpinWait("lock loopback", func() bool {
-			return ls.words.Read(p.Sim(), base+node) == 1
-		})
+		p.SpinWait("lock loopback", s.sawLoopback)
 		// Step 3: read the whole array.
 		sole := true
 		lowest := node
@@ -72,25 +117,8 @@ func (ls *lockSpace) acquire(p *core.Proc, id int) {
 			// keeps its entry; higher nodes clear and back off, and the
 			// current holder's entry clears at its release. Spin until
 			// sole — but yield if a still-lower node arrives meanwhile.
-			won := false
-			p.SpinWait("lock tournament", func() bool {
-				anySet := false
-				for n := 0; n < ls.nodes; n++ {
-					if n == node || ls.words.Read(p.Sim(), base+n) == 0 {
-						continue
-					}
-					if n < node {
-						return true // lower contender appeared: drop out
-					}
-					anySet = true
-				}
-				if !anySet {
-					won = true
-					return true
-				}
-				return false
-			})
-			if won {
+			p.SpinWait("lock tournament", s.outlasted)
+			if s.won {
 				return
 			}
 		}

@@ -334,6 +334,27 @@ func TestSpinWaitServicesAndBounds(t *testing.T) {
 	}
 }
 
+// TestSpinWaitAllocatesNothing pins the spin state living in the Proc: once
+// the poll is bound (the first spin), a SpinWait with a non-capturing
+// condition must not touch the heap, however many probes it takes.
+func TestSpinWaitAllocatesNothing(t *testing.T) {
+	prog := &Program{
+		Name:        "spinalloc",
+		SharedBytes: vmPageSize,
+		Body: func(p *Proc) {
+			probes := 0
+			cond := func() bool { probes++; return probes%8 == 0 }
+			p.SpinWait("warm-up", cond)
+			if n := testing.AllocsPerRun(50, func() { p.SpinWait("steady", cond) }); n != 0 {
+				t.Errorf("SpinWait allocated %v objects per call, want 0", n)
+			}
+		},
+	}
+	if _, err := Run(seqConfig(), prog); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestChargeCategories(t *testing.T) {
 	cfg := seqConfig()
 	prog := &Program{

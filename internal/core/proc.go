@@ -43,6 +43,19 @@ type Proc struct {
 	finished bool
 
 	checks map[string]float64
+
+	// spin is the SpinWait in flight and spinPoll the poll that steps it,
+	// bound once per processor, so a spin allocates nothing.
+	spin     spinState
+	spinPoll func() (bool, sim.Time)
+}
+
+// spinState is one SpinWait's condition, livelock deadline and backoff step.
+type spinState struct {
+	what     string
+	cond     func() bool
+	deadline sim.Time
+	step     sim.Time
 }
 
 // Rank returns the processor's compute rank (0-based), or -1 for a dedicated
@@ -294,36 +307,42 @@ func (p *Proc) CacheTouch(a uint64) bool {
 // The wait time lands in Comm&Wait (uncharged). SpinWait panics if no
 // progress is made for a long virtual-time bound (protocol livelock).
 func (p *Proc) SpinWait(what string, cond func() bool) {
-	const (
-		stepMin = 500 * sim.Nanosecond
-		stepMax = 20 * sim.Microsecond
-		// Long enough that heavy lock congestion (32 processors queueing on
-		// millisecond critical sections under interrupt-based variants) is
-		// not mistaken for a livelock.
-		limit = 120 * sim.Second
-	)
-	deadline := p.sp.Now() + limit
-	step := stepMin
+	outer := p.spin // a handler run from a probe may itself spin
+	p.spin = spinState{what: what, cond: cond, deadline: p.sp.Now() + spinLimit, step: spinStepMin}
 	// PollWait lets whichever goroutine dispatches this processor's queue
 	// entry probe the condition inline, so a contended spin costs no host
-	// goroutine switches. The closure must not yield or block: cond reads
-	// memory (charging access costs) and PollVisible only services handlers
-	// that charge and reply, which holds for every protocol that spins
-	// (Cashmere's locks and barriers; TreadMarks waits in Recv instead).
-	p.sp.PollWait(func() (bool, sim.Time) {
-		if cond() {
-			return true, 0
-		}
-		if p.sp.Now() > deadline {
-			panic(fmt.Sprintf("core: proc %d spun %dns on %q without progress", p.sp.ID, limit, what))
-		}
-		p.ep.PollVisible()
-		p.sp.Advance(step)
-		if step < stepMax {
-			step *= 2
-		}
-		return false, p.sp.Now()
-	})
+	// switches. The poll must not yield or block: cond reads memory (charging
+	// access costs) and PollVisible only services handlers that charge and
+	// reply, which holds for every protocol that spins (Cashmere's locks and
+	// barriers; TreadMarks waits in Recv instead).
+	p.sp.PollWait(p.spinPoll)
+	p.spin = outer
+}
+
+const (
+	spinStepMin = 500 * sim.Nanosecond
+	spinStepMax = 20 * sim.Microsecond
+	// Long enough that heavy lock congestion (32 processors queueing on
+	// millisecond critical sections under interrupt-based variants) is not
+	// mistaken for a livelock.
+	spinLimit = 120 * sim.Second
+)
+
+// stepSpin is one probe of the spin in flight.
+func (p *Proc) stepSpin() (bool, sim.Time) {
+	s := &p.spin
+	if s.cond() {
+		return true, 0
+	}
+	if p.sp.Now() > s.deadline {
+		panic(fmt.Sprintf("core: proc %d spun %dns on %q without progress", p.sp.ID, spinLimit, s.what))
+	}
+	p.ep.PollVisible()
+	p.sp.Advance(s.step)
+	if s.step < spinStepMax {
+		s.step *= 2
+	}
+	return false, p.sp.Now()
 }
 
 // Lock acquires application lock id.

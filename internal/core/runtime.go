@@ -313,6 +313,7 @@ func Run(cfg Config, prog *Program) (res *Result, err error) {
 			rank:       -1,
 			noFastPath: noFastPath,
 		}
+		p.spinPoll = p.stepSpin
 		if cfg.Cache != nil {
 			l1, err := cache.New(*cfg.Cache)
 			if err != nil {

@@ -39,17 +39,18 @@ type crossEvent struct {
 
 // domain is one sequential scheduling region of the engine: a set of
 // processors that share a run queue and execute under the baton-passing
-// discipline. A sequential engine has exactly one domain holding every
-// processor; a parallel engine has one domain per simulated node, each driven
-// by its own host worker.
+// discipline, driven by one host worker goroutine. A sequential engine has
+// exactly one domain holding every processor; a parallel engine has one
+// domain per simulated node.
 //
 // All of a domain's scheduling state (runq, pushCount, msgSeq, counters) is
 // touched only by the goroutine currently holding the domain's baton — the
-// worker or one of the domain's processor goroutines — with every transfer of
-// control flowing through an unbuffered channel, so no locks are needed and
-// the race detector can verify the discipline. The single exception is `in`,
-// the staging buffer for events arriving from other domains, which has its
-// own mutex and is drained only by the coordinator between windows.
+// worker or one of the domain's processor coroutines — with every transfer of
+// control being a coroutine switch (which orders the two sides, so no locks
+// are needed and the race detector can verify the discipline). The single
+// exception is `in`, the staging buffer for events arriving from other
+// domains, which has its own mutex and is drained only by the coordinator
+// between windows.
 //
 // The confinement contract is machine-checked: every field below marked
 // dsmvet:domain-confined may only be touched by functions annotated
@@ -63,7 +64,6 @@ type domain struct {
 	procs []*Proc
 	runq  runQueue // dsmvet:domain-confined
 
-	reports   chan report
 	pushCount uint64 // dsmvet:domain-confined — run-queue push counter for FIFO tie-breaking
 	msgSeq    uint64 // dsmvet:domain-confined — per-domain message sequence counter
 
@@ -102,12 +102,7 @@ type domain struct {
 // dsmvet:dispatch — constructor; the domain is not yet visible to any
 // other goroutine.
 func newDomain(e *Engine, id int) *domain {
-	return &domain{
-		eng:     e,
-		id:      id,
-		reports: make(chan report),
-		windowH: maxTime,
-	}
+	return &domain{eng: e, id: id, windowH: maxTime}
 }
 
 // dsmvet:dispatch — called only by the domain's current baton holder.
@@ -134,264 +129,169 @@ func (d *domain) enqueue(target *Proc, t Time) {
 	d.runq.push(entry{at: t, order: d.pushCount, procID: target.ID, seq: target.queueSeq})
 }
 
-// dsmvet:dispatch — called by the running (baton-holding) processor.
+// dsmvet:dispatch — called by the baton holder: a yielding or polling
+// processor, or a dispatcher evaluating a parked processor's poll inline.
 //
-// canElide reports whether a yield by the running processor until virtual
-// time t may skip the report/resume channel round-trip entirely. It may:
-// exactly one goroutine runs at a time within the domain, so the run queue is
-// quiescent, and if every runnable processor's resume time is strictly after
-// t the dispatch loop would pop the yielder's own entry and hand the baton
-// straight back. Ties are not elidable: FIFO order among equal times would
-// run the already queued processor first. Under a parallel window the resume
-// time must also stay inside the horizon — at or past it, other domains may
-// still produce earlier events, so the yielder must genuinely park. Stale
-// heap heads (entries superseded by a later WakeAt) are discarded on the way,
-// exactly as the dispatch loop would discard them when popped.
-func (d *domain) canElide(t Time) bool {
+// yieldAt performs the scheduling step of "q yields until t" short of the
+// switch: it resets q's quantum origin, then either elides the yield (true: q
+// keeps the baton with its clock advanced to t) or queues q to resume at t
+// (false: the caller must dispatch a successor). Yield, PollWait and the
+// inline poll loop all take this one step, so each makes the same push-counter
+// and sequence-stamp updates — FIFO tie-breaking is global, and one extra push
+// would renumber every later tie.
+//
+// The yield may be elided — the enqueue-and-dispatch step skipped entirely —
+// because exactly one goroutine runs at a time within the domain, so the run
+// queue is quiescent, and if every runnable processor's resume time is
+// strictly after t the dispatch loop would pop the yielder's own entry and
+// hand the baton straight back. Ties are not elidable: FIFO order among equal
+// times would run the already queued processor first. Under a parallel window
+// the resume time must also stay inside the horizon — at or past it, other
+// domains may still produce earlier events, so the yielder must genuinely
+// park. Stale heap heads (entries superseded by a later WakeAt) are discarded
+// on the way, exactly as the dispatch loop would discard them when popped.
+func (d *domain) yieldAt(q *Proc, t Time) (elided bool) {
+	q.lastYield = q.now
 	if !d.eng.fastYield || t >= d.windowH {
+		d.enqueue(q, t)
 		return false
 	}
 	for {
 		head, ok := d.runq.peek()
 		if !ok {
-			// No other runnable processor: the yielder would be re-dispatched
-			// immediately.
-			return true
+			break // no other runnable processor: q would be re-dispatched at once
 		}
-		q := d.eng.procs[head.procID]
-		if q.state != stateQueued || head.seq != q.queueSeq {
-			d.runq.pop() // stale entry; the dispatch loop would skip it too
-			continue
+		h := d.eng.procs[head.procID]
+		if h.state == stateQueued && head.seq == h.queueSeq {
+			if t < head.at {
+				break
+			}
+			d.enqueue(q, t)
+			return false
 		}
-		return t < head.at
+		d.runq.pop() // stale entry; the dispatch loop would skip it too
 	}
+	d.elided++
+	if t > q.now {
+		q.now = t
+	}
+	return true
 }
 
 // dsmvet:dispatch — runs on the dispatching goroutine, which holds the baton.
 //
-// dispatchPoll evaluates a parked processor's PollWait closure inline on the
-// dispatching goroutine. On (false, next) the processor is re-queued and the
-// dispatcher keeps going — no goroutine switch happened. On done the poll is
-// cleared and the caller must resume the processor's goroutine for real. A
-// panic inside the poll (e.g. a spin-wait livelock bound) is captured and
-// returned as an error; the caller aborts the run with it.
-func (d *domain) dispatchPoll(q *Proc, at Time) (resume bool, err error) {
-	if at > q.now {
-		q.now = at
-	}
-	q.state = stateRunning
-	// This loop must mirror PollWait's own exactly — including the elision
-	// branch, which probes again without re-queueing. Re-queueing on every
-	// probe would advance pushCount and queueSeq on a different schedule
-	// than the processor's own goroutine would have, silently changing FIFO
-	// tie-breaking everywhere downstream.
+// pollInline evaluates a parked processor's PollWait closure on the
+// dispatching goroutine, exactly as PollWait's own loop would on the
+// processor's: on (false, next) the processor is re-queued (or, when nothing
+// else could run first, probed again) and no switch happened; on done the poll
+// is cleared and the caller must resume the processor for real. d.polling
+// brackets each probe; a probe that panics leaves it set for dispatchNext's
+// deferred handler.
+func (d *domain) pollInline(q *Proc) (resume bool) {
 	for {
 		d.polls++
-		done, next := func() (done bool, next Time) {
-			d.polling = true
-			defer func() {
-				d.polling = false
-				if r := recover(); r != nil {
-					err = fmt.Errorf("sim: proc %d poll panicked: %v", q.ID, r)
-				}
-			}()
-			return q.poll()
-		}()
-		if err != nil {
-			return false, err
-		}
+		d.polling = true
+		done, next := q.poll()
+		d.polling = false
 		if done {
 			q.poll = nil
-			return true, nil
+			return true
 		}
 		if next < q.now {
 			next = q.now
 		}
-		if d.canElide(next) {
-			d.elided++
-			q.lastYield = q.now
-			if next > q.now {
-				q.now = next
-			}
-			continue
+		if !d.yieldAt(q, next) {
+			return false
 		}
-		q.lastYield = q.now
-		d.enqueue(q, next)
-		return false, nil
 	}
 }
 
-// dsmvet:dispatch — runs on the yielding processor's goroutine, which holds
-// the baton until the resume send below transfers it.
+// dsmvet:dispatch — the one dispatch loop. It runs on whichever goroutine
+// holds the baton: the worker at the start of a window and after a body
+// returns, or a yielding, polling or blocking processor (see Proc.pass).
 //
-// handoff performs a yield dispatch entirely on the yielding processor's
-// goroutine: it enqueues p to resume at t (exactly as the worker does on a
-// yield report), pops the minimum runnable entry, and passes the baton to that
-// processor directly, parking p until its own entry is popped later. This is
-// bit-exact with routing through the worker — the enqueue and dispatch steps
-// are the same code the window loop runs, in the same order — but costs one
-// goroutine switch instead of two. Returns false if no successor exists
-// inside the window horizon; the caller must then fall back to the worker,
-// which closes the window.
-func (d *domain) handoff(p *Proc, t Time) bool {
-	d.enqueue(p, t)
-	for {
-		ent, ok := d.runq.peek()
-		if !ok {
-			return false
+// dispatchNext pops the minimum live run-queue entry inside the window
+// horizon and returns its processor, marked running with its clock at the
+// entry's time. Stale entries (superseded by a later wake) are discarded. A
+// processor parked in PollWait has its poll evaluated inline and is returned
+// only once the poll reports done; otherwise it was re-queued and the loop
+// goes on. nil means nothing may run before the horizon: the window closes. A
+// panic inside a poll (e.g. a spin-wait livelock bound) is recovered here,
+// once per call rather than once per probe, and returned as the run's error.
+func (d *domain) dispatchNext() (q *Proc, err error) {
+	defer func() {
+		if !d.polling {
+			return // not a poll's panic: let it propagate
 		}
-		q := d.eng.procs[ent.procID]
-		if q.state != stateQueued || ent.seq != q.queueSeq {
-			d.runq.pop() // stale queue entry superseded by a later Wake
-			continue
+		d.polling = false
+		if r := recover(); r != nil {
+			q, err = nil, fmt.Errorf("sim: proc %d poll panicked: %v", q.ID, r)
 		}
-		if ent.at >= d.windowH {
-			// The next event lies at or past the horizon: only the worker may
-			// close the window and wait for the coordinator.
-			return false
-		}
-		d.runq.pop()
-		if q.poll != nil {
-			ok, err := d.dispatchPoll(q, ent.at)
-			if err != nil {
-				panic(err) // aborts the run via this goroutine's panic report
-			}
-			if !ok {
-				continue // re-queued without a goroutine switch
-			}
-		}
+	}()
+	for d.nextEventTime() < d.windowH { // maxTime, so false, when the queue is empty
+		ent, _ := d.runq.pop()
+		q = d.eng.procs[ent.procID]
 		if ent.at > q.now {
 			q.now = ent.at
 		}
 		q.state = stateRunning
-		if q == p {
-			return true // own entry came straight back: keep running
+		if q.poll == nil || d.pollInline(q) {
+			return q, nil
 		}
-		d.handoffs++
-		q.resume <- struct{}{}
-		<-p.resume
-		return true
 	}
+	return nil, nil
 }
 
-// dsmvet:dispatch — runs on the blocking processor's goroutine, which holds
-// the baton until the resume send below transfers it.
+// dsmvet:dispatch — the worker's side of the baton; it holds it whenever no
+// processor coroutine does.
 //
-// dispatchBlocked marks p blocked and passes the baton to the next runnable
-// processor directly, parking p until a WakeAt re-queues it. p must be marked
-// blocked before anything else is dispatched: an inline poll evaluated from
-// this loop may deliver a message to p, and the resulting wake only re-queues
-// a processor it observes as parked. If that happens, p's own entry surfaces
-// in the queue and the loop returns true with p runnable again — exactly as
-// if the wake had arrived after p parked. Returns false when no runnable
-// processor exists inside the horizon; the caller must then report through
-// the worker so deadlock detection (or the window protocol) runs.
-func (d *domain) dispatchBlocked(p *Proc) bool {
-	p.state = stateBlocked
-	for {
-		ent, ok := d.runq.peek()
-		if !ok {
-			return false
-		}
-		q := d.eng.procs[ent.procID]
-		if q.state != stateQueued || ent.seq != q.queueSeq {
-			d.runq.pop() // stale entry; the dispatch loop would skip it too
-			continue
-		}
-		if ent.at >= d.windowH {
-			return false
-		}
-		d.runq.pop()
-		if q.poll != nil {
-			ok, err := d.dispatchPoll(q, ent.at)
-			if err != nil {
-				panic(err) // aborts the run via this goroutine's panic report
-			}
-			if !ok {
-				continue
-			}
-		}
-		if ent.at > q.now {
-			q.now = ent.at
-		}
-		q.state = stateRunning
-		if q == p {
-			return true // woken by an inline poll's delivery: stop blocking
-		}
-		d.handoffs++
-		q.resume <- struct{}{}
-		<-p.resume
-		return true
-	}
-}
-
-// dsmvet:dispatch — the worker's dispatch loop; it owns the baton whenever
-// no processor goroutine does.
-//
-// window runs the domain's dispatch loop until the next runnable event lies
-// at or past horizon (exclusive), the queue drains, or a processor panics.
+// window runs the domain until the next runnable event lies at or past
+// horizon (exclusive), the queue drains, or a processor panics. The worker
+// only starts a chain of baton passes: q.next() switches into q's coroutine,
+// which runs until it parks and names its successor (Proc.pass), so the loop
+// body is one half of every processor-to-processor switch and nothing else.
 // With horizon == maxTime this is exactly the sequential engine loop.
 func (d *domain) window(horizon Time) error {
 	d.windowH = horizon
-	for {
-		ent, ok := d.runq.peek()
-		if !ok {
-			return nil
-		}
-		p := d.eng.procs[ent.procID]
-		if p.state != stateQueued || ent.seq != p.queueSeq {
-			d.runq.pop() // stale queue entry superseded by a later Wake
+	q, err := d.dispatchNext()
+	for q != nil && err == nil {
+		succ, parked := q.next()
+		if parked {
+			q = succ // nil: q found nothing runnable inside the horizon
 			continue
 		}
-		if ent.at >= horizon {
-			return nil
+		// q's body returned or panicked (Proc.coroutine recorded which).
+		if q.err != nil {
+			return q.err
 		}
-		d.runq.pop()
-		if p.poll != nil {
-			ok, err := d.dispatchPoll(p, ent.at)
-			if err != nil {
-				// Unlike a body panic, the poll's owner goroutine is still
-				// parked (killParked unwinds it), so active is not decremented.
-				return err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if ent.at > p.now {
-			p.now = ent.at
-		}
-		p.state = stateRunning
-		p.resume <- struct{}{}
-		// With direct handoff enabled the baton may pass between processor
-		// goroutines many times before anything is reported, so the reporter
-		// (r.p) is not necessarily the processor dispatched above.
-		r := <-d.reports
-		switch r.kind {
-		case reportYield:
-			d.enqueue(r.p, r.at)
-		case reportBlock:
-			r.p.state = stateBlocked
-		case reportParked:
-			// Reporter already holds its correct parked state; nothing to do.
-		case reportDone:
-			r.p.state = stateDone
-			d.active--
-		case reportPanic:
-			r.p.state = stateDone
-			d.active--
-			return r.err
-		}
+		q, err = d.dispatchNext()
 	}
+	return err
 }
 
-// worker is the per-domain host goroutine of a parallel run: it executes one
-// window per command and reports the window's outcome. The coordinator closes
-// windowCh to shut it down.
+// worker is the per-domain host goroutine: it executes one window per command
+// and reports the window's outcome. The coordinator closes windowCh to shut it
+// down. A body that calls runtime.Goexit takes this goroutine with it —
+// iter.Pull re-raises the exit in next's caller — so the dying worker reports
+// the error the coroutine recorded on its way out.
 func (d *domain) worker() {
+	exiting := true
+	defer func() {
+		if !exiting {
+			return
+		}
+		err := fmt.Errorf("sim: domain %d dispatcher exited abnormally (runtime.Goexit)", d.id)
+		for _, p := range d.procs {
+			if p.err != nil {
+				err = p.err
+			}
+		}
+		d.resultCh <- err
+	}()
 	for horizon := range d.windowCh {
 		d.resultCh <- d.window(horizon)
 	}
+	exiting = false
 }
 
 // stage appends a cross-domain event for this (receiving) domain. Called by
@@ -402,12 +302,12 @@ func (d *domain) stage(ev crossEvent) {
 	d.in.mu.Unlock()
 }
 
-// dsmvet:dispatch — called only by the coordinator between windows, when the
-// domain is quiescent.
+// dsmvet:dispatch — called by the baton holder from dispatchNext, or by the
+// coordinator between windows, when the domain is quiescent.
 //
 // nextEventTime returns the virtual time of the domain's earliest live queue
-// entry, or maxTime if none, discarding stale entries on the way. Called only
-// by the coordinator between windows.
+// entry, or maxTime if none, discarding stale entries (superseded by a later
+// wake) on the way, so the heap's head is live when it returns.
 func (d *domain) nextEventTime() Time {
 	for {
 		ent, ok := d.runq.peek()
@@ -426,7 +326,7 @@ func (d *domain) nextEventTime() Time {
 // dsmvet:dispatch — the coordinator; it reads domain state only between
 // windows, when every worker is parked on windowCh.
 //
-// runParallel executes the simulation with one worker per domain under the
+// coordinate executes the simulation with one worker per domain under the
 // conservative window protocol:
 //
 //  1. Drain: apply every staged cross-domain event (deliveries and wakes) in
@@ -445,8 +345,12 @@ func (d *domain) nextEventTime() Time {
 //     an idle domain's worker returns immediately, implicitly promising it
 //     will produce nothing before H), then loops.
 //
-// See DESIGN.md §3b for the ordering proof.
-func (e *Engine) runParallel() error {
+// A sequential engine is the degenerate case: one domain, nothing ever
+// staged, and no horizon, so its single window runs until the queue drains.
+// On every way out the coroutines still parked are unwound and the workers
+// shut down, so an aborted simulation leaks no goroutines. See DESIGN.md §3b
+// for the ordering proof.
+func (e *Engine) coordinate() error {
 	for _, d := range e.domains {
 		d.windowCh = make(chan Time)
 		d.resultCh = make(chan error)
@@ -456,13 +360,20 @@ func (e *Engine) runParallel() error {
 		for _, d := range e.domains {
 			close(d.windowCh)
 		}
+		// No window is executing, so every unfinished coroutine is parked in
+		// pass (or was never started) and stop unwinds it; stopping a finished
+		// one is a no-op.
+		for _, p := range e.procs {
+			if p.stop != nil {
+				p.stop()
+			}
+		}
 	}()
 
 	var firstErr error
 	for {
 		e.drainCross()
 		if firstErr != nil {
-			e.killParked()
 			return firstErr
 		}
 		T := maxTime
@@ -477,15 +388,15 @@ func (e *Engine) runParallel() error {
 			return nil
 		}
 		if T == maxTime {
-			err := e.deadlockError(active)
-			e.killParked()
-			return err
+			return e.deadlockError(active)
 		}
-		horizon := T + e.lookahead
-		if horizon < T { // overflow
-			horizon = maxTime
+		horizon := maxTime
+		if e.parallelActive {
+			e.rounds++
+			if horizon = T + e.lookahead; horizon < T { // overflow
+				horizon = maxTime
+			}
 		}
-		e.rounds++
 		for _, d := range e.domains {
 			d.windowCh <- horizon
 		}

@@ -8,13 +8,15 @@ import (
 )
 
 // irregularWorkload drives yields, quantum yields, message traffic, and
-// block/wake pairs across eight processors and returns the final clocks.
-// Used to compare the fast scheduling paths against the plain engine loop.
-func irregularWorkload(t *testing.T, fast bool) ([]Time, uint64, uint64) {
+// block/wake pairs and a contended spin across eight processors and returns
+// the final clocks. Used to compare the fast scheduling paths against the
+// plain enqueue-and-dispatch of every yield.
+func irregularWorkload(t *testing.T, fast bool) ([]Time, *Engine) {
 	t.Helper()
 	e := mustEngine(t, 2, 4)
 	e.SetFastYield(fast)
 	n := e.NumProcs()
+	raised := false
 	for i, p := range e.Procs() {
 		i := i
 		e.Go(p, func(p *Proc) {
@@ -42,6 +44,21 @@ func irregularWorkload(t *testing.T, fast bool) ([]Time, uint64, uint64) {
 			for p.InboxLen() > 0 {
 				p.Recv("drain")
 			}
+			// A spin on a flag the last processor raises late: inline polls
+			// when the fast paths are on, a sleep-yield loop when they are off.
+			if i == n-1 {
+				p.Advance(5000)
+				p.Yield()
+				raised = true
+				return
+			}
+			p.PollWait(func() (bool, Time) {
+				if raised {
+					return true, 0
+				}
+				p.Advance(Time(40 + i))
+				return false, p.Now()
+			})
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -51,20 +68,27 @@ func irregularWorkload(t *testing.T, fast bool) ([]Time, uint64, uint64) {
 	for i, p := range e.Procs() {
 		clocks[i] = p.Now()
 	}
-	return clocks, e.ElidedYields(), e.DirectHandoffs()
+	return clocks, e
 }
 
-// TestFastYieldEquivalence checks that yield elision and direct baton handoff
-// are bit-exact: the same irregular workload must land every processor on
-// exactly the same final clock with the fast paths on and off.
+// TestFastYieldEquivalence checks that yield elision and inline poll
+// evaluation are bit-exact: the same irregular workload must land every
+// processor on exactly the same final clock with the fast paths on and off.
+// Off means no yield is elided and no poll runs on a dispatcher; baton passes
+// are the same coroutine switch either way, so both runs count handoffs, and
+// the slow one must count more (every elided yield and inline probe of the
+// fast run is a real pass in it).
 func TestFastYieldEquivalence(t *testing.T) {
-	slow, slowElided, slowHandoffs := irregularWorkload(t, false)
-	fast, fastElided, fastHandoffs := irregularWorkload(t, true)
-	if slowElided != 0 || slowHandoffs != 0 {
-		t.Fatalf("slow path took fast paths: elided=%d handoffs=%d", slowElided, slowHandoffs)
+	slow, se := irregularWorkload(t, false)
+	fast, fe := irregularWorkload(t, true)
+	if se.ElidedYields() != 0 || se.InlinePolls() != 0 {
+		t.Fatalf("slow path took fast paths: elided=%d inline polls=%d", se.ElidedYields(), se.InlinePolls())
 	}
-	if fastElided == 0 && fastHandoffs == 0 {
-		t.Fatal("fast path never elided or handed off; workload not exercising it")
+	if fe.ElidedYields() == 0 || fe.InlinePolls() == 0 {
+		t.Fatalf("fast path not exercised: elided=%d inline polls=%d", fe.ElidedYields(), fe.InlinePolls())
+	}
+	if se.DirectHandoffs() <= fe.DirectHandoffs() || fe.DirectHandoffs() == 0 {
+		t.Fatalf("handoffs: slow=%d fast=%d, want slow > fast > 0", se.DirectHandoffs(), fe.DirectHandoffs())
 	}
 	for i := range slow {
 		if slow[i] != fast[i] {
@@ -93,8 +117,9 @@ func TestElisionCountsSoloYields(t *testing.T) {
 	}
 }
 
-// TestHandoffBypassesEngine checks that a two-processor ping-pong passes the
-// baton directly between the processor goroutines.
+// TestHandoffBypassesEngine checks that a two-processor ping-pong counts its
+// processor-to-processor baton passes, and that the worker's first dispatch
+// of each processor is not one of them.
 func TestHandoffBypassesEngine(t *testing.T) {
 	e := mustEngine(t, 1, 2)
 	e.SetFastYield(true)
@@ -109,8 +134,11 @@ func TestHandoffBypassesEngine(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.DirectHandoffs() == 0 {
-		t.Fatal("ping-pong workload produced no direct handoffs")
+	// Each of the 100 yields finds the other processor due first and passes
+	// the baton; the two first dispatches and the dispatch after proc 0
+	// returns are the worker's and do not count.
+	if got := e.DirectHandoffs(); got != 100 {
+		t.Fatalf("DirectHandoffs = %d, want 100", got)
 	}
 }
 
@@ -181,7 +209,7 @@ func TestNoGoroutineLeakOnPanic(t *testing.T) {
 }
 
 // TestNoGoroutineLeakSlowPath repeats the deadlock leak check with the fast
-// paths disabled, covering the plain report/resume unwinding.
+// paths disabled.
 func TestNoGoroutineLeakSlowPath(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
@@ -224,8 +252,8 @@ func BenchmarkYieldElided(b *testing.B) {
 }
 
 // BenchmarkYieldSlowPath measures the two-processor ping-pong with every fast
-// path disabled: each yield is a full report/resume round-trip through the
-// engine goroutine.
+// path disabled. Baton passes are the same coroutine switch either way, so
+// this tracks BenchmarkYield; it differs only where yields would elide.
 func BenchmarkYieldSlowPath(b *testing.B) {
 	e, err := NewEngine(Config{Nodes: 1, ProcsPerNode: 2})
 	if err != nil {

@@ -23,6 +23,11 @@ type Msg struct {
 // stable iteration for free.
 type mailbox struct {
 	msgs []Msg
+	// buf is msgs' backing array from its start. Receiving slides msgs forward
+	// over it; once the inbox empties msgs snaps back to buf, so a processor
+	// with steady traffic reuses one array instead of growing a fresh one every
+	// time the window reaches the end.
+	buf []Msg
 }
 
 func (mb *mailbox) insert(m Msg) {
@@ -36,9 +41,24 @@ func (mb *mailbox) insert(m Msg) {
 		}
 		i--
 	}
+	grows := len(mb.msgs) == cap(mb.msgs)
 	mb.msgs = append(mb.msgs, Msg{})
+	if grows {
+		mb.buf = mb.msgs[:0]
+	}
 	copy(mb.msgs[i+1:], mb.msgs[i:])
 	mb.msgs[i] = m
+}
+
+// pop removes and returns the head message. The consumed slot is zeroed so
+// the backing array does not pin its Data payload.
+func (mb *mailbox) pop() Msg {
+	m := mb.msgs[0]
+	mb.msgs[0] = Msg{}
+	if mb.msgs = mb.msgs[1:]; len(mb.msgs) == 0 {
+		mb.msgs = mb.buf
+	}
+	return m
 }
 
 // Deliver places a message in the target processor's inbox and, if the target
@@ -88,9 +108,7 @@ func (p *Proc) TryRecv() (Msg, bool) {
 	if len(p.inbox.msgs) == 0 || p.inbox.msgs[0].At > p.now {
 		return Msg{}, false
 	}
-	m := p.inbox.msgs[0]
-	p.inbox.msgs = p.inbox.msgs[1:]
-	return m, true
+	return p.inbox.pop(), true
 }
 
 // PeekInbox reports whether any message is visible at the current clock

@@ -1,12 +1,9 @@
 package sim
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Proc is one simulated processor. All of its methods must be called from the
-// processor's own body function (the goroutine started by Run), except
+// processor's own body function (the coroutine started by Run), except
 // Deliver and WakeAt which are called from whichever processor currently
 // holds the baton.
 type Proc struct {
@@ -17,10 +14,19 @@ type Proc struct {
 	// CPU is the processor's index within its node.
 	CPU int
 
-	eng    *Engine
-	dom    *domain
-	body   func(*Proc)
-	resume chan struct{}
+	eng  *Engine
+	dom  *domain
+	body func(*Proc)
+
+	// The processor is a coroutine (newCoro over coroutine, made at Run).
+	// next, called by the domain's worker, switches into it until it parks in
+	// pass and returns the successor it named there; yield is the coroutine's
+	// side of that switch. stop unwinds a parked coroutine at teardown. err is
+	// what ended the body abnormally, if anything did.
+	next  func() (*Proc, bool)
+	stop  func()
+	yield func(*Proc) bool
+	err   error
 
 	now      Time
 	state    procState
@@ -35,12 +41,8 @@ type Proc struct {
 
 	blockReason string
 
-	// killed is set by the engine when a failed Run unwinds parked
-	// goroutines; the next resume exits via runtime.Goexit.
-	killed bool
-
 	// poll, when non-nil, lets dispatchers evaluate this parked processor's
-	// wait condition inline instead of resuming its goroutine (see PollWait).
+	// wait condition inline instead of resuming its coroutine (see PollWait).
 	poll func() (bool, Time)
 
 	inbox mailbox
@@ -102,32 +104,65 @@ func (p *Proc) AdvanceTo(t Time) {
 	}
 }
 
-func (p *Proc) run() {
-	<-p.resume // wait for the first dispatch
-	if p.killed {
-		return // engine teardown before the body ever ran
-	}
-	done := false
+// stopped is the panic value that unwinds a parked coroutine when the engine
+// stops it at teardown.
+type stopped struct{}
+
+// dsmvet:dispatch — runs on the processor's coroutine, which holds the baton
+// when its body ends.
+//
+// coroutine is the function newCoro runs: the body, plus the bookkeeping for
+// every way it can end. A return or a panic marks the processor done and
+// leaves err for the worker, whose next() returns false. runtime.Goexit (e.g.
+// t.Fatalf in a test body) cannot be stopped here: the deferred function
+// records it and iter.Pull then ends the worker too (see domain.worker).
+func (p *Proc) coroutine(yield func(*Proc) bool) {
+	p.yield = yield
+	returned := false
 	defer func() {
 		r := recover()
-		if p.killed {
-			// Engine teardown unwound us mid-yield; nobody is listening on
-			// the reports channel any more.
-			return
+		if _, ok := r.(stopped); ok {
+			return // engine teardown unwound us; nobody is listening
 		}
+		p.state = stateDone
+		p.dom.active--
 		if r != nil {
-			p.dom.reports <- report{p: p, kind: reportPanic, err: fmt.Errorf("sim: proc %d panicked: %v", p.ID, r)}
-			return
-		}
-		if !done {
-			// The body exited via runtime.Goexit (e.g. t.Fatalf in a test
-			// body). Report it so the engine does not hang.
-			p.dom.reports <- report{p: p, kind: reportPanic, err: fmt.Errorf("sim: proc %d exited abnormally (runtime.Goexit)", p.ID)}
+			p.err = fmt.Errorf("sim: proc %d panicked: %v", p.ID, r)
+		} else if !returned {
+			p.err = fmt.Errorf("sim: proc %d exited abnormally (runtime.Goexit)", p.ID)
 		}
 	}()
 	p.body(p)
-	done = true
-	p.dom.reports <- report{p: p, kind: reportDone}
+	returned = true
+}
+
+// dsmvet:dispatch — runs on p's coroutine, which holds the baton until the
+// switch below gives it away.
+//
+// pass is the processor's side of every baton pass. p has already queued
+// itself (yield, poll) or marked itself blocked; it now runs the dispatch loop
+// itself and, if the successor is another processor, parks by yielding that
+// processor to the worker, whose next() on it completes the switch: two
+// coroutine switches and no trip through the Go scheduler. If p's own entry
+// comes straight back (nothing else was due first, or an inline poll's
+// delivery woke a blocker) there is no switch at all. With nothing runnable
+// inside the horizon p yields nil, which closes the window; for a sequential
+// run that is the deadlock report. A panicking inline poll aborts the run
+// through this body's panic path.
+func (p *Proc) pass() {
+	q, err := p.dom.dispatchNext()
+	if err != nil {
+		panic(err)
+	}
+	if q == p {
+		return
+	}
+	if q != nil {
+		p.dom.handoffs++
+	}
+	if !p.yield(q) {
+		panic(stopped{})
+	}
 }
 
 // Yield hands the baton back to the scheduler and resumes when this processor
@@ -147,38 +182,19 @@ func (p *Proc) YieldUntil(t Time) {
 	p.yieldUntil(t)
 }
 
-// dsmvet:dispatch — runs on the yielding processor's goroutine, which holds
+// dsmvet:dispatch — runs on the yielding processor's coroutine, which holds
 // the baton.
 func (p *Proc) yieldUntil(t Time) {
 	if p.dom.polling {
 		panic(fmt.Sprintf("sim: proc %d yielded inside a dispatcher-run poll (PollWait closures must not yield)", p.ID))
 	}
-	if p.dom.canElide(t) {
-		// Fast path: the scheduler would hand the baton straight back, so
-		// perform exactly the state updates the round-trip would have made —
-		// reset the quantum origin and advance the clock to the resume time —
-		// and keep running. Bit-exact with the slow path: no other processor
-		// could have run in between.
-		p.dom.elided++
-		p.lastYield = p.now
-		if t > p.now {
-			p.now = t
-		}
-		return
-	}
-	p.lastYield = p.now
-	if p.eng.fastYield && p.dom.handoff(p, t) {
-		// Baton passed (or bounced straight back) without waking the dispatcher.
-		if p.killed {
-			runtime.Goexit()
-		}
-		return
-	}
-	p.queuedAt = t
-	p.dom.reports <- report{p: p, kind: reportYield, at: t}
-	<-p.resume
-	if p.killed {
-		runtime.Goexit()
+	// When yieldAt elides, the scheduler would have handed the baton straight
+	// back, so it made exactly the state updates the round-trip would have —
+	// quantum origin reset, clock advanced to the resume time — and p keeps
+	// running. Bit-exact with parking: no other processor could have run in
+	// between.
+	if !p.dom.yieldAt(p, t) {
+		p.pass()
 	}
 }
 
@@ -190,15 +206,16 @@ func (p *Proc) yieldUntil(t Time) {
 // This is the scheduling primitive behind spin waits. Its value over a plain
 // sleep-yield loop is host cost: when the processor parks, the poll closure
 // is registered with the scheduler, and whichever goroutine dispatches the
-// processor's queue entry — a peer's direct handoff or the domain worker —
+// processor's queue entry — a peer passing the baton or the domain worker —
 // evaluates the poll inline, re-queueing on false without ever switching to
-// this goroutine. The processor's goroutine is only resumed when the poll
-// reports done. A contended spin that used to cost two goroutine switches
-// per probe costs zero. This is bit-exact with the yield loop: the closure
-// runs at exactly the same virtual times, in the same global order, with the
-// same effects — only the host goroutine executing it differs.
+// this coroutine. The processor is only resumed when the poll reports done. A
+// contended spin that used to cost two switches per probe costs zero. This is
+// bit-exact with the yield loop: the closure runs at exactly the same virtual
+// times, in the same global order, with the same effects — only the host
+// goroutine executing it differs. With the fast paths pinned off
+// (SIM_NO_FASTPATH) the poll is not registered and every probe runs here.
 //
-// dsmvet:dispatch — runs on the polling processor's goroutine, which holds
+// dsmvet:dispatch — runs on the polling processor's coroutine, which holds
 // the baton at every touch of domain state.
 //
 // The contract is that poll must not yield, block, park, or otherwise touch
@@ -215,51 +232,15 @@ func (p *Proc) PollWait(poll func() (done bool, next Time)) {
 		if next < p.now {
 			next = p.now
 		}
-		if p.dom.canElide(next) {
-			// Nothing else can run before next: skip the park entirely,
-			// exactly as an elided yield would.
-			p.dom.elided++
-			p.lastYield = p.now
-			if next > p.now {
-				p.now = next
-			}
-			continue
+		if p.dom.yieldAt(p, next) {
+			continue // nothing else can run before next: probe again
 		}
-		p.lastYield = p.now
-		if !p.eng.fastYield {
-			// Slow path pinned (SIM_NO_FASTPATH): behave exactly like a
-			// sleep-yield loop, evaluating every poll on this goroutine.
-			p.queuedAt = next
-			p.dom.reports <- report{p: p, kind: reportYield, at: next}
-			<-p.resume
-			if p.killed {
-				runtime.Goexit()
-			}
-			continue
+		if p.eng.fastYield {
+			p.poll = poll
+			p.pass()
+			return // resumed only once a dispatcher saw the poll report done
 		}
-		p.poll = poll
-		if p.dom.handoff(p, next) {
-			if p.killed {
-				runtime.Goexit()
-			}
-			if p.poll == nil {
-				return // a dispatcher saw the poll report done and resumed us
-			}
-			p.poll = nil // own entry bounced straight back: keep polling here
-			continue
-		}
-		// No successor inside the window: report to the worker, which will
-		// evaluate the poll inline from its dispatch loop.
-		p.queuedAt = next
-		p.dom.reports <- report{p: p, kind: reportYield, at: next}
-		<-p.resume
-		if p.killed {
-			runtime.Goexit()
-		}
-		if p.poll == nil {
-			return
-		}
-		p.poll = nil
+		p.pass()
 	}
 }
 
@@ -283,7 +264,7 @@ func (p *Proc) CheckpointQuiet(quantum Time) bool {
 		p.now-p.lastYield < quantum
 }
 
-// dsmvet:dispatch — runs on the blocking processor's goroutine, which holds
+// dsmvet:dispatch — runs on the blocking processor's coroutine, which holds
 // the baton.
 //
 // Block parks the processor until another processor calls WakeAt (or until a
@@ -303,23 +284,14 @@ func (p *Proc) Block(reason string) {
 	}
 	p.blockReason = reason
 	p.lastYield = p.now
-	if p.eng.fastYield && p.dom.dispatchBlocked(p) {
-		// Baton passed directly; a WakeAt re-queued us and a dispatcher
-		// (worker or peer) handed it back.
-	} else {
-		kind := reportBlock
-		if p.state == stateQueued {
-			// An inline poll's delivery woke us while dispatchBlocked was
-			// looking for a successor, but our entry lies past the window
-			// horizon: park as queued, not blocked, so the entry stays live.
-			kind = reportParked
-		}
-		p.dom.reports <- report{p: p, kind: kind}
-		<-p.resume
-	}
-	if p.killed {
-		runtime.Goexit()
-	}
+	// p must be marked blocked before pass dispatches anything: an inline poll
+	// evaluated there may deliver a message to p, and the resulting wake only
+	// re-queues a processor it observes as parked. If that happens p's own
+	// entry surfaces in the queue and pass returns at once with p running —
+	// exactly as if the wake had arrived after p parked (or, past the window
+	// horizon, p parks queued and its entry stays live).
+	p.state = stateBlocked
+	p.pass()
 	p.blockReason = ""
 	p.wakeToken = false // the wake that resumed us is consumed
 }

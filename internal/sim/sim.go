@@ -1,17 +1,21 @@
 // Package sim provides a deterministic discrete-event simulation engine for a
 // cluster of SMP nodes.
 //
-// Each simulated processor is a goroutine with its own virtual clock. The
-// processors are partitioned into scheduling domains; exactly one processor
-// goroutine executes at any moment within a domain: control is handed back
-// and forth between the domain's dispatcher and the running processor through
-// unbuffered channels, so intra-domain scheduling needs no locks and is
-// bit-deterministic. A sequential engine (the default) has a single domain
-// holding every processor, which is the classic one-goroutine-at-a-time
-// discipline.
+// Each simulated processor is a coroutine (iter.Pull) with its own virtual
+// clock. The processors are partitioned into scheduling domains, each driven
+// by one host worker goroutine; exactly one processor executes at any moment
+// within a domain, and the right to execute — the baton — moves only by
+// coroutine switch: the worker's next() into a processor, and the processor's
+// yield back, naming its successor. A processor that must give way runs the
+// domain's one dispatch loop itself (dispatchNext) and parks by yielding the
+// processor it found to the worker, which switches straight into it, so a
+// baton pass is two coroutine switches and never a trip through the Go
+// scheduler; intra-domain scheduling needs no locks and is bit-deterministic.
+// A sequential engine (the default) has a single domain holding every
+// processor, which is the classic one-at-a-time discipline.
 //
-// The scheduling rule is the classic conservative one: the dispatcher always
-// resumes the runnable processor with the minimum virtual clock (ties are
+// The scheduling rule is the classic conservative one: the dispatch loop
+// always picks the runnable processor with the minimum virtual clock (ties are
 // FIFO in queue-push order, which is itself deterministic). Processors
 // accumulate virtual time locally with Advance and must Yield before
 // performing any globally visible action (acquiring a
@@ -43,10 +47,11 @@ import (
 )
 
 // NoFastPathEnv is the environment variable that, when set to any non-empty
-// value, disables the simulator's host-time fast paths (yield elision here,
-// translation caching in internal/core). The fast paths are bit-exact — they
-// change no virtual-time result — so the toggle exists purely so tests can
-// run both paths and assert identical output.
+// value, disables the simulator's host-time fast paths (yield elision and
+// inline poll evaluation here, the quiet-checkpoint guard in internal/core).
+// The fast paths are bit-exact — they change no virtual-time result — so the
+// toggle exists purely so tests can run both ways and assert identical
+// output. Baton passes are the same coroutine switch either way.
 const NoFastPathEnv = "SIM_NO_FASTPATH"
 
 // FastPathEnabled reports whether the fast paths are enabled for engines and
@@ -124,26 +129,6 @@ func (s procState) String() string {
 	return "invalid"
 }
 
-type reportKind uint8
-
-const (
-	reportYield reportKind = iota
-	reportBlock
-	// reportParked hands the baton to the worker without changing the
-	// reporter's state: it is already queued (a wake raced with its block) or
-	// already recorded. The worker just continues its dispatch loop.
-	reportParked
-	reportDone
-	reportPanic
-)
-
-type report struct {
-	p    *Proc
-	kind reportKind
-	at   Time // resume time for reportYield
-	err  error
-}
-
 // Engine owns the simulated cluster: its processors, the scheduling domains,
 // and the global event ordering. Create one with NewEngine, add processors
 // with NewProc, give each a body with Go, then call Run.
@@ -189,12 +174,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 	for n := 0; n < cfg.Nodes; n++ {
 		for c := 0; c < cfg.ProcsPerNode; c++ {
 			p := &Proc{
-				ID:     len(e.procs),
-				Node:   n,
-				CPU:    c,
-				eng:    e,
-				dom:    d,
-				resume: make(chan struct{}),
+				ID:   len(e.procs),
+				Node: n,
+				CPU:  c,
+				eng:  e,
+				dom:  d,
 			}
 			e.procs = append(e.procs, p)
 			d.procs = append(d.procs, p)
@@ -284,9 +268,10 @@ func (e *Engine) ElidedYields() uint64 {
 
 // dsmvet:dispatch — observational read, documented as valid only after Run.
 //
-// DirectHandoffs returns the number of baton passes that went directly from
-// one processor goroutine to the next without waking the dispatcher.
-// Purely observational (tests and benchmarks).
+// DirectHandoffs returns the number of baton passes from one processor to
+// another (Proc.pass finding a successor other than itself). The worker's own
+// dispatches — each processor's first, and the one after a body returns — are
+// not counted. Purely observational (tests and benchmarks).
 func (e *Engine) DirectHandoffs() uint64 {
 	var n uint64
 	for _, d := range e.domains {
@@ -298,7 +283,7 @@ func (e *Engine) DirectHandoffs() uint64 {
 // dsmvet:dispatch — observational read, documented as valid only after Run.
 //
 // InlinePolls returns the number of PollWait closures that dispatchers
-// evaluated inline, without switching to the polling processor's goroutine.
+// evaluated inline, without switching to the polling processor's coroutine.
 // Purely observational (tests and benchmarks).
 func (e *Engine) InlinePolls() uint64 {
 	var n uint64
@@ -325,7 +310,7 @@ func (e *Engine) CrossEvents() uint64 { return e.crossEvents }
 func (e *Engine) CrossTies() uint64 { return e.crossTies }
 
 // dsmvet:dispatch — runs once at Run, before any worker or processor
-// goroutine starts.
+// coroutine starts.
 //
 // partition commits the engine to its final domain layout. Sequential
 // engines keep the single domain built by NewEngine; parallel engines get
@@ -350,14 +335,12 @@ func (e *Engine) partition() {
 	}
 }
 
-// dsmvet:dispatch — the top-level driver: it touches domain state before
-// goroutines start and, sequentially, between window calls when it owns the
-// single domain's baton.
+// dsmvet:dispatch — runs before any worker or coroutine starts.
 //
 // Run executes the simulation until every processor with a body has finished,
 // or until no progress is possible (deadlock). It returns an error describing
 // a deadlock or a panic inside a processor body. On either failure the
-// parked processor goroutines are unwound before Run returns, so an aborted
+// parked processor coroutines are unwound before Run returns, so an aborted
 // simulation does not leak goroutines.
 func (e *Engine) Run() error {
 	if e.started {
@@ -374,48 +357,9 @@ func (e *Engine) Run() error {
 		}
 		p.dom.active++
 		p.dom.enqueue(p, e.startTime(p))
-		go p.run()
+		p.next, p.stop = newCoro(p.coroutine)
 	}
-
-	if e.parallelActive {
-		return e.runParallel()
-	}
-
-	// Sequential execution: the single domain runs one unbounded window per
-	// dispatch epoch. window returns on panic (error), or with the run queue
-	// drained — success if every processor finished, deadlock otherwise.
-	d := e.domains[0]
-	for d.active > 0 {
-		if err := d.window(maxTime); err != nil {
-			// The simulation result is already invalid; unwind the parked
-			// goroutines so an engine-heavy test run does not accumulate
-			// them.
-			e.killParked()
-			return err
-		}
-		if d.active > 0 {
-			err := e.deadlockError(d.active)
-			e.killParked()
-			return err
-		}
-	}
-	return nil
-}
-
-// killParked unwinds every processor goroutine still parked on its resume
-// channel. Each parked goroutine is woken with its killed flag set; it exits
-// via runtime.Goexit without reporting back (nobody is listening). Only
-// called from Run's failure paths, where no processor holds the baton in any
-// domain, so every non-done processor with a body is guaranteed to be blocked
-// on <-resume and the unbuffered sends cannot hang.
-func (e *Engine) killParked() {
-	for _, p := range e.procs {
-		if p.body == nil || p.state == stateDone {
-			continue
-		}
-		p.killed = true
-		p.resume <- struct{}{}
-	}
+	return e.coordinate()
 }
 
 func (e *Engine) deadlockError(active int) error {

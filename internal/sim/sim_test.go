@@ -350,6 +350,30 @@ func TestMailboxOrdering(t *testing.T) {
 	}
 }
 
+// TestMailboxReleasesAndReusesSlots checks the two memory properties of
+// receiving: a consumed slot no longer references its message's payload, and
+// an emptied inbox starts again at the front of the same backing array.
+func TestMailboxReleasesAndReusesSlots(t *testing.T) {
+	var mb mailbox
+	mb.insert(Msg{At: 1, Seq: 1, Data: new(int)})
+	mb.insert(Msg{At: 2, Seq: 2, Data: new(int)})
+	front := &mb.msgs[0]
+	if m := mb.pop(); m.Seq != 1 || m.Data == nil {
+		t.Fatalf("pop = %+v, want message 1 with its payload", m)
+	}
+	if front.Data != nil {
+		t.Fatal("consumed slot still pins its payload")
+	}
+	mb.pop()
+	if len(mb.msgs) != 0 {
+		t.Fatalf("inbox holds %d messages after receiving both", len(mb.msgs))
+	}
+	mb.insert(Msg{At: 3, Seq: 3})
+	if &mb.msgs[0] != front {
+		t.Fatal("emptied inbox did not reuse its backing array")
+	}
+}
+
 func TestRecvAdvancesClockToArrival(t *testing.T) {
 	e := mustEngine(t, 1, 2)
 	r, s := e.Proc(0), e.Proc(1)

@@ -22,7 +22,7 @@ run_bench() {
 
 echo "bench.sh: running microbenchmarks (benchtime $benchtime)" >&2
 bench_lines=$(
-    run_bench internal/sim 'Yield|DeliverRecv|ParallelSweep'
+    run_bench internal/sim 'Yield|DeliverRecv|Handoff|ParallelSweep'
     run_bench internal/core 'SharedAccess|SharedReadRange'
     run_bench internal/apps/sor 'SORSmallSequential'
 )
@@ -55,7 +55,7 @@ cpu=${cpu:-unknown}
     printf '  "goos": "%s",\n' "$(go env GOOS)"
     printf '  "goarch": "%s",\n' "$(go env GOARCH)"
     printf '  "cpu": "%s",\n' "$cpu"
-    printf '  "note": "Tracked hot-path numbers; regenerate with scripts/bench.sh. BenchmarkYield ping-pongs two processors (direct handoff); BenchmarkYieldSlowPath is the same workload with fast paths disabled; BenchmarkYieldElided is a lone processor whose yields all elide. BenchmarkSharedReadRange covers 1024 elements per op, so its ns_per_element field (ns_per_op/1024) is the number comparable to element-at-a-time BenchmarkSharedAccess. BenchmarkParallelSweep runs one cross-node messaging workload on the sequential and the node-parallel engine. The sweep section times dsmbench -all -size small -jobs 1; before is the previous recording (or BEFORE_SECONDS). The netsweep section times the interconnect x node-count sweep (dsmbench -netsweep); both sweeps run under -strict so a failed cell aborts the script instead of recording partial numbers.",\n'
+    printf '  "note": "Tracked hot-path numbers; regenerate with scripts/bench.sh. BenchmarkYield ping-pongs two processors (one coroutine baton pass per op); BenchmarkHandoff is the same ping-pong pinned to GOMAXPROCS 1 and to NumCPU, whose ratio is the idle-P penalty (~1.0); BenchmarkYieldSlowPath is the same workload with fast paths disabled; BenchmarkYieldElided is a lone processor whose yields all elide. BenchmarkSharedReadRange covers 1024 elements per op, so its ns_per_element field (ns_per_op/1024) is the number comparable to element-at-a-time BenchmarkSharedAccess. BenchmarkParallelSweep runs one cross-node messaging workload on the sequential and the node-parallel engine. The sweep section times dsmbench -all -size small -jobs 1; before is the previous recording (or BEFORE_SECONDS). The netsweep section times the interconnect x node-count sweep (dsmbench -netsweep); both sweeps run under -strict so a failed cell aborts the script instead of recording partial numbers.",\n'
     printf '  "benchmarks": [\n'
     first=1
     while IFS=$'\t' read -r pkg name ns; do
