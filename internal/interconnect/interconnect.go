@@ -186,8 +186,8 @@ type Interconnect interface {
 	Interrupts() int64
 }
 
-// stats is the traffic accounting every backend embeds; its methods satisfy
-// the accounting half of the Interconnect interface.
+// stats is the traffic accounting every backend embeds (through shared); its
+// methods satisfy the accounting half of the Interconnect interface.
 type stats struct {
 	bytesByClass [NumTrafficClasses]int64
 	writesIssued int64
@@ -218,8 +218,7 @@ func (s *stats) Transfers() int64 { return s.transfers }
 // Interrupts implements Interconnect.
 func (s *stats) Interrupts() int64 { return s.interrupts }
 
-// pipeState is one processor's write-through pipe: backends that model a
-// write buffer feeding the adapter share it.
+// pipeState is one processor's write-through pipe.
 type pipeState struct {
 	// drainAt is the virtual time at which all write-through bytes issued so
 	// far will have drained onto the link.
@@ -237,24 +236,39 @@ func durOn(bytes int64, bw int64) sim.Time {
 }
 
 // writePipes is every processor's write-through pipe in one cluster. The
-// backends embed it and differ only in the bandwidth the pipe drains at and
-// the depth of the write buffer in front of it.
+// backends differ only in the bandwidth the pipe drains at, the depth of the
+// write buffer in front of it, and how long a drained store takes to be
+// applied at the farthest home node.
 type writePipes struct {
 	pipe []pipeState
 	bw   int64
 	// wordDur and bufDur are durOn of one 8-byte store and of the whole write
 	// buffer, computed once so that a doubled store costs no division.
 	wordDur, bufDur sim.Time
+	fenceLatency    sim.Time
 }
 
-func newWritePipes(nprocs int, bw, bufferBytes int64) writePipes {
+func newWritePipes(nprocs int, bw, bufferBytes int64, fenceLatency sim.Time) writePipes {
 	return writePipes{
-		pipe:    make([]pipeState, nprocs),
-		bw:      bw,
-		wordDur: durOn(8, bw),
-		bufDur:  durOn(bufferBytes, bw),
+		pipe:         make([]pipeState, nprocs),
+		bw:           bw,
+		wordDur:      durOn(8, bw),
+		bufDur:       durOn(bufferBytes, bw),
+		fenceLatency: fenceLatency,
 	}
 }
+
+// FenceTime implements Interconnect: drain plus the fence latency.
+func (w *writePipes) FenceTime(p *sim.Proc) sim.Time {
+	d := w.pipe[p.ID].drainAt
+	if d < p.Now() {
+		d = p.Now()
+	}
+	return d + w.fenceLatency
+}
+
+// DoubledBytes returns the total write-through bytes issued by processor p.
+func (w *writePipes) DoubledBytes(p *sim.Proc) int64 { return w.pipe[p.ID].bytes }
 
 // push queues bytes on p's pipe and stalls p while the write buffer cannot
 // absorb the backlog.
@@ -272,4 +286,34 @@ func (w *writePipes) push(p *sim.Proc, bytes int64) {
 	if ps.drainAt-p.Now() > w.bufDur {
 		p.AdvanceTo(ps.drainAt - w.bufDur)
 	}
+}
+
+// shared is the state every backend embeds and the part of the Interconnect
+// interface that is the same on all of them: traffic accounting, the
+// write-through pipes, and the inter-node signal, which differs only in its
+// two costs.
+type shared struct {
+	stats
+	writePipes
+	interruptSendCost, interruptLatency sim.Time
+}
+
+// WriteThrough implements Interconnect: doubled writes drain through the
+// issuing processor's pipe.
+func (s *shared) WriteThrough(p *sim.Proc, home int, bytes int64) {
+	s.bytesByClass[TrafficDoubling] += bytes
+	s.push(p, bytes)
+}
+
+// InterruptSendCost implements Interconnect.
+func (s *shared) InterruptSendCost() sim.Time { return s.interruptSendCost }
+
+// InterruptLatency implements Interconnect.
+func (s *shared) InterruptLatency() sim.Time { return s.interruptLatency }
+
+// Interrupt implements Interconnect.
+func (s *shared) Interrupt(p *sim.Proc, target *sim.Proc, kind int, data any) {
+	p.Advance(s.interruptSendCost)
+	s.interrupts++
+	target.Deliver(p.NewMsg(p.Now()+s.interruptLatency, kind, data))
 }

@@ -111,7 +111,7 @@ func (p MCParams) Validate() error {
 // mcNet is the Memory Channel instance for one simulated cluster. Construct
 // it through ClusterSpec.Build.
 type mcNet struct {
-	stats
+	shared
 	params MCParams
 	eng    *sim.Engine
 
@@ -119,9 +119,6 @@ type mcNet struct {
 	// free; aggFree is the same for the shared hub.
 	linkFree []sim.Time
 	aggFree  sim.Time
-
-	// The write-through pipes drain at link bandwidth.
-	writePipes
 }
 
 // newMemoryChannel creates a Memory Channel for the engine's cluster.
@@ -130,10 +127,15 @@ func newMemoryChannel(eng *sim.Engine, params MCParams) (*mcNet, error) {
 		return nil, err
 	}
 	return &mcNet{
-		params:     params,
-		eng:        eng,
-		linkFree:   make([]sim.Time, eng.Config().Nodes),
-		writePipes: newWritePipes(eng.NumProcs(), params.LinkBandwidth, params.WriteBufferBytes),
+		shared: shared{
+			// The write-through pipes drain at link bandwidth.
+			writePipes:        newWritePipes(eng.NumProcs(), params.LinkBandwidth, params.WriteBufferBytes, params.Latency),
+			interruptSendCost: params.InterruptSendCost,
+			interruptLatency:  params.InterruptLatency,
+		},
+		params:   params,
+		eng:      eng,
+		linkFree: make([]sim.Time, eng.Config().Nodes),
 	}, nil
 }
 
@@ -151,12 +153,6 @@ func (n *mcNet) Params() MCParams { return n.params }
 
 // MinCrossNodeLatency implements Interconnect.
 func (n *mcNet) MinCrossNodeLatency() sim.Time { return n.params.MinCrossNodeLatency() }
-
-// InterruptSendCost implements Interconnect.
-func (n *mcNet) InterruptSendCost() sim.Time { return n.params.InterruptSendCost }
-
-// InterruptLatency implements Interconnect.
-func (n *mcNet) InterruptLatency() sim.Time { return n.params.InterruptLatency }
 
 // Transfer implements Interconnect: the arrival time accounts for link and
 // aggregate bandwidth occupancy plus the MC latency.
@@ -194,31 +190,6 @@ func (n *mcNet) Transfer(p *sim.Proc, dst int, bytes int64, tc TrafficClass) sim
 // at the home node to write the data through, §2.1).
 func (n *mcNet) RemoteRead(p *sim.Proc, src int, bytes int64, tc TrafficClass) sim.Time {
 	panic("interconnect: the Memory Channel has no remote reads (Caps().RemoteReads is false)")
-}
-
-// WriteThrough implements Interconnect.
-func (n *mcNet) WriteThrough(p *sim.Proc, home int, bytes int64) {
-	n.bytesByClass[TrafficDoubling] += bytes
-	n.push(p, bytes)
-}
-
-// FenceTime implements Interconnect (drain plus latency).
-func (n *mcNet) FenceTime(p *sim.Proc) sim.Time {
-	d := n.pipe[p.ID].drainAt
-	if d < p.Now() {
-		d = p.Now()
-	}
-	return d + n.params.Latency
-}
-
-// DoubledBytes returns the total write-through bytes issued by processor p.
-func (n *mcNet) DoubledBytes(p *sim.Proc) int64 { return n.pipe[p.ID].bytes }
-
-// Interrupt implements Interconnect: an imc_kill-style inter-node signal.
-func (n *mcNet) Interrupt(p *sim.Proc, target *sim.Proc, kind int, data any) {
-	p.Advance(n.params.InterruptSendCost)
-	n.interrupts++
-	target.Deliver(p.NewMsg(p.Now()+n.params.InterruptLatency, kind, data))
 }
 
 // NewWordArray implements Interconnect.

@@ -93,7 +93,7 @@ func (p RDMAParams) Validate() error {
 // rdmaNet is the RDMA instance for one simulated cluster. Construct it
 // through ClusterSpec.Build.
 type rdmaNet struct {
-	stats
+	shared
 	params RDMAParams
 	nodes  int
 
@@ -101,8 +101,6 @@ type rdmaNet struct {
 	// free; nicFree[n] the same for node n's adapter.
 	qpFree  []sim.Time
 	nicFree []sim.Time
-
-	writePipes
 }
 
 // newRDMA creates an RDMA fabric for the engine's cluster.
@@ -112,11 +110,16 @@ func newRDMA(eng *sim.Engine, params RDMAParams) (*rdmaNet, error) {
 	}
 	nodes := eng.Config().Nodes
 	return &rdmaNet{
-		params:     params,
-		nodes:      nodes,
-		qpFree:     make([]sim.Time, nodes*nodes),
-		nicFree:    make([]sim.Time, nodes),
-		writePipes: newWritePipes(eng.NumProcs(), params.NICBandwidth, params.WriteBufferBytes),
+		shared: shared{
+			// Doubled writes drain through the NIC at adapter bandwidth.
+			writePipes:        newWritePipes(eng.NumProcs(), params.NICBandwidth, params.WriteBufferBytes, params.Latency),
+			interruptSendCost: params.InterruptSendCost,
+			interruptLatency:  params.InterruptLatency,
+		},
+		params:  params,
+		nodes:   nodes,
+		qpFree:  make([]sim.Time, nodes*nodes),
+		nicFree: make([]sim.Time, nodes),
 	}, nil
 }
 
@@ -135,12 +138,6 @@ func (n *rdmaNet) Params() RDMAParams { return n.params }
 
 // MinCrossNodeLatency implements Interconnect.
 func (n *rdmaNet) MinCrossNodeLatency() sim.Time { return n.params.MinCrossNodeLatency() }
-
-// InterruptSendCost implements Interconnect.
-func (n *rdmaNet) InterruptSendCost() sim.Time { return n.params.InterruptSendCost }
-
-// InterruptLatency implements Interconnect.
-func (n *rdmaNet) InterruptLatency() sim.Time { return n.params.InterruptLatency }
 
 // occupy charges one bulk movement between the caller's node and node peer:
 // the data serializes on the (local, peer) queue pair and occupies both
@@ -187,33 +184,6 @@ func (n *rdmaNet) RemoteRead(p *sim.Proc, src int, bytes int64, tc TrafficClass)
 	n.bytesByClass[tc] += bytes
 	n.transfers++
 	return done + n.params.ReadLatency
-}
-
-// WriteThrough implements Interconnect: doubled writes drain through the
-// NIC at adapter bandwidth.
-func (n *rdmaNet) WriteThrough(p *sim.Proc, home int, bytes int64) {
-	n.bytesByClass[TrafficDoubling] += bytes
-	n.push(p, bytes)
-}
-
-// FenceTime implements Interconnect (drain plus latency).
-func (n *rdmaNet) FenceTime(p *sim.Proc) sim.Time {
-	d := n.pipe[p.ID].drainAt
-	if d < p.Now() {
-		d = p.Now()
-	}
-	return d + n.params.Latency
-}
-
-// DoubledBytes returns the total write-through bytes issued by processor p.
-func (n *rdmaNet) DoubledBytes(p *sim.Proc) int64 { return n.pipe[p.ID].bytes }
-
-// Interrupt implements Interconnect: a completion event on the target's
-// event queue.
-func (n *rdmaNet) Interrupt(p *sim.Proc, target *sim.Proc, kind int, data any) {
-	p.Advance(n.params.InterruptSendCost)
-	n.interrupts++
-	target.Deliver(p.NewMsg(p.Now()+n.params.InterruptLatency, kind, data))
 }
 
 // NewWordArray implements Interconnect.

@@ -98,16 +98,13 @@ func (p SwitchedParams) Validate() error {
 // switchNet is the switched-fabric instance for one simulated cluster.
 // Construct it through ClusterSpec.Build.
 type switchNet struct {
-	stats
+	shared
 	params SwitchedParams
-	nodes  int
 
 	// linkFree[n] is the time node n's access link is next free;
 	// uplinkFree[l] the same for leaf l's uplink to the spine.
 	linkFree   []sim.Time
 	uplinkFree []sim.Time
-
-	writePipes
 }
 
 // newSwitched creates a switched fabric for the engine's cluster.
@@ -121,11 +118,16 @@ func newSwitched(eng *sim.Engine, params SwitchedParams) (*switchNet, error) {
 		leaves = 1
 	}
 	return &switchNet{
+		shared: shared{
+			// Doubled writes drain through the node's access link, and a
+			// release must cover writes headed to the farthest home node.
+			writePipes:        newWritePipes(eng.NumProcs(), params.LinkBandwidth, params.WriteBufferBytes, params.diameter(nodes)),
+			interruptSendCost: params.InterruptSendCost,
+			interruptLatency:  params.InterruptLatency,
+		},
 		params:     params,
-		nodes:      nodes,
 		linkFree:   make([]sim.Time, nodes),
 		uplinkFree: make([]sim.Time, leaves),
-		writePipes: newWritePipes(eng.NumProcs(), params.LinkBandwidth, params.WriteBufferBytes),
 	}, nil
 }
 
@@ -152,25 +154,19 @@ func (n *switchNet) pathLatency(src, dst int) sim.Time {
 	return n.params.WireLatency + hops*n.params.HopLatency
 }
 
-// diameter returns the worst-case path latency in this cluster: the horizon
-// broadcast writes use so that visibility (and thus observed write order) is
-// uniform across nodes.
-func (n *switchNet) diameter() sim.Time {
+// diameter returns the worst-case path latency in a cluster of the given node
+// count: the horizon broadcast writes and fences use so that visibility (and
+// thus observed write order) is uniform across nodes.
+func (p SwitchedParams) diameter(nodes int) sim.Time {
 	hops := sim.Time(2)
-	if n.nodes > n.params.SwitchRadix {
+	if nodes > p.SwitchRadix {
 		hops = 4
 	}
-	return n.params.WireLatency + hops*n.params.HopLatency
+	return p.WireLatency + hops*p.HopLatency
 }
 
 // MinCrossNodeLatency implements Interconnect.
 func (n *switchNet) MinCrossNodeLatency() sim.Time { return n.params.MinCrossNodeLatency() }
-
-// InterruptSendCost implements Interconnect.
-func (n *switchNet) InterruptSendCost() sim.Time { return n.params.InterruptSendCost }
-
-// InterruptLatency implements Interconnect.
-func (n *switchNet) InterruptLatency() sim.Time { return n.params.InterruptLatency }
 
 // Transfer implements Interconnect: occupancy on both access links (and on
 // both leaf uplinks for cross-leaf traffic) plus the per-hop path latency.
@@ -214,35 +210,8 @@ func (n *switchNet) RemoteRead(p *sim.Proc, src int, bytes int64, tc TrafficClas
 	panic("interconnect: the switched fabric has no remote reads (Caps().RemoteReads is false)")
 }
 
-// WriteThrough implements Interconnect: doubled writes drain through the
-// node's access link.
-func (n *switchNet) WriteThrough(p *sim.Proc, home int, bytes int64) {
-	n.bytesByClass[TrafficDoubling] += bytes
-	n.push(p, bytes)
-}
-
-// FenceTime implements Interconnect: drain plus the fabric diameter, since
-// a release must cover writes headed to the farthest home node.
-func (n *switchNet) FenceTime(p *sim.Proc) sim.Time {
-	d := n.pipe[p.ID].drainAt
-	if d < p.Now() {
-		d = p.Now()
-	}
-	return d + n.diameter()
-}
-
-// DoubledBytes returns the total write-through bytes issued by processor p.
-func (n *switchNet) DoubledBytes(p *sim.Proc) int64 { return n.pipe[p.ID].bytes }
-
-// Interrupt implements Interconnect.
-func (n *switchNet) Interrupt(p *sim.Proc, target *sim.Proc, kind int, data any) {
-	p.Advance(n.params.InterruptSendCost)
-	n.interrupts++
-	target.Deliver(p.NewMsg(p.Now()+n.params.InterruptLatency, kind, data))
-}
-
 // NewWordArray implements Interconnect: broadcast words become remotely
 // visible at the fabric diameter (see the package comment).
 func (n *switchNet) NewWordArray(name string, nwords int, tc TrafficClass) *WordArray {
-	return newWordArray(&n.stats, n.params.WriteCost, n.diameter(), name, nwords, tc)
+	return newWordArray(&n.stats, n.params.WriteCost, n.fenceLatency, name, nwords, tc)
 }

@@ -39,9 +39,10 @@ type crossEvent struct {
 
 // domain is one sequential scheduling region of the engine: a set of
 // processors that share a run queue and execute under the baton-passing
-// discipline, driven by one host worker goroutine. A sequential engine has
-// exactly one domain holding every processor; a parallel engine has one
-// domain per simulated node.
+// discipline, driven by one host worker goroutine. The run queue holds exactly
+// one entry for every queued processor and none for any other, so its head is
+// always the next event. A sequential engine has exactly one domain holding
+// every processor; a parallel engine has one domain per simulated node.
 //
 // All of a domain's scheduling state (runq, pushCount, msgSeq, counters) is
 // touched only by the goroutine currently holding the domain's baton — the
@@ -120,13 +121,15 @@ func (d *domain) nextMsgSeq() uint64 {
 // dsmvet:dispatch — called by the baton holder (yields, wakes) or by the
 // coordinator between windows (cross-domain drain), when no window runs.
 //
-// enqueue makes target runnable at virtual time t in this domain's queue.
+// enqueue makes target runnable at virtual time t in this domain's queue. A
+// target that is already queued is moved, and t must be earlier than its
+// current resume time (wakeLocal checks). Either way the push takes a fresh
+// stamp from the push counter, which is the FIFO tie-break.
 func (d *domain) enqueue(target *Proc, t Time) {
 	target.state = stateQueued
-	target.queueSeq++
 	target.queuedAt = t
 	d.pushCount++
-	d.runq.push(entry{at: t, order: d.pushCount, procID: target.ID, seq: target.queueSeq})
+	d.runq.push(target, t, d.pushCount)
 }
 
 // dsmvet:dispatch — called by the baton holder: a yielding or polling
@@ -137,39 +140,23 @@ func (d *domain) enqueue(target *Proc, t Time) {
 // keeps the baton with its clock advanced to t) or queues q to resume at t
 // (false: the caller must dispatch a successor). Yield, PollWait and the
 // inline poll loop all take this one step, so each makes the same push-counter
-// and sequence-stamp updates — FIFO tie-breaking is global, and one extra push
-// would renumber every later tie.
+// updates — FIFO tie-breaking is global, and one extra push would renumber
+// every later tie.
 //
 // The yield may be elided — the enqueue-and-dispatch step skipped entirely —
 // because exactly one goroutine runs at a time within the domain, so the run
-// queue is quiescent, and if every runnable processor's resume time is
-// strictly after t the dispatch loop would pop the yielder's own entry and
-// hand the baton straight back. Ties are not elidable: FIFO order among equal
-// times would run the already queued processor first. Under a parallel window
-// the resume time must also stay inside the horizon — at or past it, other
-// domains may still produce earlier events, so the yielder must genuinely
-// park. Stale heap heads (entries superseded by a later WakeAt) are discarded
-// on the way, exactly as the dispatch loop would discard them when popped.
+// queue is quiescent, and if the queue's head — the earliest resume time of
+// any runnable processor, or maxTime with none — is strictly after t the
+// dispatch loop would pop the yielder's own entry and hand the baton straight
+// back. Ties are not elidable: FIFO order among equal times would run the
+// already queued processor first. Under a parallel window the resume time must
+// also stay inside the horizon — at or past it, other domains may still
+// produce earlier events, so the yielder must genuinely park.
 func (d *domain) yieldAt(q *Proc, t Time) (elided bool) {
 	q.lastYield = q.now
-	if !d.eng.fastYield || t >= d.windowH {
+	if !d.eng.fastYield || t >= d.windowH || t >= d.runq.headTime() {
 		d.enqueue(q, t)
 		return false
-	}
-	for {
-		head, ok := d.runq.peek()
-		if !ok {
-			break // no other runnable processor: q would be re-dispatched at once
-		}
-		h := d.eng.procs[head.procID]
-		if h.state == stateQueued && head.seq == h.queueSeq {
-			if t < head.at {
-				break
-			}
-			d.enqueue(q, t)
-			return false
-		}
-		d.runq.pop() // stale entry; the dispatch loop would skip it too
 	}
 	d.elided++
 	if t > q.now {
@@ -210,9 +197,8 @@ func (d *domain) pollInline(q *Proc) (resume bool) {
 // holds the baton: the worker at the start of a window and after a body
 // returns, or a yielding, polling or blocking processor (see Proc.pass).
 //
-// dispatchNext pops the minimum live run-queue entry inside the window
-// horizon and returns its processor, marked running with its clock at the
-// entry's time. Stale entries (superseded by a later wake) are discarded. A
+// dispatchNext pops the minimum run-queue entry inside the window horizon and
+// returns its processor, marked running with its clock at the entry's time. A
 // processor parked in PollWait has its poll evaluated inline and is returned
 // only once the poll reports done; otherwise it was re-queued and the loop
 // goes on. nil means nothing may run before the horizon: the window closes. A
@@ -228,11 +214,10 @@ func (d *domain) dispatchNext() (q *Proc, err error) {
 			q, err = nil, fmt.Errorf("sim: proc %d poll panicked: %v", q.ID, r)
 		}
 	}()
-	for d.nextEventTime() < d.windowH { // maxTime, so false, when the queue is empty
-		ent, _ := d.runq.pop()
-		q = d.eng.procs[ent.procID]
-		if ent.at > q.now {
-			q.now = ent.at
+	for d.runq.headTime() < d.windowH { // maxTime, so false, when the queue is empty
+		q = d.runq.pop()
+		if q.queuedAt > q.now {
+			q.now = q.queuedAt
 		}
 		q.state = stateRunning
 		if q.poll == nil || d.pollInline(q) {
@@ -302,27 +287,6 @@ func (d *domain) stage(ev crossEvent) {
 	d.in.mu.Unlock()
 }
 
-// dsmvet:dispatch — called by the baton holder from dispatchNext, or by the
-// coordinator between windows, when the domain is quiescent.
-//
-// nextEventTime returns the virtual time of the domain's earliest live queue
-// entry, or maxTime if none, discarding stale entries (superseded by a later
-// wake) on the way, so the heap's head is live when it returns.
-func (d *domain) nextEventTime() Time {
-	for {
-		ent, ok := d.runq.peek()
-		if !ok {
-			return maxTime
-		}
-		q := d.eng.procs[ent.procID]
-		if q.state != stateQueued || ent.seq != q.queueSeq {
-			d.runq.pop()
-			continue
-		}
-		return ent.at
-	}
-}
-
 // dsmvet:dispatch — the coordinator; it reads domain state only between
 // windows, when every worker is parked on windowCh.
 //
@@ -380,7 +344,7 @@ func (e *Engine) coordinate() error {
 		active := 0
 		for _, d := range e.domains {
 			active += d.active
-			if t := d.nextEventTime(); t < T {
+			if t := d.runq.headTime(); t < T {
 				T = t
 			}
 		}

@@ -250,27 +250,3 @@ func BenchmarkYieldElided(b *testing.B) {
 		b.Fatal(err)
 	}
 }
-
-// BenchmarkYieldSlowPath measures the two-processor ping-pong with every fast
-// path disabled. Baton passes are the same coroutine switch either way, so
-// this tracks BenchmarkYield; it differs only where yields would elide.
-func BenchmarkYieldSlowPath(b *testing.B) {
-	e, err := NewEngine(Config{Nodes: 1, ProcsPerNode: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e.SetFastYield(false)
-	n := b.N
-	for _, p := range e.Procs() {
-		e.Go(p, func(p *Proc) {
-			for i := 0; i < n; i++ {
-				p.Advance(10)
-				p.Yield()
-			}
-		})
-	}
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}

@@ -30,8 +30,8 @@ type Proc struct {
 
 	now      Time
 	state    procState
-	queueSeq uint64 // validity stamp for run-queue entries
-	queuedAt Time   // resume time of the live run-queue entry (state == stateQueued)
+	queuedAt Time // resume time of the run-queue entry (state == stateQueued)
+	qpos     int  // index of that entry in the domain's run queue, -1 without one
 
 	// wakeToken records that a WakeAt was issued and not yet consumed by a
 	// Block. Tokens survive intervening Yields so that a wake issued while
@@ -312,8 +312,6 @@ func wakeLocal(target *Proc, t Time) {
 		target.dom.enqueue(target, t)
 	case stateQueued:
 		if t < target.queuedAt {
-			// Supersede the stale entry: pushing with a fresh sequence stamp
-			// invalidates the old one, which is skipped when popped.
 			target.dom.enqueue(target, t)
 		}
 	}

@@ -1,18 +1,37 @@
 package sim
 
-// entry is one run-queue element: processor procID becomes runnable at
-// virtual time at. seq stamps the entry; if it no longer matches the
-// processor's queueSeq when popped, the entry has been superseded. order is a
-// global push counter.
+// entry is one run-queue element: processor p becomes runnable at virtual
+// time at. order is the domain's push counter at the push; tie is the
+// equal-time key derived from it once, at the push (see runQueue.salt).
 type entry struct {
-	at     Time
-	order  uint64
-	procID int
-	seq    uint64
+	at    Time
+	tie   uint64
+	order uint64
+	p     *Proc
 }
 
-// runQueue is a binary min-heap of entries. A hand-rolled heap (rather than
-// container/heap) keeps the hot path free of interface conversions.
+// before orders entries by (time, tie key, push order). FIFO ordering among
+// equal-time entries makes Yield hand the baton to same-clock peers instead of
+// spinning, and is deterministic because pushes happen in a deterministic
+// order. Under a tie-flipping schedule the equal-time order is the salted hash
+// of the push order instead — a different, equally deterministic
+// linearization of events the conservative rule leaves unordered.
+func (a *entry) before(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.tie != b.tie {
+		return a.tie < b.tie
+	}
+	return a.order < b.order
+}
+
+// runQueue is an indexed binary min-heap holding at most one entry per
+// processor: Proc.qpos is the index of the processor's entry in h, or -1
+// while it has none, so a wake that moves a queued processor earlier rewrites
+// its entry in place and every entry in the heap is live. A hand-rolled heap
+// (rather than container/heap) keeps the hot path free of interface
+// conversions.
 type runQueue struct {
 	h []entry
 	// salt, when non-zero, replaces FIFO ordering among equal-time entries
@@ -24,71 +43,75 @@ type runQueue struct {
 	salt uint64
 }
 
-// less orders entries by (time, push order). FIFO ordering among equal-time
-// entries makes Yield hand the baton to same-clock peers instead of spinning,
-// and is deterministic because pushes happen in a deterministic order. Under
-// a tie-flipping schedule the equal-time order is the salted hash of the push
-// order instead — a different, equally deterministic linearization of events
-// the conservative rule leaves unordered.
-func (q *runQueue) less(a, b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// headTime returns the time of the earliest entry, or maxTime if the queue is
+// empty. Small enough to inline into yieldAt's elide test (scripts/lint.sh
+// checks that it stays so).
+func (q *runQueue) headTime() Time {
+	if len(q.h) == 0 {
+		return maxTime
 	}
-	if q.salt != 0 {
-		ha, hb := mix64(q.salt^a.order), mix64(q.salt^b.order)
-		if ha != hb {
-			return ha < hb
-		}
-	}
-	return a.order < b.order
+	return q.h[0].at
 }
 
-func (q *runQueue) push(e entry) {
-	q.h = append(q.h, e)
-	i := len(q.h) - 1
+// put stores e at index i and records the position on its processor.
+func (q *runQueue) put(i int, e entry) {
+	q.h[i] = e
+	e.p.qpos = i
+}
+
+// push queues p to run at time at with push stamp order. If p is already
+// queued its entry is replaced where it sits; the caller guarantees the new
+// time is earlier than the old one, so the entry can only move towards the
+// root.
+func (q *runQueue) push(p *Proc, at Time, order uint64) {
+	e := entry{at: at, order: order, p: p}
+	if q.salt != 0 {
+		e.tie = mix64(q.salt ^ order)
+	}
+	i := p.qpos
+	if i < 0 {
+		i = len(q.h)
+		q.h = append(q.h, e)
+	}
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(q.h[i], q.h[parent]) {
+		if !e.before(&q.h[parent]) {
 			break
 		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
+		q.put(i, q.h[parent])
 		i = parent
 	}
+	q.put(i, e)
 }
 
-// peek returns the minimum entry without removing it.
-func (q *runQueue) peek() (entry, bool) {
-	if len(q.h) == 0 {
-		return entry{}, false
+// pop removes the earliest entry and returns its processor. The queue must not
+// be empty.
+func (q *runQueue) pop() *Proc {
+	top := q.h[0].p
+	top.qpos = -1
+	n := len(q.h) - 1
+	e := q.h[n]
+	q.h = q.h[:n]
+	if n == 0 {
+		return top
 	}
-	return q.h[0], true
-}
-
-func (q *runQueue) pop() (entry, bool) {
-	if len(q.h) == 0 {
-		return entry{}, false
-	}
-	top := q.h[0]
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h = q.h[:last]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(q.h) && q.less(q.h[l], q.h[smallest]) {
-			smallest = l
-		}
-		if r < len(q.h) && q.less(q.h[r], q.h[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		q.h[i], q.h[smallest] = q.h[smallest], q.h[i]
-		i = smallest
+		if c+1 < n && q.h[c+1].before(&q.h[c]) {
+			c++
+		}
+		if !q.h[c].before(&e) {
+			break
+		}
+		q.put(i, q.h[c])
+		i = c
 	}
-	return top, true
+	q.put(i, e)
+	return top
 }
 
 func (q *runQueue) len() int { return len(q.h) }

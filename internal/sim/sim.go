@@ -179,6 +179,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 				CPU:  c,
 				eng:  e,
 				dom:  d,
+				qpos: -1,
 			}
 			e.procs = append(e.procs, p)
 			d.procs = append(d.procs, p)
@@ -350,6 +351,9 @@ func (e *Engine) Run() error {
 	e.applySchedule() // may pin sequential mode; must precede partition
 	e.partition()
 
+	for _, d := range e.domains {
+		d.runq.h = make([]entry, 0, len(d.procs)) // one entry per processor at most
+	}
 	for _, p := range e.procs {
 		if p.body == nil {
 			p.state = stateDone

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -475,33 +477,167 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunQueueProperty exercises the hand-rolled heap against a reference
-// implementation with random operation sequences.
-func TestRunQueueProperty(t *testing.T) {
-	f := func(times []uint16) bool {
-		var q runQueue
-		for i, at := range times {
-			q.push(entry{at: Time(at), procID: i, seq: 1})
-		}
-		if q.len() != len(times) {
-			return false
-		}
-		var prev entry
-		first := true
-		for {
-			e, ok := q.pop()
-			if !ok {
-				break
-			}
-			if !first && q.less(e, prev) {
-				return false
-			}
-			prev, first = e, false
-		}
-		return q.len() == 0
+// refEntry and refQueue are the reference model TestRunQueueProperty checks the
+// indexed heap against: a slice with at most one entry per processor (the
+// latest push wins), re-sorted by (at, tie, order) on every pop.
+type refEntry struct {
+	at         Time
+	tie, order uint64
+	id         int
+}
+
+type refQueue struct {
+	es   []refEntry
+	salt uint64
+}
+
+func (r *refQueue) push(id int, at Time, order uint64) {
+	e := refEntry{at: at, order: order, id: id}
+	if r.salt != 0 {
+		e.tie = mix64(r.salt ^ order)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	for i := range r.es {
+		if r.es[i].id == id {
+			r.es[i] = e
+			return
+		}
+	}
+	r.es = append(r.es, e)
+}
+
+func (r *refQueue) pop() refEntry {
+	sort.Slice(r.es, func(i, j int) bool {
+		a, b := r.es[i], r.es[j]
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		if a.tie != b.tie {
+			return a.tie < b.tie
+		}
+		return a.order < b.order
+	})
+	top := r.es[0]
+	r.es = r.es[1:]
+	return top
+}
+
+// TestRunQueueProperty drives random sequences of push, earlier wake of a
+// queued processor, and pop through the indexed run queue and the reference
+// model, under FIFO and salted tie-breaking. The pop sequences must agree, and
+// after every operation the heap must hold at most one entry per processor,
+// be heap-ordered, and agree with every processor's qpos (-1 when not queued).
+func TestRunQueueProperty(t *testing.T) {
+	const nprocs = 8
+	for _, salt := range []uint64{0, 0x9e3779b97f4a7c15} {
+		f := func(ops []uint32) bool {
+			procs := make([]*Proc, nprocs)
+			for i := range procs {
+				procs[i] = &Proc{ID: i, qpos: -1}
+			}
+			q := runQueue{salt: salt}
+			ref := refQueue{salt: salt}
+			var order uint64
+			consistent := func() bool {
+				if len(q.h) > nprocs || len(q.h) != len(ref.es) {
+					return false
+				}
+				queued := 0
+				for _, p := range procs {
+					if p.qpos >= 0 {
+						queued++
+					}
+				}
+				for i := range q.h {
+					if q.h[i].p.qpos != i || i > 0 && q.h[i].before(&q.h[(i-1)/2]) {
+						return false
+					}
+				}
+				return queued == len(q.h)
+			}
+			for _, op := range ops {
+				p := procs[(op>>2)%nprocs]
+				at := Time((op >> 8) % 16) // a narrow range, so ties are common
+				switch {
+				case op%4 == 3:
+					if q.len() == 0 {
+						continue
+					}
+					want := ref.pop()
+					got := q.pop()
+					if got.ID != want.id || got.queuedAt != want.at || got.qpos != -1 {
+						return false
+					}
+				case p.qpos >= 0:
+					if p.queuedAt == 0 {
+						continue // cannot be woken any earlier
+					}
+					at %= p.queuedAt
+					fallthrough
+				default:
+					order++
+					p.queuedAt = at
+					q.push(p, at, order)
+					ref.push(p.ID, at, order)
+				}
+				if !consistent() {
+					return false
+				}
+			}
+			for q.len() > 0 {
+				if want, got := ref.pop(), q.pop(); got.ID != want.id || !consistent() {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("salt %#x: %v", salt, err)
+		}
+	}
+}
+
+// TestEarlierDeliveriesDispatchOnce: a processor parked in YieldUntil(far)
+// receives two deliveries at successively earlier times. It must be dispatched
+// once, at the earliest, and never again for the resume times it was moved
+// away from — every count below is worked out by hand, and a queue that kept a
+// ghost entry for 10000 or 600 would dispatch a again and shift them.
+func TestEarlierDeliveriesDispatchOnce(t *testing.T) {
+	e := mustEngine(t, 1, 2)
+	e.SetFastYield(true)
+	a, b := e.Proc(0), e.Proc(1)
+	var resumed, received []Time
+	e.Go(a, func(p *Proc) {
+		p.YieldUntil(10000) // b is queued at 0: handoff 1, a -> b
+		resumed = append(resumed, p.Now())
+		received = append(received, p.Recv("first").At)  // visible at 300
+		received = append(received, p.Recv("second").At) // b is queued at 700, so waiting until 600 is elision 3
+		p.YieldUntil(20000)                              // handoff 3, a -> b; b returns and the worker dispatches a
+		resumed = append(resumed, p.Now())
+	})
+	e.Go(b, func(p *Proc) {
+		p.Advance(100)
+		p.Yield() // a is queued at 10000: elision 1
+		a.Deliver(p.NewMsg(600, 0, nil))
+		p.Advance(100)
+		p.Yield() // a moved to 600, b is at 200: elision 2
+		a.Deliver(p.NewMsg(300, 0, nil))
+		p.Advance(500)
+		p.Yield() // a moved to 300, b is at 700: handoff 2, b -> a
+	})
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if want := []Time{300, 20000}; !reflect.DeepEqual(resumed, want) {
+		t.Errorf("a resumed at %v, want %v", resumed, want)
+	}
+	if want := []Time{300, 600}; !reflect.DeepEqual(received, want) {
+		t.Errorf("a received messages arriving at %v, want %v", received, want)
+	}
+	if got := e.DirectHandoffs(); got != 3 {
+		t.Errorf("DirectHandoffs = %d, want 3", got)
+	}
+	if got := e.ElidedYields(); got != 3 {
+		t.Errorf("ElidedYields = %d, want 3", got)
 	}
 }
 

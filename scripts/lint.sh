@@ -13,8 +13,9 @@
 #                        fixtures (git ls-files, so untracked scratch
 #                        directories like .seedtree/ never fail lint);
 #   4. inlining        — the functions every simulated load and store goes
-#                        through must stay within the compiler's inlining
-#                        budget (DESIGN.md §3a item 3).
+#                        through, and the run queue's head-time read in the
+#                        yield-elision test, must stay within the compiler's
+#                        inlining budget (DESIGN.md §3a items 1 and 3).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,9 +37,9 @@ echo "== inlining =="
 inlinable=$(go build -gcflags=-m ./internal/vm ./internal/cache ./internal/sim 2>&1 |
     sed -n 's/.*: can inline //p')
 for fn in '(*Space).ReadFrame' '(*Space).WriteFrame' '(*L1).Access' \
-    '(*Proc).Advance' '(*Proc).CheckpointQuiet'; do
+    '(*Proc).Advance' '(*Proc).CheckpointQuiet' '(*runQueue).headTime'; do
     if ! grep -qxF -- "$fn" <<<"$inlinable"; then
-        echo "$fn is no longer inlinable: the shared-access fast path now pays a call for it" >&2
+        echo "$fn is no longer inlinable: the shared-access or elided-yield fast path now pays a call for it" >&2
         exit 1
     fi
 done
