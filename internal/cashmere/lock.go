@@ -22,16 +22,31 @@ type lockSpace struct {
 }
 
 // lockSpin is one processor's acquire in flight. A processor sits in at most
-// one acquire at a time, so the state lives here with its three spin
-// conditions bound once at construction and an acquire allocates nothing.
+// one acquire at a time, so the state lives here with its step function bound
+// once at construction and an acquire allocates nothing.
 type lockSpin struct {
-	ls             *lockSpace
-	p              *core.Proc
-	id, node, base int
-	won            bool
+	ls       *lockSpace
+	p        *core.Proc // the rank's processor and its node, fixed at construction
+	node     int
+	id, base int // the lock being acquired and its first word
 
-	takeFlag, sawLoopback, outlasted func() bool
+	stage   lockStage
+	attempt int
+	spin    core.Spin // deadline and backoff step of the stage's spin
+
+	step func() (bool, sim.Time)
 }
+
+// lockStage is where an acquire resumes: each names the wait the straight-line
+// algorithm would be sitting in.
+type lockStage uint8
+
+const (
+	stageFlag       lockStage = iota // spinning for the per-node flag
+	stageLoopback                    // entry set, spinning for its loop-back
+	stageTournament                  // lowest contender, spinning until sole
+	stageBackedOff                   // entry cleared, backoff slept: retry
+)
 
 func newLockSpace(rt *core.Runtime, name string, numLocks int) *lockSpace {
 	nodes := rt.Engine().Config().Nodes
@@ -44,91 +59,119 @@ func newLockSpace(rt *core.Runtime, name string, numLocks int) *lockSpace {
 	for i := range ls.flags {
 		ls.flags[i] = make([]bool, nodes)
 	}
-	for i := range ls.spins {
+	for i, p := range rt.ComputeProcs() {
 		s := &ls.spins[i]
-		s.ls = ls
-		s.takeFlag, s.sawLoopback, s.outlasted = s.tryFlag, s.loopedBack, s.tournament
+		s.ls, s.p, s.node = ls, p, p.Node()
+		s.step = s.advance
 	}
 	return ls
 }
 
-// tryFlag wins the per-node test-and-set flag if it is free.
-func (s *lockSpin) tryFlag() bool {
-	flag := &s.ls.flags[s.id][s.node]
-	if *flag {
-		return false
-	}
-	*flag = true
-	return true
-}
-
-// loopedBack reports whether our node's entry has appeared via loop-back.
-func (s *lockSpin) loopedBack() bool {
-	return s.ls.words.Read(s.p.Sim(), s.base+s.node) == 1
-}
-
-// tournament ends when we are the sole contender (won) or a lower node
-// arrives (drop out).
-func (s *lockSpin) tournament() bool {
-	anySet := false
-	for n := 0; n < s.ls.nodes; n++ {
-		if n == s.node || s.ls.words.Read(s.p.Sim(), s.base+n) == 0 {
-			continue
-		}
-		if n < s.node {
-			return true // lower contender appeared: drop out
-		}
-		anySet = true
-	}
-	s.won = !anySet
-	return s.won
-}
-
-// acquire takes cluster lock id on behalf of p.
+// acquire takes cluster lock id on behalf of p. The whole algorithm is one
+// PollWait: advance is its poll, so once p has parked, whichever goroutine
+// dispatches p's queue entry carries the acquire forward and p's coroutine is
+// resumed only when it holds the lock.
 func (ls *lockSpace) acquire(p *core.Proc, id int) {
-	node := p.Node()
-	base := id * ls.nodes
 	s := &ls.spins[p.Rank()]
-	s.p, s.id, s.node, s.base, s.won = p, id, node, base, false
+	s.id, s.base = id, id*ls.nodes
 	// Step 1: win the per-node flag with ll/sc (intra-node).
 	p.ChargeProtocol(p.Costs().LLSC)
-	p.SpinWait("node lock flag", s.takeFlag)
-	for attempt := 1; ; attempt++ {
-		// Step 2: set our node's entry and wait for it via loop-back.
-		ls.words.WriteLoopback(p.Sim(), base+node, 1)
-		p.SpinWait("lock loopback", s.sawLoopback)
-		// Step 3: read the whole array.
-		sole := true
-		lowest := node
-		for n := 0; n < ls.nodes; n++ {
-			p.Charge(core.CatProtocol, p.Costs().MemAccess)
-			if n != node && ls.words.Read(p.Sim(), base+n) != 0 {
-				sole = false
-				if n < lowest {
-					lowest = n
+	s.stage = stageFlag
+	p.SpinBegin(&s.spin, "node lock flag")
+	p.Sim().PollWait(s.step)
+}
+
+// advance runs the acquire from where it last stopped to its next scheduling
+// point. It is the straight-line algorithm cut at exactly the places that
+// yield — a failed spin probe (SpinBackoff) and the backoff sleep (backOff) —
+// and returns (false, now) there; (true, 0) means the lock is held. It runs on
+// whichever goroutine holds the baton, so nothing it calls may yield or block:
+// word reads and writes, charges, and PollVisible's charge-and-reply handlers.
+func (s *lockSpin) advance() (bool, sim.Time) {
+	ls, p, sp := s.ls, s.p, s.p.Sim()
+	for {
+		switch s.stage {
+		case stageFlag:
+			flag := &ls.flags[s.id][s.node]
+			if *flag {
+				return false, p.SpinBackoff(&s.spin)
+			}
+			*flag = true
+			s.attempt = 1
+			s.setEntry()
+
+		case stageLoopback:
+			if ls.words.Read(sp, s.base+s.node) != 1 {
+				return false, p.SpinBackoff(&s.spin)
+			}
+			// Step 3: read the whole array.
+			sole := true
+			lowest := s.node
+			for n := 0; n < ls.nodes; n++ {
+				p.Charge(core.CatProtocol, p.Costs().MemAccess)
+				if n != s.node && ls.words.Read(sp, s.base+n) != 0 {
+					sole = false
+					if n < lowest {
+						lowest = n
+					}
 				}
 			}
-		}
-		if sole {
-			return
-		}
-		if lowest == node {
+			if sole {
+				return true, 0
+			}
+			if lowest != s.node {
+				return false, s.backOff()
+			}
 			// Deterministic tie resolution: the lowest contending node
 			// keeps its entry; higher nodes clear and back off, and the
 			// current holder's entry clears at its release. Spin until
-			// sole — but yield if a still-lower node arrives meanwhile.
-			p.SpinWait("lock tournament", s.outlasted)
-			if s.won {
-				return
+			// sole — but drop out if a still-lower node arrives meanwhile.
+			s.stage = stageTournament
+			p.SpinBegin(&s.spin, "lock tournament")
+
+		case stageTournament:
+			sole := true
+			for n := 0; n < ls.nodes; n++ {
+				if n == s.node || ls.words.Read(sp, s.base+n) == 0 {
+					continue
+				}
+				if n < s.node {
+					return false, s.backOff()
+				}
+				sole = false
 			}
+			if sole {
+				return true, 0
+			}
+			return false, p.SpinBackoff(&s.spin)
+
+		case stageBackedOff:
+			p.EP().PollVisible()
+			s.attempt++
+			s.setEntry()
 		}
-		// A lower node is contending (or holding): clear our entry, back
-		// off briefly, and retry.
-		ls.words.WriteLoopback(p.Sim(), base+node, 0)
-		backoff := sim.Time((attempt*7+node*13)%16+1) * 3 * sim.Microsecond
-		p.Sim().Sleep(backoff)
-		p.EP().PollVisible()
 	}
+}
+
+// setEntry is step 2: set our node's entry with loop-back enabled and start
+// the spin that waits for it to appear.
+func (s *lockSpin) setEntry() {
+	s.ls.words.WriteLoopback(s.p.Sim(), s.base+s.node, 1)
+	s.stage = stageLoopback
+	s.p.SpinBegin(&s.spin, "lock loopback")
+}
+
+// backOff is the drop-out: a lower node is contending (or holding), so clear
+// our entry and sleep briefly; the acquire resumes in stageBackedOff. The sleep
+// moves the clock without Advance, as Sleep does: it is not a cost, so it is
+// not cost-jittered.
+func (s *lockSpin) backOff() sim.Time {
+	sp := s.p.Sim()
+	s.ls.words.WriteLoopback(sp, s.base+s.node, 0)
+	backoff := sim.Time((s.attempt*7+s.node*13)%16+1) * 3 * sim.Microsecond
+	sp.AdvanceTo(sp.Now() + backoff)
+	s.stage = stageBackedOff
+	return sp.Now()
 }
 
 // release drops cluster lock id.

@@ -50,10 +50,20 @@ type Proc struct {
 	spinPoll func() (bool, sim.Time)
 }
 
-// spinState is one SpinWait's condition, livelock deadline and backoff step.
+// spinState is one SpinWait: its condition and the spin it steps.
 type spinState struct {
+	Spin
+	cond func() bool
+}
+
+// Spin is the resumable part of a spin loop — what happens after a probe has
+// failed: the livelock deadline and the exponential backoff step. SpinWait is
+// a condition plus one Spin; a wait that spans several spins (Cashmere's lock
+// acquire) owns a Spin and drives it from its own PollWait step function with
+// SpinBegin and SpinBackoff, so there is one copy of the sequence and of its
+// constants.
+type Spin struct {
 	what     string
-	cond     func() bool
 	deadline sim.Time
 	step     sim.Time
 }
@@ -306,17 +316,31 @@ func (p *Proc) CacheTouch(a uint64) bool {
 // so spin loops poll too) and advancing the clock with exponential backoff.
 // The wait time lands in Comm&Wait (uncharged). SpinWait panics if no
 // progress is made for a long virtual-time bound (protocol livelock).
+//
+// It is the one-spin case of sim.Proc.PollWait's continuation rule: once the
+// processor has parked, whichever goroutine dispatches its queue entry probes
+// cond inline, so a contended spin costs no host switches — and therefore
+// cond, like everything a PollWait poll calls, must not yield or block. It
+// reads memory (charging access costs) and SpinBackoff's PollVisible only
+// services handlers that charge and reply, which holds for every protocol
+// that spins (Cashmere's locks and barriers; TreadMarks waits in Recv
+// instead). A wait made of several spins and sleeps does not call SpinWait
+// repeatedly; it drives one Spin from its own step function (see Spin).
 func (p *Proc) SpinWait(what string, cond func() bool) {
 	outer := p.spin // a handler run from a probe may itself spin
-	p.spin = spinState{what: what, cond: cond, deadline: p.sp.Now() + spinLimit, step: spinStepMin}
-	// PollWait lets whichever goroutine dispatches this processor's queue
-	// entry probe the condition inline, so a contended spin costs no host
-	// switches. The poll must not yield or block: cond reads memory (charging
-	// access costs) and PollVisible only services handlers that charge and
-	// reply, which holds for every protocol that spins (Cashmere's locks and
-	// barriers; TreadMarks waits in Recv instead).
+	p.spin.cond = cond
+	p.SpinBegin(&p.spin.Spin, what)
 	p.sp.PollWait(p.spinPoll)
 	p.spin = outer
+}
+
+// stepSpin is one probe of the SpinWait in flight: cond, or the shared
+// backoff.
+func (p *Proc) stepSpin() (bool, sim.Time) {
+	if p.spin.cond() {
+		return true, 0
+	}
+	return false, p.SpinBackoff(&p.spin.Spin)
 }
 
 const (
@@ -328,12 +352,19 @@ const (
 	spinLimit = 120 * sim.Second
 )
 
-// stepSpin is one probe of the spin in flight.
-func (p *Proc) stepSpin() (bool, sim.Time) {
-	s := &p.spin
-	if s.cond() {
-		return true, 0
-	}
+// SpinBegin starts a spin at p's current clock: the livelock deadline is set
+// from now and the backoff step returns to its minimum. what names the wait
+// in the livelock panic.
+func (p *Proc) SpinBegin(s *Spin, what string) {
+	*s = Spin{what: what, deadline: p.sp.Now() + spinLimit, step: spinStepMin}
+}
+
+// SpinBackoff follows a failed probe of s: it panics past the livelock
+// deadline, services the requests that have become eligible, advances p's
+// clock by the backoff step and doubles the step up to its bound. It returns
+// the clock, which is when the next probe is due — a PollWait step function
+// returns (false, p.SpinBackoff(s)). It neither yields nor blocks.
+func (p *Proc) SpinBackoff(s *Spin) sim.Time {
 	if p.sp.Now() > s.deadline {
 		panic(fmt.Sprintf("core: proc %d spun %dns on %q without progress", p.sp.ID, spinLimit, s.what))
 	}
@@ -342,7 +373,7 @@ func (p *Proc) stepSpin() (bool, sim.Time) {
 	if s.step < spinStepMax {
 		s.step *= 2
 	}
-	return false, p.sp.Now()
+	return p.sp.Now()
 }
 
 // Lock acquires application lock id.

@@ -158,9 +158,10 @@ type Runtime struct {
 	net   interconnect.Interconnect
 	proto Protocol
 
-	computeProcs []*Proc // by rank
-	serverProcs  []*Proc // by node (nil entries when DedicatedServer off)
-	allProcs     []*Proc // by engine proc id
+	computeProcs  []*Proc   // by rank
+	computeOnNode [][]*Proc // by node, each in rank order
+	serverProcs   []*Proc   // by node (nil entries when DedicatedServer off)
+	allProcs      []*Proc   // by engine proc id
 
 	image    [][]byte // initial page contents; nil pages are all-zero
 	numPages int
@@ -203,16 +204,8 @@ func (rt *Runtime) ServerProc(node int) *Proc {
 func (rt *Runtime) ProcBySimID(id int) *Proc { return rt.allProcs[id] }
 
 // ComputeProcsOnNode returns the compute processors on the given node, in
-// rank order.
-func (rt *Runtime) ComputeProcsOnNode(node int) []*Proc {
-	var out []*Proc
-	for _, p := range rt.computeProcs {
-		if p.sp.Node == node {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// rank order. The slice is built once in Run and shared: read-only.
+func (rt *Runtime) ComputeProcsOnNode(node int) []*Proc { return rt.computeOnNode[node] }
 
 // InitialPage returns the initial image of a page, or nil if it was never
 // initialized (all zeros).
@@ -294,6 +287,7 @@ func Run(cfg Config, prog *Program) (res *Result, err error) {
 	}
 	rt.image = make([][]byte, rt.numPages)
 	rt.allProcs = make([]*Proc, eng.NumProcs())
+	rt.computeOnNode = make([][]*Proc, cfg.Nodes)
 	if cfg.DedicatedServer {
 		rt.serverProcs = make([]*Proc, cfg.Nodes)
 	}
@@ -324,6 +318,7 @@ func Run(cfg Config, prog *Program) (res *Result, err error) {
 		if sp.CPU < cfg.ProcsPerNode {
 			p.rank = len(rt.computeProcs)
 			rt.computeProcs = append(rt.computeProcs, p)
+			rt.computeOnNode[sp.Node] = append(rt.computeOnNode[sp.Node], p)
 		} else {
 			rt.serverProcs[sp.Node] = p
 		}

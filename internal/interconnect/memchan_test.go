@@ -1,7 +1,6 @@
 package interconnect
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -220,45 +219,6 @@ func TestWriteLoopbackHidesFromWriterNode(t *testing.T) {
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSpinUntil(t *testing.T) {
-	eng, net := testCluster(t, 2, 1)
-	w := net.NewWordArray("flag", 1, TrafficSync)
-	var sawAt sim.Time
-	eng.Go(eng.Proc(0), func(p *sim.Proc) {
-		v := w.SpinUntil(p, 0, func(v int64) bool { return v == 1 })
-		if v != 1 {
-			t.Errorf("SpinUntil returned %d", v)
-		}
-		sawAt = p.Now()
-	})
-	eng.Go(eng.Proc(1), func(p *sim.Proc) {
-		p.Advance(100 * sim.Microsecond)
-		p.Yield()
-		w.Write(p, 0, 1)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Spinner must see the flag only after write time + latency, within the
-	// max spin backoff.
-	lo := 100*sim.Microsecond + net.Params().Latency
-	if sawAt < lo || sawAt > lo+2*spinStepMax {
-		t.Errorf("spinner saw flag at %d, want within [%d, %d]", sawAt, lo, lo+2*spinStepMax)
-	}
-}
-
-func TestSpinUntilLivelockPanics(t *testing.T) {
-	eng, net := testCluster(t, 1, 1)
-	w := net.NewWordArray("stuck", 1, TrafficSync)
-	eng.Go(eng.Proc(0), func(p *sim.Proc) {
-		w.SpinUntil(p, 0, func(v int64) bool { return false })
-	})
-	err := eng.Run()
-	if err == nil || !strings.Contains(err.Error(), "without progress") {
-		t.Fatalf("Run = %v, want spin livelock panic", err)
 	}
 }
 

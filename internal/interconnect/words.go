@@ -1,10 +1,6 @@
 package interconnect
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // WordArray is a region of 8-byte words mapped for transmit and receive on
 // every node: the representation used for Cashmere's page directory, lock
@@ -86,39 +82,4 @@ func (w *WordArray) set(p *sim.Proc, i int, v int64, writerNode int) {
 	wd.writerNode = writerNode
 	w.st.bytesByClass[w.tc] += 8
 	w.st.writesIssued++
-}
-
-// Spin re-check intervals: start fine-grained so short waits (lock handoffs,
-// barrier notifications) resolve with microsecond accuracy, then back off to
-// bound scheduler work on long waits.
-const (
-	spinStepMin = 500 * sim.Nanosecond
-	spinStepMax = 20 * sim.Microsecond
-	// spinLimit bounds a single spin to catch protocol livelocks; virtual
-	// time advancing 10 simulated seconds inside one spin indicates a bug.
-	spinLimit = 10 * sim.Second
-)
-
-// SpinUntil repeatedly reads word i from processor p until pred returns true,
-// advancing p's clock by a poll interval (with exponential backoff) between
-// reads. It returns the value that satisfied the predicate. SpinUntil panics
-// (failing the simulation with a diagnostic) if the spin exceeds a large
-// virtual-time bound.
-func (w *WordArray) SpinUntil(p *sim.Proc, i int, pred func(int64) bool) int64 {
-	deadline := p.Now() + spinLimit
-	step := spinStepMin
-	for {
-		v := w.Read(p, i)
-		if pred(v) {
-			return v
-		}
-		if p.Now() > deadline {
-			panic(fmt.Sprintf("interconnect: proc %d spun for %dns on %s[%d] (value %d) without progress",
-				p.ID, spinLimit, w.name, i, v))
-		}
-		p.Sleep(step)
-		if step < spinStepMax {
-			step *= 2
-		}
-	}
 }

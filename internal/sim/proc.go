@@ -215,6 +215,15 @@ func (p *Proc) yieldUntil(t Time) {
 // goroutine executing it differs. With the fast paths pinned off
 // (SIM_NO_FASTPATH) the poll is not registered and every probe runs here.
 //
+// A wait may span several spins and sleeps: its poll is then a resumable step
+// function over the whole wait that returns (false, now) at exactly the
+// straight-line code's scheduling points — a failed probe after its backoff,
+// a sleep after moving the clock — and calls nothing that yields or blocks in
+// between. Each return is the one scheduling step the Yield or Sleep it
+// replaces would have made, so the argument above carries over unchanged, and
+// the coroutine is resumed once for the whole wait (Cashmere's lock acquire
+// is the worked example; DESIGN.md §3a item 4).
+//
 // dsmvet:dispatch — runs on the polling processor's coroutine, which holds
 // the baton at every touch of domain state.
 //
