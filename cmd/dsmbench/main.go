@@ -54,7 +54,6 @@ func main() {
 		appsF      = flag.String("apps", "", "comma-separated application subset")
 		procsF     = flag.String("procs", "", "comma-separated processor counts for fig5")
 		jobs       = flag.Int("jobs", runtime.NumCPU(), "concurrent simulations (host workers)")
-		par        = flag.Bool("par", false, "request the node-parallel simulation engine per run (falls back to sequential unless the protocol is domain-safe; results are identical either way)")
 		cacheDir   = flag.String("cache-dir", "", "persistent result cache directory: successful runs are stored there and reused by later invocations")
 		jsonF      = flag.Bool("json", false, "write the full result set as JSON (see -json-out)")
 		jsonOut    = flag.String("json-out", "", "path for -json output (default results/dsmbench_<size>.json)")
@@ -183,42 +182,12 @@ func main() {
 	// Phase 2: execute the combined, deduplicated plan in parallel.
 	var rs *runner.ResultSet
 	if plan.Len() > 0 {
-		effJobs := *jobs
-		if *par {
-			// Jobs x domains budgeting: a node-parallel run occupies up to
-			// one host worker per scheduling domain, so unless -jobs was
-			// given explicitly, shrink the pool to keep the total number of
-			// active goroutines near the core count. With the current
-			// protocols every run's potential is 1 domain (all DSM
-			// protocols are domain-unsafe), so this is a no-op until a
-			// domain-safe protocol exists.
-			jobsExplicit := false
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "jobs" {
-					jobsExplicit = true
-				}
-			})
-			if !jobsExplicit {
-				maxDom := 1
-				for _, s := range plan.Specs() {
-					if d := runner.PotentialDomains(s); d > maxDom {
-						maxDom = d
-					}
-				}
-				if effJobs = runtime.NumCPU() / maxDom; effJobs < 1 {
-					effJobs = 1
-				}
-			}
-		}
-		ropts := runner.Options{Jobs: effJobs, Parallel: *par, CacheDir: *cacheDir}
+		ropts := runner.Options{Jobs: *jobs, CacheDir: *cacheDir}
 		if *progress {
 			ropts.OnProgress = func(done, total int, spec runner.RunSpec, info runner.RunInfo) {
-				mode := "seq"
-				switch {
-				case info.DiskCached:
+				mode := "run"
+				if info.DiskCached {
 					mode = "disk"
-				case info.Parallel:
-					mode = fmt.Sprintf("par:%d", info.Domains)
 				}
 				fmt.Fprintf(os.Stderr, "\rdsmbench: %d/%d runs (last: %s/%s/p%d [%s])\x1b[K", done, total, spec.App, spec.Variant, spec.Procs, mode)
 				if done == total {

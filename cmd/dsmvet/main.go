@@ -10,11 +10,8 @@
 // disabled individually, e.g. -maporder=false. Exit status: 0 clean, 1 when
 // any diagnostic is reported, 2 on a loading or internal error.
 //
-// With -json, stdout carries a machine-readable report — the diagnostics
-// plus the per-protocol domain-safety reports the domainescape analyzer
-// builds (the escape inventory behind each DomainSafe() declaration) — and
-// the human-readable diagnostics go to stderr. CI uploads this report as an
-// artifact so the escape inventory is diffable per PR.
+// With -json, stdout carries the diagnostics as a machine-readable report and
+// the human-readable diagnostics go to stderr.
 package main
 
 import (
@@ -28,9 +25,8 @@ import (
 
 // jsonReport is the -json output schema.
 type jsonReport struct {
-	Schema       int                       `json:"schema"`
-	Diagnostics  []jsonDiag                `json:"diagnostics"`
-	DomainSafety []analysis.ProtocolReport `json:"domainSafety"`
+	Schema      int        `json:"schema"`
+	Diagnostics []jsonDiag `json:"diagnostics"`
 }
 
 type jsonDiag struct {
@@ -45,7 +41,7 @@ func main() {
 	for _, a := range all {
 		enabled[a.Name] = flag.Bool(a.Name, true, a.Doc)
 	}
-	jsonOut := flag.Bool("json", false, "emit diagnostics and the domain-safety report as JSON on stdout")
+	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON on stdout")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: dsmvet [flags] [packages]\n\nAnalyzers (all on by default):\n")
 		flag.PrintDefaults()
@@ -80,7 +76,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		out := jsonReport{Schema: 1, Diagnostics: []jsonDiag{}}
+		out := jsonReport{Schema: 2, Diagnostics: []jsonDiag{}}
 		for _, d := range diags {
 			out.Diagnostics = append(out.Diagnostics, jsonDiag{
 				Pos:      d.Pos.String(),
@@ -88,17 +84,6 @@ func main() {
 				Message:  d.Message,
 			})
 			fmt.Fprintln(os.Stderr, d)
-		}
-		if *enabled[analysis.DomainEscape.Name] {
-			reports, err := analysis.DomainEscapeReports(pkgs)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dsmvet:", err)
-				os.Exit(2)
-			}
-			out.DomainSafety = reports
-		}
-		if out.DomainSafety == nil {
-			out.DomainSafety = []analysis.ProtocolReport{}
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

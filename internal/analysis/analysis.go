@@ -1,6 +1,6 @@
 // Package analysis implements dsmvet, a suite of static analyzers that
 // machine-check the determinism and virtual-time invariants the simulator's
-// correctness argument rests on (DESIGN.md §3/§3a/§3b and the
+// correctness argument rests on (DESIGN.md §3/§3a and the
 // "Machine-checked invariants" section).
 //
 // The suite mirrors the golang.org/x/tools/go/analysis API shape — an
@@ -18,15 +18,6 @@
 //     slices, channels, struct fields, or formatted output.
 //   - accessor: no direct access to vm.Space page frames outside the layers
 //     that charge fault and mprotect costs.
-//   - domainconfined: fields annotated "dsmvet:domain-confined" are touched
-//     only by functions annotated "dsmvet:dispatch" (the scheduling paths
-//     that provably hold the owning domain's baton).
-//   - domainescape: a flow-aware, cross-function prover classifying every
-//     protocol field access reachable from the core.Proc entry points as
-//     node-confined, message-mediated, or cluster-global escaping; a
-//     protocol declaring DomainSafe()==true with a non-empty escape
-//     inventory is a diagnostic, and dsmvet -json emits the per-protocol
-//     domain-safety report.
 //   - capsgate: every RemoteRead/WriteThrough call site must be dominated
 //     by a check of the corresponding interconnect Caps field (or carry a
 //     "dsmvet:caps-checked" marker pointing at the caller that checks).
@@ -89,7 +80,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full dsmvet suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Nondeterminism, MapOrder, Accessor, DomainConfined, DomainEscape, CapsGate, ChargePath}
+	return []*Analyzer{Nondeterminism, MapOrder, Accessor, CapsGate, ChargePath}
 }
 
 // Run applies each analyzer to each package and returns all findings sorted
@@ -194,6 +185,15 @@ func funcObj(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	f, _ := info.Uses[id].(*types.Func)
 	return f
+}
+
+// recvNamed unwraps a receiver type to its named type.
+func recvNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
 }
 
 // objPkgPath returns the import path of the package an object belongs to,

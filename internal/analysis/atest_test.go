@@ -124,14 +124,6 @@ func TestAccessorFixtures(t *testing.T) {
 	runFixtureTest(t, Accessor, "accessor/...")
 }
 
-func TestDomainConfinedFixtures(t *testing.T) {
-	runFixtureTest(t, DomainConfined, "confined/...")
-}
-
-func TestDomainEscapeFixtures(t *testing.T) {
-	runFixtureTest(t, DomainEscape, "descape/...")
-}
-
 func TestCapsGateFixtures(t *testing.T) {
 	runFixtureTest(t, CapsGate, "capsgate/...")
 }

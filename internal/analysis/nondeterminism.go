@@ -9,7 +9,7 @@ import (
 
 // EnvSwitchMarker annotates a function as a declared environment switch
 // site: it may read a single SIM_*-prefixed variable (the documented
-// SIM_NO_FASTPATH / SIM_PARALLEL toggles). Everywhere else in a measured
+// SIM_NO_FASTPATH toggle). Everywhere else in a measured
 // package, environment reads are flagged — a run's result must be a pure
 // function of its RunSpec, never of ambient process state.
 const EnvSwitchMarker = "dsmvet:env-switch"

@@ -37,7 +37,7 @@ func FastPathEnabled() bool { return os.Getenv("SIM_NO_FASTPATH") == "" }
 // dsmvet:env-switch
 func BadPrefix() string { return os.Getenv("HOME") } // want `os\.Getenv outside a declared dsmvet:env-switch site`
 
-func Undeclared() string { return os.Getenv("SIM_PARALLEL") } // want `os\.Getenv outside a declared dsmvet:env-switch site`
+func Undeclared() string { return os.Getenv("SIM_UNDECLARED") } // want `os\.Getenv outside a declared dsmvet:env-switch site`
 
 func Pick(a, b chan int) int {
 	select { // want `select with 2 communication cases`

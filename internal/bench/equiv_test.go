@@ -47,22 +47,13 @@ func TestInterconnectEquivalenceSubset(t *testing.T) {
 	}
 }
 
-// TestInterconnectEquivalenceFull covers the complete small-size sweep (430
-// specs, ~30 s); the golden is pinned as a hash because the document is
-// over 4 MB. Runs with the other full golden under DSMBENCH_GOLDEN_FULL.
+// TestInterconnectEquivalenceFull covers the complete small-size sweep; the
+// golden is pinned as a hash because the document is over 4 MB.
 func TestInterconnectEquivalenceFull(t *testing.T) {
-	if os.Getenv("DSMBENCH_GOLDEN_FULL") == "" {
-		t.Skip("set DSMBENCH_GOLDEN_FULL=1 to run the full equivalence sweep (~30 s)")
+	if testing.Short() {
+		t.Skip("full small sweep; skipped with -short")
 	}
-	opts := Options{Size: apps.SizeSmall}
-	plan := runner.NewPlan()
-	plan.Add(Table1Specs(opts.VariantOpts)...)
-	plan.Add(Table2Specs(opts)...)
-	plan.Add(Fig5Specs(opts)...)
-	plan.Add(Fig6Specs(opts)...)
-	plan.Add(Table3Specs(opts)...)
-	plan.Add(AblationSpecs(opts)...)
-	rs, err := runner.Execute(plan, runner.Options{})
+	rs, err := fullSmallSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

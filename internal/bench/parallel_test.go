@@ -89,55 +89,6 @@ func TestAblationsShareCacheWithSweep(t *testing.T) {
 	}
 }
 
-// TestParallelEngineJSONIdentical executes the full small sweep — every
-// section dsmbench -all plans — twice, once per engine-mode request, and
-// asserts the serialized result sets are byte-identical. This is the
-// end-to-end equivalence contract behind dsmbench -par: requesting the
-// node-parallel engine can never change a result, whether a run commits to
-// parallel domains or (as with every current DSM protocol, all of which are
-// domain-unsafe) falls back to the sequential engine. It also pins the
-// fallback itself: no current variant may report a parallel engine.
-func TestParallelEngineJSONIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full small sweep twice; skipped with -short")
-	}
-	opts := Options{Size: apps.SizeSmall}
-	plan := runner.NewPlan()
-	plan.Add(Table1Specs(opts.VariantOpts)...)
-	plan.Add(Table2Specs(opts)...)
-	plan.Add(Fig5Specs(opts)...)
-	plan.Add(Fig6Specs(opts)...)
-	plan.Add(Table3Specs(opts)...)
-	plan.Add(AblationSpecs(opts)...)
-
-	emit := func(parallel bool) []byte {
-		runner.ResetCache()
-		rs, err := runner.Execute(plan, runner.Options{
-			Parallel: parallel,
-			OnProgress: func(_, _ int, spec runner.RunSpec, info runner.RunInfo) {
-				if info.Parallel {
-					t.Errorf("%s/%s/p%d committed to a parallel engine; no current protocol is domain-safe",
-						spec.App, spec.Variant, spec.Procs)
-				}
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rs.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	seq := emit(false)
-	par := emit(true)
-	if !bytes.Equal(seq, par) {
-		t.Fatalf("results JSON differs between engine-mode requests:\n%s", diffHint(par, seq))
-	}
-}
-
 // TestParallelRenderingIsDeterministic runs the same plan at Jobs=1 and
 // Jobs=8 and asserts the rendered tables are byte-identical and every
 // result's virtual time and statistics match exactly: host-level

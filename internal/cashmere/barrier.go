@@ -27,7 +27,7 @@ func newTreeBarrier(rt *core.Runtime, numBarriers int) *treeBarrier {
 		nprocs: n,
 		epoch:  make([][]int64, numBarriers),
 	}
-	b.words = rt.Net().NewWordArray("barrier", numBarriers*b.stride, interconnect.TrafficSync)
+	b.words = rt.Net().NewWordArray(numBarriers*b.stride, interconnect.TrafficSync)
 	for i := range b.epoch {
 		b.epoch[i] = make([]int64, n)
 	}

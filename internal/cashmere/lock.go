@@ -48,10 +48,10 @@ const (
 	stageBackedOff                   // entry cleared, backoff slept: retry
 )
 
-func newLockSpace(rt *core.Runtime, name string, numLocks int) *lockSpace {
+func newLockSpace(rt *core.Runtime, numLocks int) *lockSpace {
 	nodes := rt.Engine().Config().Nodes
 	ls := &lockSpace{
-		words: rt.Net().NewWordArray(name, numLocks*nodes, interconnect.TrafficSync),
+		words: rt.Net().NewWordArray(numLocks*nodes, interconnect.TrafficSync),
 		flags: make([][]bool, numLocks),
 		nodes: nodes,
 		spins: make([]lockSpin, len(rt.ComputeProcs())),

@@ -145,7 +145,7 @@ func (l *lockOnly) Name() string { return "lock-only" }
 
 func (l *lockOnly) Setup(rt *core.Runtime) {
 	l.rt = rt
-	l.ls = newLockSpace(rt, "test-locks", rt.Program().Locks)
+	l.ls = newLockSpace(rt, rt.Program().Locks)
 	l.ref = newRefLock(l.ls)
 }
 

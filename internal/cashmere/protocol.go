@@ -122,7 +122,7 @@ func (c *Protocol) Setup(rt *core.Runtime) {
 	// Cluster-lock id layout: app locks, write-notice list locks, NLE list
 	// locks, directory-entry (superpage home) locks.
 	total := c.appLocks + 2*c.nprocs + numSuper
-	c.locks = newLockSpace(rt, "csm-locks", total)
+	c.locks = newLockSpace(rt, total)
 	c.barrier = newTreeBarrier(rt, maxInt(prog.Barriers, 1))
 	for r := 0; r < c.nprocs; r++ {
 		c.wn = append(c.wn, newNoticeList(c.wnLock(r), numPages))
@@ -430,25 +430,6 @@ func (c *Protocol) Service(p *core.Proc, m sim.Msg, req msg.Request) {
 
 // Finalize implements core.Protocol.
 func (c *Protocol) Finalize(p *core.Proc) {}
-
-// DomainSafe implements core.DomainSafety. Cashmere's host-level state is
-// deliberately cluster-global, mirroring the paper's use of Memory Channel
-// reflected writes: the accessing processor writes the remote home node's
-// frame directly (OnSharedWrite doubling, releasePage flushes), mutates the
-// shared page directory and global lock/barrier words in place, and drives
-// the interconnect occupancy model (link/aggregate horizons), which is
-// itself a single cluster-wide structure. None of that is confined to the accessing node's
-// scheduling domain, so the node-parallel engine must not run this protocol;
-// core.Run falls back to the sequential engine.
-//
-// The exact escape inventory is machine-checked: the domainescape analyzer
-// classifies every field access reachable from the entry points, and the
-// golden report internal/analysis/testdata/reports/cashmere.golden.json
-// pins the field → call-path pairs (dir entries, superHome, lock/barrier
-// words, write-notice lists, shared counters, the interconnect handle) that
-// force this declaration. Flipping it to true without emptying that list is
-// itself a dsmvet diagnostic.
-func (c *Protocol) DomainSafe() bool { return false }
 
 // MaxCostJitter implements core.SchedulePerturbable: any cost inflation up
 // to 100% per operation is legal. Cashmere takes no timing-dependent

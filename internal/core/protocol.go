@@ -44,24 +44,10 @@ type Protocol interface {
 	Counters() map[string]int64
 }
 
-// DomainSafety is an optional interface a Protocol may implement to declare
-// whether its host-level state sharing is confined to scheduling domains. The
-// node-parallel engine (sim.SetParallel) runs each node's processors on a
-// separate host goroutine concurrently with the other nodes; that is only
-// sound if every piece of Go state a protocol touches is either private to
-// one node or reached through the simulator's cross-domain channels
-// (timestamped messages carrying at least the declared lookahead). Protocols
-// that mutate cluster-global Go structures directly from the accessing
-// processor — remote home-node frames, global directories, shared lock words,
-// the interconnect link-occupancy model — must answer false, and core.Run then
-// falls back to the sequential engine regardless of Config.Parallel.
-//
-// Protocols that do not implement the interface are treated as unsafe.
-type DomainSafety interface {
-	// DomainSafe reports whether the protocol's Go-level state accesses are
-	// confined to the accessing processor's node (scheduling domain).
-	DomainSafe() bool
-}
+// DomainSafety was how a protocol declared itself fit for the node-parallel
+// engine, which is gone. The frozen benchmark (perfbench/) still names the
+// interface; the [benchmark] revision that stops doing so deletes it.
+type DomainSafety interface{ DomainSafe() bool }
 
 // SchedulePerturbable is an optional interface a Protocol may implement to
 // declare its legal cost range under schedule perturbation
@@ -146,9 +132,3 @@ func (n *NullProtocol) Counters() map[string]int64 { return nil }
 // processor with zero-cost synchronization: there is no timing-dependent
 // decision anywhere, so any in-range jitter is legal.
 func (n *NullProtocol) MaxCostJitter() float64 { return 1.0 }
-
-// DomainSafe implements DomainSafety. The baseline is trivially confined: it
-// runs exactly one compute processor and only reads the immutable initial
-// image, so there is no cross-node Go state at all. (With a single node the
-// engine never parallelizes anyway; the declaration records the analysis.)
-func (n *NullProtocol) DomainSafe() bool { return true }

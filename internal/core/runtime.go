@@ -42,13 +42,6 @@ type Config struct {
 	NewProtocol func(rt *Runtime) Protocol
 	// Variant is the reporting name (e.g. "csm_poll", "tmk_udp_int").
 	Variant string
-	// Parallel requests the node-parallel simulation engine for this run.
-	// It only engages when the protocol declares itself domain-safe (see
-	// DomainSafety) and the cluster has more than one node; otherwise the
-	// run silently falls back to the sequential engine. Either way the
-	// Result is identical byte for byte — parallel execution is an engine
-	// implementation detail, never a model change.
-	Parallel bool
 	// Schedule requests a seed-derived perturbation of the simulated event
 	// schedule (schedule-space exploration; internal/check, cmd/dsmcheck).
 	// The zero value runs the canonical order. Run rejects a CostJitter
@@ -134,12 +127,6 @@ type Result struct {
 	// Checks are application-reported validation values.
 	Checks map[string]float64
 
-	// EngineParallel and EngineDomains record the engine mode the run
-	// actually committed to (after domain-safety and cluster-shape gating).
-	// They are observability only and are excluded from JSON so that
-	// serialized results stay byte-identical across engine modes.
-	EngineParallel bool `json:"-"`
-	EngineDomains  int  `json:"-"`
 	// Schedule records the perturbation the run executed under (zero value:
 	// canonical order). Observability only, excluded from JSON: measured
 	// result files never embed schedule metadata — a perturbed run's
@@ -327,26 +314,11 @@ func Run(cfg Config, prog *Program) (res *Result, err error) {
 
 	rt.proto = cfg.NewProtocol(rt)
 
-	// Engine-mode selection. Parallel execution is requested by the config
-	// (or the SIM_PARALLEL environment override) but gated on the protocol
-	// declaring its host-level state domain-confined; protocols that do not
-	// implement DomainSafety are treated as unsafe. The explicit SetParallel
-	// also suppresses an environment request the protocol cannot honor. The
-	// lookahead is owned by the network model: no cross-node interaction the
-	// interconnect mediates arrives sooner than MinCrossNodeLatency.
-	safe := false
-	if ds, ok := rt.proto.(DomainSafety); ok {
-		safe = ds.DomainSafe()
-	}
-	eng.SetParallel((cfg.Parallel || sim.ParallelRequested()) && safe)
-	if safe {
-		eng.SetLookahead(net.MinCrossNodeLatency())
-	}
 	if cfg.Schedule.Enabled() {
 		// A perturbed schedule stretches protocol operation costs; that is
 		// only legal inside the range the protocol itself declares tolerable.
-		// The engine then pins the sequential slow path for the run (see
-		// sim.Engine.SetSchedule), overriding the parallel request above.
+		// The engine then pins the slow path for the run (see
+		// sim.Engine.SetSchedule).
 		sp, ok := rt.proto.(SchedulePerturbable)
 		if !ok {
 			return nil, fmt.Errorf("core: %s on %s: protocol declares no schedule-perturbation tolerance; cannot run perturbed",
@@ -425,10 +397,7 @@ func (rt *Runtime) result() *Result {
 		Traffic:  make(map[string]int64),
 		Counters: rt.proto.Counters(),
 		Checks:   rt.checks,
-
-		EngineParallel: rt.eng.ParallelActive(),
-		EngineDomains:  rt.eng.Domains(),
-		Schedule:       rt.cfg.Schedule,
+		Schedule: rt.cfg.Schedule,
 	}
 	for _, p := range rt.computeProcs {
 		st := p.Snapshot()

@@ -62,7 +62,7 @@ func TestConformanceDeclaredCaps(t *testing.T) {
 // visibility horizon moves only forward.
 func TestConformanceVisibilityMonotonic(t *testing.T) {
 	forEachBackend(t, 2, 1, func(t *testing.T, eng *sim.Engine, net Interconnect) {
-		w := net.NewWordArray("mono", 1, TrafficMeta)
+		w := net.NewWordArray(1, TrafficMeta)
 		// Written sequence: 0 (initial), 1, 2, 3 at 20us spacing.
 		order := map[int64]int{0: 0, 1: 1, 2: 2, 3: 3}
 		eng.Go(eng.Proc(0), func(p *sim.Proc) {
@@ -100,7 +100,7 @@ func TestConformanceVisibilityMonotonic(t *testing.T) {
 // inside the fabric latency and visible after it (old-to-new transition).
 func TestConformanceVisibilityWindow(t *testing.T) {
 	forEachBackend(t, 2, 1, func(t *testing.T, eng *sim.Engine, net Interconnect) {
-		w := net.NewWordArray("window", 1, TrafficMeta)
+		w := net.NewWordArray(1, TrafficMeta)
 		eng.Go(eng.Proc(0), func(p *sim.Proc) {
 			w.Write(p, 0, 7)
 		})
@@ -129,7 +129,7 @@ func TestConformanceTotalWriteOrder(t *testing.T) {
 		if !net.Caps().TotalWriteOrder {
 			t.Skip("backend does not declare total write order")
 		}
-		w := net.NewWordArray("order", 1, TrafficMeta)
+		w := net.NewWordArray(1, TrafficMeta)
 		eng.Go(eng.Proc(0), func(p *sim.Proc) {
 			p.Advance(10 * sim.Microsecond)
 			w.Write(p, 0, 1)

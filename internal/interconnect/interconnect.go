@@ -125,11 +125,11 @@ type Interconnect interface {
 	// Caps declares the model's guarantees.
 	Caps() Caps
 
-	// MinCrossNodeLatency is the smallest virtual latency any cross-node
-	// interaction modeled by this backend can carry: the safe lookahead a
-	// node-parallel simulation (sim.SetLookahead) may declare. It does NOT
-	// cover msg.Endpoint.Shutdown, which delivers teardown notices at zero
-	// latency; a parallel run must quiesce cross-node traffic first.
+	// MinCrossNodeLatency is the cross-node latency floor: the smallest
+	// virtual latency any cross-node interaction modeled by this backend
+	// can carry. The conformance suite and msg_test check every modeled
+	// arrival against it. It does NOT cover msg.Endpoint.Shutdown, which
+	// delivers teardown notices at zero latency.
 	MinCrossNodeLatency() sim.Time
 	// InterruptSendCost is the sender-side cost of an inter-node signal.
 	InterruptSendCost() sim.Time
@@ -169,7 +169,7 @@ type Interconnect interface {
 
 	// NewWordArray allocates a globally mapped array of n 8-byte words, all
 	// zero, charging traffic to the given class.
-	NewWordArray(name string, n int, tc TrafficClass) *WordArray
+	NewWordArray(n int, tc TrafficClass) *WordArray
 
 	// AccountTraffic records bytes of traffic in the given class without
 	// occupancy modelling, for small metadata writes whose cost the caller

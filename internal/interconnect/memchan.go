@@ -193,6 +193,6 @@ func (n *mcNet) RemoteRead(p *sim.Proc, src int, bytes int64, tc TrafficClass) s
 }
 
 // NewWordArray implements Interconnect.
-func (n *mcNet) NewWordArray(name string, nwords int, tc TrafficClass) *WordArray {
-	return newWordArray(&n.stats, n.params.WriteCost, n.params.Latency, name, nwords, tc)
+func (n *mcNet) NewWordArray(nwords int, tc TrafficClass) *WordArray {
+	return newWordArray(&n.stats, n.params.WriteCost, n.params.Latency, nwords, tc)
 }

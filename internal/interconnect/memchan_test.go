@@ -176,7 +176,7 @@ func TestFenceIdleIsJustLatency(t *testing.T) {
 
 func TestWordVisibilityWindow(t *testing.T) {
 	eng, net := testCluster(t, 2, 2)
-	w := net.NewWordArray("test", 4, TrafficMeta)
+	w := net.NewWordArray(4, TrafficMeta)
 	// Writer: proc 0 (node 0). Same-node reader: proc 1. Remote: proc 2.
 	eng.Go(eng.Proc(0), func(p *sim.Proc) {
 		w.Write(p, 0, 42)
@@ -206,7 +206,7 @@ func TestWordVisibilityWindow(t *testing.T) {
 
 func TestWriteLoopbackHidesFromWriterNode(t *testing.T) {
 	eng, net := testCluster(t, 2, 2)
-	w := net.NewWordArray("lock", 1, TrafficSync)
+	w := net.NewWordArray(1, TrafficSync)
 	eng.Go(eng.Proc(0), func(p *sim.Proc) {
 		w.WriteLoopback(p, 0, 7)
 		if v := w.Read(p, 0); v != 0 {
@@ -259,7 +259,7 @@ func TestBuildRejectsBadParams(t *testing.T) {
 
 func TestWordArrayLen(t *testing.T) {
 	_, net := testCluster(t, 1, 1)
-	if got := net.NewWordArray("x", 17, TrafficSync).Len(); got != 17 {
+	if got := net.NewWordArray(17, TrafficSync).Len(); got != 17 {
 		t.Errorf("Len = %d", got)
 	}
 }
@@ -296,7 +296,7 @@ func TestAccountTraffic(t *testing.T) {
 // first write's value.
 func TestWordVisibilityTwoWritesWindow(t *testing.T) {
 	eng, net := testCluster(t, 2, 1)
-	w := net.NewWordArray("w", 1, TrafficSync)
+	w := net.NewWordArray(1, TrafficSync)
 	eng.Go(eng.Proc(0), func(p *sim.Proc) {
 		w.Write(p, 0, 1)
 		p.Advance(20 * sim.Microsecond) // first write fully visible
@@ -317,8 +317,8 @@ func TestWordVisibilityTwoWritesWindow(t *testing.T) {
 	}
 }
 
-// TestMinCrossNodeLatency checks the declared parallel-simulation lookahead:
-// it must be the smallest latency any cross-node interaction can carry, and
+// TestMinCrossNodeLatency checks the declared cross-node latency floor: it
+// must be the smallest latency any cross-node interaction can carry, and
 // every modeled cross-node arrival must respect it.
 func TestMinCrossNodeLatency(t *testing.T) {
 	if got, want := MCFirstGeneration().MinCrossNodeLatency(), sim.Time(5200); got != want {
@@ -341,7 +341,7 @@ func TestMinCrossNodeLatency(t *testing.T) {
 		issue := p.Now()
 		arrival := net.Transfer(p, 1, 1, TrafficMessage)
 		if arrival < issue+la {
-			t.Errorf("1-byte transfer arrived at %d, before issue %d + lookahead %d", arrival, issue, la)
+			t.Errorf("1-byte transfer arrived at %d, before issue %d + latency floor %d", arrival, issue, la)
 		}
 		net.Interrupt(p, eng.Proc(1), 1, nil)
 	})
@@ -354,6 +354,6 @@ func TestMinCrossNodeLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if intrAt < la {
-		t.Errorf("interrupt arrived at %d, inside the %d lookahead", intrAt, la)
+		t.Errorf("interrupt arrived at %d, inside the %d latency floor", intrAt, la)
 	}
 }

@@ -187,6 +187,6 @@ func (n *rdmaNet) RemoteRead(p *sim.Proc, src int, bytes int64, tc TrafficClass)
 }
 
 // NewWordArray implements Interconnect.
-func (n *rdmaNet) NewWordArray(name string, nwords int, tc TrafficClass) *WordArray {
-	return newWordArray(&n.stats, n.params.PostCost, n.params.Latency, name, nwords, tc)
+func (n *rdmaNet) NewWordArray(nwords int, tc TrafficClass) *WordArray {
+	return newWordArray(&n.stats, n.params.PostCost, n.params.Latency, nwords, tc)
 }

@@ -212,6 +212,6 @@ func (n *switchNet) RemoteRead(p *sim.Proc, src int, bytes int64, tc TrafficClas
 
 // NewWordArray implements Interconnect: broadcast words become remotely
 // visible at the fabric diameter (see the package comment).
-func (n *switchNet) NewWordArray(name string, nwords int, tc TrafficClass) *WordArray {
-	return newWordArray(&n.stats, n.params.WriteCost, n.fenceLatency, name, nwords, tc)
+func (n *switchNet) NewWordArray(nwords int, tc TrafficClass) *WordArray {
+	return newWordArray(&n.stats, n.params.WriteCost, n.fenceLatency, nwords, tc)
 }

@@ -21,7 +21,6 @@ type WordArray struct {
 	st        *stats
 	writeCost sim.Time
 	latency   sim.Time
-	name      string
 	tc        TrafficClass
 	words     []word
 }
@@ -35,8 +34,8 @@ type word struct {
 // newWordArray allocates a globally mapped array of n 8-byte words, all
 // zero, charging traffic to the given class. Backends call this from their
 // NewWordArray with their own store cost and visibility latency.
-func newWordArray(st *stats, writeCost, latency sim.Time, name string, n int, tc TrafficClass) *WordArray {
-	w := &WordArray{st: st, writeCost: writeCost, latency: latency, name: name, tc: tc, words: make([]word, n)}
+func newWordArray(st *stats, writeCost, latency sim.Time, n int, tc TrafficClass) *WordArray {
+	w := &WordArray{st: st, writeCost: writeCost, latency: latency, tc: tc, words: make([]word, n)}
 	for i := range w.words {
 		w.words[i].writerNode = -1
 	}

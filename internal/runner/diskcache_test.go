@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/variants"
 )
@@ -178,34 +177,5 @@ func TestDiskCacheAtomicWrites(t *testing.T) {
 	got, ok := loadDiskResult(dir, "k")
 	if !ok || got.Time != 42 {
 		t.Fatalf("round trip: ok=%v res=%+v", ok, got)
-	}
-}
-
-// TestEngineModeExcludedFromJSON proves the engine-mode observability fields
-// never reach serialized results: two results differing only in engine mode
-// marshal to identical bytes, which is what keeps -par output byte-identical
-// to sequential output.
-func TestEngineModeExcludedFromJSON(t *testing.T) {
-	a := core.Result{Program: "SOR", Variant: "csm_poll", Procs: 2, Time: 7}
-	b := a
-	b.EngineParallel = true
-	b.EngineDomains = 8
-	ba, _ := json.Marshal(a)
-	bb, _ := json.Marshal(b)
-	if !bytes.Equal(ba, bb) {
-		t.Fatalf("engine mode leaked into JSON:\n%s\n%s", ba, bb)
-	}
-}
-
-// TestPotentialDomains pins the jobs-budgeting helper: every DSM variant is
-// domain-unsafe (1 domain), and the sequential baseline runs one node.
-func TestPotentialDomains(t *testing.T) {
-	for _, v := range variants.Names {
-		if d := PotentialDomains(smallSpec(v, 8)); d != 1 {
-			t.Errorf("%s: potential domains %d, want 1 (domain-unsafe protocol)", v, d)
-		}
-	}
-	if d := PotentialDomains(RunSpec{App: "SOR", Variant: variants.Sequential, Procs: 1, Size: apps.SizeSmall}); d != 1 {
-		t.Errorf("sequential: potential domains %d, want 1", d)
 	}
 }

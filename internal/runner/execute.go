@@ -26,12 +26,6 @@ type Options struct {
 	// how the run executed. Calls are serialized; done reaches total
 	// exactly once.
 	OnProgress func(done, total int, spec RunSpec, info RunInfo)
-	// Parallel requests the node-parallel simulation engine for each run
-	// (core.Config.Parallel). Engine mode cannot change any result — runs
-	// fall back to sequential unless the protocol is domain-safe, and
-	// parallel execution is bit-exact — so cached results are shared
-	// freely between Parallel and sequential Execute calls.
-	Parallel bool
 	// CacheDir, if non-empty, enables a persistent on-disk result cache:
 	// successful results are written there after execution and reused by
 	// later processes. Entries are keyed by the spec's canonical key and
@@ -42,11 +36,6 @@ type Options struct {
 
 // RunInfo describes how one spec's run was satisfied, for progress display.
 type RunInfo struct {
-	// Parallel and Domains report the engine mode the run committed to.
-	// For disk-cache hits they are zero: engine mode is observability
-	// only and deliberately excluded from the serialized result.
-	Parallel bool
-	Domains  int
 	// DiskCached marks a result loaded from Options.CacheDir rather than
 	// executed (or memoized) in this process.
 	DiskCached bool
@@ -129,7 +118,7 @@ func lookup(key string) *memoEntry {
 }
 
 // run executes one spec's simulation (no caching).
-func run(s RunSpec, parallel bool) (*core.Result, error) {
+func run(s RunSpec) (*core.Result, error) {
 	nodes, ppn, err := layoutFor(s)
 	if err != nil {
 		return nil, err
@@ -138,28 +127,11 @@ func run(s RunSpec, parallel bool) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Parallel = parallel
 	prog, err := buildProgram(s)
 	if err != nil {
 		return nil, err
 	}
 	return core.Run(cfg, prog)
-}
-
-// PotentialDomains returns the number of scheduling domains a spec's run
-// could commit to under Options.Parallel: the layout's node count when the
-// variant's protocol is domain-safe, 1 otherwise (or when the layout is
-// unknown/infeasible). Callers use the maximum over a plan to budget host
-// workers (jobs x domains <= cores).
-func PotentialDomains(s RunSpec) int {
-	if !variants.DomainSafe(s.Variant) {
-		return 1
-	}
-	nodes, _, err := layoutFor(s)
-	if err != nil || nodes <= 1 {
-		return 1
-	}
-	return nodes
 }
 
 // Execute runs every spec in the plan, fanning out over a bounded worker
@@ -205,7 +177,7 @@ func Execute(plan *Plan, opts Options) (*ResultSet, error) {
 							return
 						}
 					}
-					e.res, e.err = run(s, opts.Parallel)
+					e.res, e.err = run(s)
 					if e.err == nil || !errors.Is(e.err, ErrInfeasible) {
 						executions.Add(1)
 					}
@@ -217,14 +189,9 @@ func Execute(plan *Plan, opts Options) (*ResultSet, error) {
 				})
 				outcomes[i] = &outcome{spec: s, res: e.res, err: e.err}
 				if opts.OnProgress != nil {
-					info := RunInfo{DiskCached: e.fromDisk}
-					if e.res != nil {
-						info.Parallel = e.res.EngineParallel
-						info.Domains = e.res.EngineDomains
-					}
 					progressMu.Lock()
 					done++
-					opts.OnProgress(done, len(specs), s, info)
+					opts.OnProgress(done, len(specs), s, RunInfo{DiskCached: e.fromDisk})
 					progressMu.Unlock()
 				}
 			}

@@ -26,11 +26,12 @@ func runOrHang(t *testing.T, e *Engine) error {
 
 // TestAbnormalExitsEndRun drives every way a processor can leave its
 // coroutine other than returning — a body panic, runtime.Goexit (which
-// iter.Pull re-raises in next's caller, the domain worker), a poll that
-// panics under a peer's dispatch and one that panics under the worker's —
-// through the sequential and the node-parallel engine at GOMAXPROCS 1, 2 and
-// 8. Each must end Run with an error naming the cause and leave no goroutine
-// behind, with the survivors parked at a yield, a block and an inline poll.
+// iter.Pull re-raises in next's caller, the dispatcher) and a poll that panics
+// under a peer's dispatch — at GOMAXPROCS 1, 2 and 8. Each must end Run with
+// an error naming the cause and leave no goroutine behind, with the survivors
+// parked at a yield, a block and an inline poll. The fast path is pinned on:
+// with it off no poll is ever registered, so nothing parks at an inline poll
+// and a poll's panic is its own body's.
 func TestAbnormalExitsEndRun(t *testing.T) {
 	cases := []struct {
 		name string
@@ -61,71 +62,68 @@ func TestAbnormalExitsEndRun(t *testing.T) {
 		}},
 	}
 	for _, procs := range []int{1, 2, 8} {
-		for _, parallel := range []bool{false, true} {
-			for _, c := range cases {
-				c := c
-				t.Run(fmt.Sprintf("P%d/parallel=%v/%s", procs, parallel, c.name), func(t *testing.T) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					base := runtime.NumGoroutine()
-					for i := 0; i < 5; i++ {
-						e := mustEngine(t, 2, 2)
-						e.SetParallel(parallel)
-						e.SetLookahead(testLookahead)
-						e.Go(e.Proc(0), c.bad)
-						e.Go(e.Proc(1), func(p *Proc) {
-							for {
-								p.Advance(100)
-								p.Yield()
-							}
-						})
-						e.Go(e.Proc(2), func(p *Proc) { p.Block("coro-test: parked") })
-						e.Go(e.Proc(3), func(p *Proc) {
-							p.PollWait(func() (bool, Time) {
-								p.Advance(Millisecond)
-								return false, p.Now()
-							})
-						})
-						err := runOrHang(t, e)
-						if err == nil || !strings.Contains(err.Error(), c.want) {
-							t.Fatalf("Run = %v, want error containing %q", err, c.want)
+		for _, c := range cases {
+			c := c
+			t.Run(fmt.Sprintf("P%d/%s", procs, c.name), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				base := runtime.NumGoroutine()
+				for i := 0; i < 5; i++ {
+					e := mustEngine(t, 2, 2)
+					e.SetFastYield(true)
+					e.Go(e.Proc(0), c.bad)
+					e.Go(e.Proc(1), func(p *Proc) {
+						for {
+							p.Advance(100)
+							p.Yield()
 						}
-						if e.ParallelActive() != parallel {
-							t.Fatalf("ParallelActive = %v, want %v", e.ParallelActive(), parallel)
-						}
+					})
+					e.Go(e.Proc(2), func(p *Proc) { p.Block("coro-test: parked") })
+					e.Go(e.Proc(3), func(p *Proc) {
+						p.PollWait(func() (bool, Time) {
+							p.Advance(Millisecond)
+							return false, p.Now()
+						})
+					})
+					err := runOrHang(t, e)
+					if err == nil || !strings.Contains(err.Error(), c.want) {
+						t.Fatalf("Run = %v, want error containing %q", err, c.want)
 					}
-					if n := waitGoroutines(base+2, 5*time.Second); n > base+2 {
-						t.Fatalf("goroutines leaked: %d -> %d", base, n)
-					}
-				})
-			}
+				}
+				if n := waitGoroutines(base+2, 5*time.Second); n > base+2 {
+					t.Fatalf("goroutines leaked: %d -> %d", base, n)
+				}
+			})
 		}
 	}
 }
 
 // TestPollPanicUnderWorker covers the one dispatcher the table above cannot
-// reach with a peer present: a lone processor's registered poll is probed by
-// the domain worker (its own entry lies past the parallel window's horizon,
-// so it parks and the next window's first dispatch runs the poll).
+// reach: the dispatcher goroutine itself probes a registered poll only when a
+// peer's body returns while the poller is parked. Proc 0's first probe parks
+// it at t=1000 behind proc 1, which finishes at t=500; the dispatch after that
+// return runs the second probe.
 func TestPollPanicUnderWorker(t *testing.T) {
 	base := runtime.NumGoroutine()
-	e := mustEngine(t, 2, 1)
-	e.SetParallel(true)
-	e.SetLookahead(testLookahead)
+	e := mustEngine(t, 1, 2)
+	e.SetFastYield(true)
 	e.Go(e.Proc(0), func(p *Proc) {
 		probes := 0
 		p.PollWait(func() (bool, Time) {
 			if probes++; probes > 1 {
 				panic("coro-test worker poll boom")
 			}
-			p.Advance(10 * testLookahead)
+			p.Advance(1000)
 			return false, p.Now()
 		})
 	})
-	e.Go(e.Proc(1), func(p *Proc) { p.Block("coro-test: parked") })
+	e.Go(e.Proc(1), func(p *Proc) {
+		p.Advance(500)
+		p.Yield()
+	})
 	err := runOrHang(t, e)
 	if err == nil || !strings.Contains(err.Error(), "sim: proc 0 poll panicked: coro-test worker poll boom") ||
 		strings.Contains(err.Error(), "panicked: sim:") {
-		t.Fatalf("Run = %v, want the poll panic reported by the worker, unwrapped", err)
+		t.Fatalf("Run = %v, want the poll panic reported by the dispatcher, unwrapped", err)
 	}
 	if e.InlinePolls() != 1 {
 		t.Fatalf("InlinePolls = %d, want 1", e.InlinePolls())
@@ -136,11 +134,12 @@ func TestPollPanicUnderWorker(t *testing.T) {
 }
 
 // TestPollingFlagResetAfterPollPanic checks that the recover in dispatchNext
-// clears the domain's polling flag: were it left set, unwinding the parked
+// clears the engine's polling flag: were it left set, unwinding the parked
 // bodies (whose deferred functions may yield) would trip the "yielded inside
 // a dispatcher-run poll" check instead of stopping quietly.
 func TestPollingFlagResetAfterPollPanic(t *testing.T) {
 	e := mustEngine(t, 1, 2)
+	e.SetFastYield(true) // only an inline poll sets the flag
 	e.Go(e.Proc(0), func(p *Proc) {
 		probes := 0
 		p.PollWait(func() (bool, Time) {
@@ -160,8 +159,8 @@ func TestPollingFlagResetAfterPollPanic(t *testing.T) {
 	if err := runOrHang(t, e); err == nil || !strings.Contains(err.Error(), "poll panicked") {
 		t.Fatalf("Run = %v, want poll panic", err)
 	}
-	if e.domains[0].polling {
-		t.Fatal("domain left in polling state after a poll panic")
+	if e.polling {
+		t.Fatal("engine left in polling state after a poll panic")
 	}
 }
 

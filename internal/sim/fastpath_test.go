@@ -118,7 +118,7 @@ func TestElisionCountsSoloYields(t *testing.T) {
 }
 
 // TestHandoffBypassesEngine checks that a two-processor ping-pong counts its
-// processor-to-processor baton passes, and that the worker's first dispatch
+// processor-to-processor baton passes, and that the dispatcher's first dispatch
 // of each processor is not one of them.
 func TestHandoffBypassesEngine(t *testing.T) {
 	e := mustEngine(t, 1, 2)
@@ -136,7 +136,7 @@ func TestHandoffBypassesEngine(t *testing.T) {
 	}
 	// Each of the 100 yields finds the other processor due first and passes
 	// the baton; the two first dispatches and the dispatch after proc 0
-	// returns are the worker's and do not count.
+	// returns are the dispatcher's and do not count.
 	if got := e.DirectHandoffs(); got != 100 {
 		t.Fatalf("DirectHandoffs = %d, want 100", got)
 	}

@@ -63,42 +63,21 @@ func (mb *mailbox) pop() Msg {
 
 // Deliver places a message in the target processor's inbox and, if the target
 // is parked, arranges for it to be woken no later than the arrival time. It
-// must be called by a processor holding a baton — in parallel mode the sender
-// is identified by m.From, so cross-domain messages must be built with the
-// sender's NewMsg (or carry a valid From), and their arrival time must be at
-// least the engine's lookahead past the sender's clock.
+// must be called by the processor holding the baton.
 func (p *Proc) Deliver(m Msg) {
-	e := p.eng
-	if !e.parallelActive {
-		if m.Seq == 0 {
-			m.Seq = p.dom.nextMsgSeq()
-		}
-		p.inbox.insert(m)
-		wakeLocal(p, m.At)
-		return
-	}
-	if m.From < 0 || m.From >= len(e.procs) {
-		panic("sim: parallel Deliver needs a valid sender (Msg.From) to identify the sending domain")
-	}
-	sender := e.procs[m.From]
 	if m.Seq == 0 {
-		m.Seq = sender.dom.nextMsgSeq()
+		p.eng.msgSeq++
+		m.Seq = p.eng.msgSeq
 	}
-	if sender.dom == p.dom {
-		p.inbox.insert(m)
-		wakeLocal(p, m.At)
-		return
-	}
-	// sender is the baton holder of its own domain (Deliver's contract), so
-	// its clock is safe to read from this goroutine.
-	e.checkLookahead(sender, m.At)
-	p.dom.stage(crossEvent{kind: crossDeliver, target: p.ID, at: m.At, from: sender.dom.id, msg: m})
+	p.inbox.insert(m)
+	p.eng.WakeAt(p, m.At)
 }
 
 // NewMsg builds a message stamped with a fresh global sequence number, sent
 // by this processor.
 func (p *Proc) NewMsg(at Time, kind int, data any) Msg {
-	return Msg{At: at, Seq: p.dom.nextMsgSeq(), From: p.ID, Kind: kind, Data: data}
+	p.eng.msgSeq++
+	return Msg{At: at, Seq: p.eng.msgSeq, From: p.ID, Kind: kind, Data: data}
 }
 
 // TryRecv removes and returns the earliest message whose arrival time is not

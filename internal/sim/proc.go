@@ -15,11 +15,10 @@ type Proc struct {
 	CPU int
 
 	eng  *Engine
-	dom  *domain
 	body func(*Proc)
 
 	// The processor is a coroutine (newCoro over coroutine, made at Run).
-	// next, called by the domain's worker, switches into it until it parks in
+	// next, called by the dispatcher, switches into it until it parks in
 	// pass and returns the successor it named there; yield is the coroutine's
 	// side of that switch. stop unwinds a parked coroutine at teardown. err is
 	// what ended the body abnormally, if anything did.
@@ -31,7 +30,7 @@ type Proc struct {
 	now      Time
 	state    procState
 	queuedAt Time // resume time of the run-queue entry (state == stateQueued)
-	qpos     int  // index of that entry in the domain's run queue, -1 without one
+	qpos     int  // index of that entry in the run queue, -1 without one
 
 	// wakeToken records that a WakeAt was issued and not yet consumed by a
 	// Block. Tokens survive intervening Yields so that a wake issued while
@@ -108,14 +107,11 @@ func (p *Proc) AdvanceTo(t Time) {
 // stops it at teardown.
 type stopped struct{}
 
-// dsmvet:dispatch — runs on the processor's coroutine, which holds the baton
-// when its body ends.
-//
 // coroutine is the function newCoro runs: the body, plus the bookkeeping for
 // every way it can end. A return or a panic marks the processor done and
-// leaves err for the worker, whose next() returns false. runtime.Goexit (e.g.
-// t.Fatalf in a test body) cannot be stopped here: the deferred function
-// records it and iter.Pull then ends the worker too (see domain.worker).
+// leaves err for the dispatcher, whose next() returns false. runtime.Goexit
+// (e.g. t.Fatalf in a test body) cannot be stopped here: the deferred function
+// records it and iter.Pull then ends the dispatcher too (see Engine.runDispatcher).
 func (p *Proc) coroutine(yield func(*Proc) bool) {
 	p.yield = yield
 	returned := false
@@ -125,7 +121,7 @@ func (p *Proc) coroutine(yield func(*Proc) bool) {
 			return // engine teardown unwound us; nobody is listening
 		}
 		p.state = stateDone
-		p.dom.active--
+		p.eng.active--
 		if r != nil {
 			p.err = fmt.Errorf("sim: proc %d panicked: %v", p.ID, r)
 		} else if !returned {
@@ -136,21 +132,17 @@ func (p *Proc) coroutine(yield func(*Proc) bool) {
 	returned = true
 }
 
-// dsmvet:dispatch — runs on p's coroutine, which holds the baton until the
-// switch below gives it away.
-//
 // pass is the processor's side of every baton pass. p has already queued
 // itself (yield, poll) or marked itself blocked; it now runs the dispatch loop
 // itself and, if the successor is another processor, parks by yielding that
-// processor to the worker, whose next() on it completes the switch: two
+// processor to the dispatcher, whose next() on it completes the switch: two
 // coroutine switches and no trip through the Go scheduler. If p's own entry
 // comes straight back (nothing else was due first, or an inline poll's
-// delivery woke a blocker) there is no switch at all. With nothing runnable
-// inside the horizon p yields nil, which closes the window; for a sequential
-// run that is the deadlock report. A panicking inline poll aborts the run
-// through this body's panic path.
+// delivery woke a blocker) there is no switch at all. With nothing runnable p
+// yields nil, which ends the run as a deadlock. A panicking inline poll aborts
+// the run through this body's panic path.
 func (p *Proc) pass() {
-	q, err := p.dom.dispatchNext()
+	q, err := p.eng.dispatchNext()
 	if err != nil {
 		panic(err)
 	}
@@ -158,7 +150,7 @@ func (p *Proc) pass() {
 		return
 	}
 	if q != nil {
-		p.dom.handoffs++
+		p.eng.handoffs++
 	}
 	if !p.yield(q) {
 		panic(stopped{})
@@ -182,10 +174,8 @@ func (p *Proc) YieldUntil(t Time) {
 	p.yieldUntil(t)
 }
 
-// dsmvet:dispatch — runs on the yielding processor's coroutine, which holds
-// the baton.
 func (p *Proc) yieldUntil(t Time) {
-	if p.dom.polling {
+	if p.eng.polling {
 		panic(fmt.Sprintf("sim: proc %d yielded inside a dispatcher-run poll (PollWait closures must not yield)", p.ID))
 	}
 	// When yieldAt elides, the scheduler would have handed the baton straight
@@ -193,7 +183,7 @@ func (p *Proc) yieldUntil(t Time) {
 	// quantum origin reset, clock advanced to the resume time — and p keeps
 	// running. Bit-exact with parking: no other processor could have run in
 	// between.
-	if !p.dom.yieldAt(p, t) {
+	if !p.eng.yieldAt(p, t) {
 		p.pass()
 	}
 }
@@ -206,7 +196,7 @@ func (p *Proc) yieldUntil(t Time) {
 // This is the scheduling primitive behind spin waits. Its value over a plain
 // sleep-yield loop is host cost: when the processor parks, the poll closure
 // is registered with the scheduler, and whichever goroutine dispatches the
-// processor's queue entry — a peer passing the baton or the domain worker —
+// processor's queue entry — a peer passing the baton or the dispatcher —
 // evaluates the poll inline, re-queueing on false without ever switching to
 // this coroutine. The processor is only resumed when the poll reports done. A
 // contended spin that used to cost two switches per probe costs zero. This is
@@ -224,9 +214,6 @@ func (p *Proc) yieldUntil(t Time) {
 // the coroutine is resumed once for the whole wait (Cashmere's lock acquire
 // is the worked example; DESIGN.md §3a item 4).
 //
-// dsmvet:dispatch — runs on the polling processor's coroutine, which holds
-// the baton at every touch of domain state.
-//
 // The contract is that poll must not yield, block, park, or otherwise touch
 // the scheduler (delivering messages and waking other processors is fine) —
 // it runs on a goroutine that already holds a baton mid-dispatch. Violations
@@ -241,7 +228,7 @@ func (p *Proc) PollWait(poll func() (done bool, next Time)) {
 		if next < p.now {
 			next = p.now
 		}
-		if p.dom.yieldAt(p, next) {
+		if p.eng.yieldAt(p, next) {
 			continue // nothing else can run before next: probe again
 		}
 		if p.eng.fastYield {
@@ -273,9 +260,6 @@ func (p *Proc) CheckpointQuiet(quantum Time) bool {
 		p.now-p.lastYield < quantum
 }
 
-// dsmvet:dispatch — runs on the blocking processor's coroutine, which holds
-// the baton.
-//
 // Block parks the processor until another processor calls WakeAt (or until a
 // message is delivered by code that wakes it). The reason string appears in
 // deadlock reports. If an unconsumed wake is outstanding (issued at any point
@@ -283,7 +267,7 @@ func (p *Proc) CheckpointQuiet(quantum Time) bool {
 // processor does not park. Callers must therefore treat Block as a condition
 // variable wait: re-check the condition in a loop.
 func (p *Proc) Block(reason string) {
-	if p.dom.polling {
+	if p.eng.polling {
 		panic(fmt.Sprintf("sim: proc %d blocked inside a dispatcher-run poll (PollWait closures must not block)", p.ID))
 	}
 	if p.wakeToken {
@@ -297,59 +281,31 @@ func (p *Proc) Block(reason string) {
 	// evaluated there may deliver a message to p, and the resulting wake only
 	// re-queues a processor it observes as parked. If that happens p's own
 	// entry surfaces in the queue and pass returns at once with p running —
-	// exactly as if the wake had arrived after p parked (or, past the window
-	// horizon, p parks queued and its entry stays live).
+	// exactly as if the wake had arrived after p parked.
 	p.state = stateBlocked
 	p.pass()
 	p.blockReason = ""
 	p.wakeToken = false // the wake that resumed us is consumed
 }
 
-// wakeLocal makes the target processor runnable no earlier than virtual time
-// t in its own domain and deposits a wake token consumed by the target's next
-// Block. If the target is blocked it is queued to resume at max(its clock,
-// t). If it is already queued with a later resume time, the earlier time
-// wins. Must only run while the target's domain is quiescent for the caller:
-// by the domain's own baton holder, or by the coordinator between windows.
-func wakeLocal(target *Proc, t Time) {
+// WakeAt makes the target processor runnable no earlier than virtual time t
+// and deposits a wake token consumed by the target's next Block. If the target
+// is blocked it is queued to resume at max(its clock, t). If it is already
+// queued with a later resume time, the earlier time wins. It must be called by
+// the processor currently holding the baton (or before Run).
+func (e *Engine) WakeAt(target *Proc, t Time) {
 	if !target.wakeToken || t < target.wakeTokenAt {
 		target.wakeToken = true
 		target.wakeTokenAt = t
 	}
 	switch target.state {
 	case stateBlocked:
-		target.dom.enqueue(target, t)
+		e.enqueue(target, t)
 	case stateQueued:
 		if t < target.queuedAt {
-			target.dom.enqueue(target, t)
+			e.enqueue(target, t)
 		}
 	}
-}
-
-// WakeAt makes the target processor runnable no earlier than virtual time t.
-// It must be called by the processor currently holding the baton (or by the
-// engine before Run). In parallel mode the engine cannot tell which domain
-// the calling goroutine belongs to, so this form is only legal sequentially;
-// use Proc.WakeAt, which names the caller, instead.
-func (e *Engine) WakeAt(target *Proc, t Time) {
-	if e.parallelActive {
-		panic("sim: Engine.WakeAt is ambiguous in parallel mode; use the caller's Proc.WakeAt")
-	}
-	wakeLocal(target, t)
-}
-
-// WakeAt makes target runnable no earlier than virtual time t, with p — the
-// processor currently holding its domain's baton — as the caller. Within a
-// domain (or a sequential engine) this is the plain wake. Across domains the
-// wake is staged and applied by the coordinator at the next window boundary;
-// t must then be at least the engine's lookahead past p's clock.
-func (p *Proc) WakeAt(target *Proc, t Time) {
-	if !p.eng.parallelActive || target.dom == p.dom {
-		wakeLocal(target, t)
-		return
-	}
-	p.eng.checkLookahead(p, t)
-	target.dom.stage(crossEvent{kind: crossWake, target: target.ID, at: t, from: p.dom.id})
 }
 
 // SleepUntil advances the processor's clock to virtual time t and yields, so

@@ -1,7 +1,7 @@
 package sim
 
 // entry is one run-queue element: processor p becomes runnable at virtual
-// time at. order is the domain's push counter at the push; tie is the
+// time at. order is the engine's push counter at the push; tie is the
 // equal-time key derived from it once, at the push (see runQueue.salt).
 type entry struct {
 	at    Time

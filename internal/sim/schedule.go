@@ -26,8 +26,8 @@ import "fmt"
 //     that sync-order races are actually explored.
 //
 // The zero value (and any value with Seed == 0) leaves the canonical
-// schedule untouched. Perturbed runs pin the sequential engine and the
-// canonical slow path (see Engine.applySchedule for why).
+// schedule untouched. Perturbed runs pin the canonical slow path (see
+// Engine.applySchedule for why).
 type Schedule struct {
 	// Seed selects the perturbation. Zero disables the schedule entirely so
 	// that a zero Schedule value means "canonical order".
@@ -121,24 +121,17 @@ func (e *Engine) SetSchedule(s Schedule) {
 // if none).
 func (e *Engine) Schedule() Schedule { return e.sched }
 
-// dsmvet:dispatch — runs once at Run, before any worker or processor
-// goroutine starts.
-//
-// applySchedule arms a committed schedule perturbation. Perturbed runs pin
-// the canonical slow path and the sequential engine: yield elision skips
-// run-queue pushes entirely (so the push counter — the tie-break input —
-// would advance on a different schedule than the slow path's), and the
-// parallel engine's window protocol orders same-instant cross-domain ties by
-// sequence stripe rather than global push order. Pinning both keeps "one
-// (program seed, schedule seed) pair = one ordering" exact under any host
-// configuration; SIM_NO_FASTPATH/SIM_PARALLEL and Set* overrides are
-// deliberately trumped here.
+// applySchedule arms a committed schedule perturbation at Run. Perturbed runs
+// pin the canonical slow path: yield elision skips run-queue pushes entirely,
+// so the push counter — the tie-break input — would advance on a different
+// schedule than the slow path's. Pinning it keeps "one (program seed, schedule
+// seed) pair = one ordering" exact under any host configuration;
+// SIM_NO_FASTPATH and SetFastYield are deliberately trumped here.
 func (e *Engine) applySchedule() {
 	if !e.sched.Enabled() {
 		return
 	}
 	e.fastYield = false
-	e.parallel = false
 	base := mix64(e.sched.Seed ^ jitterStream)
 	for _, p := range e.procs {
 		p.jstate = mix64(base ^ (uint64(p.ID) + 1))
@@ -148,13 +141,10 @@ func (e *Engine) applySchedule() {
 		if salt == 0 {
 			salt = 1 // zero means "FIFO" to the queue; never lose the flip
 		}
-		e.domains[0].runq.salt = salt
+		e.runq.salt = salt
 	}
 }
 
-// dsmvet:dispatch — runs once at Run, before any worker or processor
-// goroutine starts.
-//
 // startTime returns the virtual time at which p's body is first scheduled:
 // 0 canonically, or a seed-derived offset in [0, Stagger] under a staggered
 // schedule.

@@ -36,13 +36,9 @@ func scheduleWorkload(e *Engine) *[]string {
 
 // runScheduled executes the workload under the given schedule and returns the
 // trace as one byte-comparable string plus the engine for inspection.
-func runScheduled(t *testing.T, nodes, ppn int, s Schedule, parallel bool) (string, *Engine) {
+func runScheduled(t *testing.T, nodes, ppn int, s Schedule) (string, *Engine) {
 	t.Helper()
 	e := mustEngine(t, nodes, ppn)
-	if parallel {
-		e.SetParallel(true)
-		e.SetLookahead(5200)
-	}
 	e.SetSchedule(s)
 	trace := scheduleWorkload(e)
 	if err := e.Run(); err != nil {
@@ -57,16 +53,20 @@ func fullSchedule(seed uint64) Schedule {
 
 // TestScheduleDeterminism: the same (program, schedule seed) pair must replay
 // to a byte-identical event trace at any GOMAXPROCS — the perturbation layer
-// is a pure function of its seeds, never of host scheduling.
+// is a pure function of its seeds, never of host scheduling. Part of that is
+// that a perturbed run pins the slow path: it must elide no yield.
 func TestScheduleDeterminism(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for _, seed := range []uint64{1, 2, 42} {
-				a, _ := runScheduled(t, 2, 2, fullSchedule(seed), false)
-				b, _ := runScheduled(t, 2, 2, fullSchedule(seed), false)
+				a, ea := runScheduled(t, 2, 2, fullSchedule(seed))
+				b, _ := runScheduled(t, 2, 2, fullSchedule(seed))
 				if a != b {
 					t.Fatalf("seed %d: two runs diverged:\n--- run 1:\n%s\n--- run 2:\n%s", seed, a, b)
+				}
+				if n := ea.ElidedYields(); n != 0 {
+					t.Fatalf("seed %d: perturbed run elided %d yields: slow path not pinned", seed, n)
 				}
 			}
 		})
@@ -79,7 +79,7 @@ func TestScheduleDistinctSeeds(t *testing.T) {
 	seen := map[string]uint64{}
 	distinct := 0
 	for seed := uint64(1); seed <= 8; seed++ {
-		tr, _ := runScheduled(t, 2, 2, fullSchedule(seed), false)
+		tr, _ := runScheduled(t, 2, 2, fullSchedule(seed))
 		if _, dup := seen[tr]; !dup {
 			distinct++
 		}
@@ -99,7 +99,7 @@ func TestScheduleZeroValueCanonical(t *testing.T) {
 	if (Schedule{CostJitter: 0.5, FlipTies: true, Stagger: 100}).Enabled() {
 		t.Fatal("schedule with zero seed reports enabled")
 	}
-	base, _ := runScheduled(t, 2, 2, Schedule{}, false)
+	base, _ := runScheduled(t, 2, 2, Schedule{})
 	e := mustEngine(t, 2, 2)
 	trace := scheduleWorkload(e)
 	if err := e.Run(); err != nil {
@@ -150,10 +150,10 @@ func TestScheduleJitterBounds(t *testing.T) {
 // trace must differ from canonical for some seed — and virtual clocks must
 // not move, because tie-flipping only reorders same-instant events.
 func TestScheduleTieFlip(t *testing.T) {
-	base, be := runScheduled(t, 2, 2, Schedule{}, false)
+	base, be := runScheduled(t, 2, 2, Schedule{})
 	flipped := false
 	for seed := uint64(1); seed <= 8; seed++ {
-		tr, fe := runScheduled(t, 2, 2, Schedule{Seed: seed, FlipTies: true}, false)
+		tr, fe := runScheduled(t, 2, 2, Schedule{Seed: seed, FlipTies: true})
 		if fe.MaxTime() != be.MaxTime() {
 			t.Fatalf("seed %d: tie flip moved the clock: %d vs %d", seed, fe.MaxTime(), be.MaxTime())
 		}
@@ -199,30 +199,6 @@ func TestScheduleStagger(t *testing.T) {
 	}
 	if !spread {
 		t.Fatal("stagger never separated any two start times across 4 seeds")
-	}
-}
-
-// TestParallelScheduleFallback: a perturbed run pins the sequential engine
-// and the slow path even when node-parallel execution was requested — the
-// trace must be identical to the plain sequential perturbed run. (Named
-// TestParallel* so CI's GOMAXPROCS 1/2/8 race loop covers it.)
-func TestParallelScheduleFallback(t *testing.T) {
-	for _, seed := range []uint64{3, 9} {
-		s := fullSchedule(seed)
-		seq, se := runScheduled(t, 2, 2, s, false)
-		par, pe := runScheduled(t, 2, 2, s, true)
-		if pe.ParallelActive() {
-			t.Fatal("perturbed run engaged the parallel engine")
-		}
-		if pe.Domains() != 1 {
-			t.Fatalf("perturbed run committed to %d domains, want 1", pe.Domains())
-		}
-		if par != seq {
-			t.Fatalf("seed %d: parallel-requested perturbed trace diverged from sequential:\n--- sequential:\n%s\n--- parallel-requested:\n%s", seed, seq, par)
-		}
-		if se.ElidedYields() != 0 || pe.ElidedYields() != 0 {
-			t.Fatalf("perturbed run used yield elision (%d/%d elisions): slow path not pinned", se.ElidedYields(), pe.ElidedYields())
-		}
 	}
 }
 

@@ -2,17 +2,17 @@
 // cluster of SMP nodes.
 //
 // Each simulated processor is a coroutine (iter.Pull) with its own virtual
-// clock. The processors are partitioned into scheduling domains, each driven
-// by one host worker goroutine; exactly one processor executes at any moment
-// within a domain, and the right to execute — the baton — moves only by
-// coroutine switch: the worker's next() into a processor, and the processor's
-// yield back, naming its successor. A processor that must give way runs the
-// domain's one dispatch loop itself (dispatchNext) and parks by yielding the
-// processor it found to the worker, which switches straight into it, so a
-// baton pass is two coroutine switches and never a trip through the Go
-// scheduler; intra-domain scheduling needs no locks and is bit-deterministic.
-// A sequential engine (the default) has a single domain holding every
-// processor, which is the classic one-at-a-time discipline.
+// clock. Exactly one processor executes at any moment, and the right to
+// execute — the baton — moves only by coroutine switch: the dispatcher
+// goroutine's next() into a processor, and the processor's yield back, naming
+// its successor. A processor that must give way runs the engine's one dispatch
+// loop itself (dispatchNext) and parks by yielding the processor it found to
+// the dispatcher, which switches straight into it, so a baton pass is two
+// coroutine switches and never a trip through the Go scheduler; scheduling
+// needs no locks and is bit-deterministic. This is the classic one-at-a-time
+// discipline, and the only mode: a sweep uses the host's cores by running many
+// simulations at once (runner.Options.Jobs), never by splitting one (DESIGN.md
+// §3b says why).
 //
 // The scheduling rule is the classic conservative one: the dispatch loop
 // always picks the runnable processor with the minimum virtual clock (ties are
@@ -24,16 +24,6 @@
 // processor can still perform an earlier conflicting action: all runnable
 // processors have clocks >= t and blocked processors can only be woken at
 // times chosen by already-ordered events.
-//
-// Parallel mode (SetParallel + SetLookahead, or SIM_PARALLEL=1) splits the
-// cluster into one domain per node and advances the domains concurrently
-// under a conservative window protocol: every cross-domain interaction must
-// carry at least the declared lookahead of virtual latency, so each domain
-// can safely execute all events below the global horizon
-// min(next event) + lookahead without hearing from the others. Cross-domain
-// messages and wakes are staged in per-domain buffers and applied by the
-// coordinator between windows in deterministic (time, seq) order. See
-// DESIGN.md §3b for the ordering argument and the exactness condition.
 //
 // Timing model: virtual time is int64 nanoseconds (type Time). Real wall-clock
 // time plays no role anywhere in the package.
@@ -54,6 +44,11 @@ import (
 // output. Baton passes are the same coroutine switch either way.
 const NoFastPathEnv = "SIM_NO_FASTPATH"
 
+// ParallelEnv named the switch of the node-parallel engine, which is gone.
+// The frozen benchmark (perfbench/) still unsets it; the [benchmark] revision
+// that stops naming it deletes this constant.
+const ParallelEnv = "SIM_PARALLEL"
+
 // FastPathEnabled reports whether the fast paths are enabled for engines and
 // runtimes created from now on (the environment is consulted at creation
 // time, not per operation).
@@ -61,14 +56,6 @@ const NoFastPathEnv = "SIM_NO_FASTPATH"
 // dsmvet:env-switch — declared SIM_* switch site; the only sanctioned kind
 // of environment read in measured packages.
 func FastPathEnabled() bool { return os.Getenv(NoFastPathEnv) == "" }
-
-// ParallelRequested reports whether SIM_PARALLEL asks engines created from
-// now on to default to node-parallel execution. A positive lookahead must
-// still be declared per engine before parallelism engages.
-//
-// dsmvet:env-switch — declared SIM_* switch site; the only sanctioned kind
-// of environment read in measured packages.
-func ParallelRequested() bool { return os.Getenv(ParallelEnv) != "" }
 
 // Time is virtual time in nanoseconds.
 type Time = int64
@@ -129,32 +116,42 @@ func (s procState) String() string {
 	return "invalid"
 }
 
-// Engine owns the simulated cluster: its processors, the scheduling domains,
-// and the global event ordering. Create one with NewEngine, add processors
-// with NewProc, give each a body with Go, then call Run.
+// Engine owns the simulated cluster: its processors, the run queue, and the
+// global event ordering. Create one with NewEngine, give each processor a body
+// with Go, then call Run.
+//
+// All scheduling state (runq, pushCount, msgSeq, active, polling, the
+// counters) is touched only by the goroutine currently holding the baton — the
+// dispatcher or one of the processor coroutines — with every transfer of
+// control being a coroutine switch, which orders the two sides: no locks are
+// needed and the race detector verifies the discipline. The run queue holds
+// exactly one entry for every queued processor and none for any other, so its
+// head is always the next event.
 type Engine struct {
 	cfg     Config
 	procs   []*Proc
-	domains []*domain
 	started bool
 
 	fastYield bool // elide scheduler round-trips when provably inconsequential
-
-	// parallel requests node-parallel execution; it only engages when
-	// lookahead > 0 and the cluster has more than one node.
-	parallel  bool
-	lookahead Time
-	// parallelActive is set at Run once the engine has committed to more
-	// than one domain.
-	parallelActive bool
 
 	// sched is the committed schedule perturbation (zero value: canonical
 	// order). See schedule.go.
 	sched Schedule
 
-	rounds      uint64 // horizon windows executed (parallel mode)
-	crossEvents uint64 // cross-domain events drained (parallel mode)
-	crossTies   uint64 // same-instant cross-domain delivery collisions
+	runq      runQueue
+	pushCount uint64 // run-queue push counter for FIFO tie-breaking
+	msgSeq    uint64 // message sequence counter
+	active    int    // processors with bodies not yet done
+
+	// polling is set while a dispatcher evaluates a parked processor's
+	// PollWait closure inline; yields and blocks panic during it, enforcing
+	// the PollWait contract.
+	polling bool
+
+	// Observational counters, valid after Run.
+	elided   uint64
+	handoffs uint64
+	polls    uint64 // PollWait closures evaluated inline by a dispatcher
 }
 
 // NewEngine creates an engine for the given cluster shape and instantiates
@@ -164,13 +161,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		cfg:       cfg,
-		fastYield: FastPathEnabled(),
-		parallel:  ParallelRequested(),
-	}
-	d := newDomain(e, 0)
-	e.domains = []*domain{d}
+	e := &Engine{cfg: cfg, fastYield: FastPathEnabled()}
 	for n := 0; n < cfg.Nodes; n++ {
 		for c := 0; c < cfg.ProcsPerNode; c++ {
 			p := &Proc{
@@ -178,11 +169,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 				Node: n,
 				CPU:  c,
 				eng:  e,
-				dom:  d,
 				qpos: -1,
 			}
 			e.procs = append(e.procs, p)
-			d.procs = append(d.procs, p)
 		}
 	}
 	return e, nil
@@ -218,126 +207,21 @@ func (e *Engine) Go(p *Proc, body func(*Proc)) {
 // path explicitly; must be called before Run.
 func (e *Engine) SetFastYield(on bool) { e.fastYield = on }
 
-// SetParallel requests (or suppresses) node-parallel execution, overriding
-// the SIM_PARALLEL environment default. Parallel execution only engages when
-// a positive lookahead has also been declared with SetLookahead and the
-// cluster has more than one node; otherwise the engine runs sequentially.
-// Must be called before Run.
-func (e *Engine) SetParallel(on bool) { e.parallel = on }
-
-// SetLookahead declares the minimum virtual latency of every cross-domain
-// (cross-node) interaction: any Deliver or WakeAt that crosses domains must
-// target a time at least `la` past the sender's clock, or Run fails. The
-// model layer owns this number (e.g. interconnect.MCParams.MinCrossNodeLatency);
-// declaring it too large is unsafe, too small merely shrinks the windows.
-// Must be called before Run.
-func (e *Engine) SetLookahead(la Time) {
-	if la < 0 {
-		panic(fmt.Sprintf("sim: negative lookahead %d", la))
-	}
-	e.lookahead = la
-}
-
-// Domains returns the number of scheduling domains the engine committed to
-// at Run: 1 for sequential execution, Nodes for parallel. Before Run it
-// reports what the current settings would commit to.
-func (e *Engine) Domains() int {
-	if e.started {
-		return len(e.domains)
-	}
-	if e.parallel && e.lookahead > 0 && e.cfg.Nodes > 1 {
-		return e.cfg.Nodes
-	}
-	return 1
-}
-
-// ParallelActive reports whether Run committed to more than one domain.
-func (e *Engine) ParallelActive() bool { return e.parallelActive }
-
-// dsmvet:dispatch — observational read, documented as valid only after Run
-// (or between runs), when no domain is executing.
-//
 // ElidedYields returns the number of yields that were satisfied without a
-// scheduler round-trip. Purely observational (tests and benchmarks).
-func (e *Engine) ElidedYields() uint64 {
-	var n uint64
-	for _, d := range e.domains {
-		n += d.elided
-	}
-	return n
-}
+// scheduler round-trip. Purely observational (tests and benchmarks), like the
+// two counters below; valid after Run.
+func (e *Engine) ElidedYields() uint64 { return e.elided }
 
-// dsmvet:dispatch — observational read, documented as valid only after Run.
-//
 // DirectHandoffs returns the number of baton passes from one processor to
-// another (Proc.pass finding a successor other than itself). The worker's own
-// dispatches — each processor's first, and the one after a body returns — are
-// not counted. Purely observational (tests and benchmarks).
-func (e *Engine) DirectHandoffs() uint64 {
-	var n uint64
-	for _, d := range e.domains {
-		n += d.handoffs
-	}
-	return n
-}
+// another (Proc.pass finding a successor other than itself). The dispatcher's
+// own dispatches — each processor's first, and the one after a body returns —
+// are not counted.
+func (e *Engine) DirectHandoffs() uint64 { return e.handoffs }
 
-// dsmvet:dispatch — observational read, documented as valid only after Run.
-//
 // InlinePolls returns the number of PollWait closures that dispatchers
 // evaluated inline, without switching to the polling processor's coroutine.
-// Purely observational (tests and benchmarks).
-func (e *Engine) InlinePolls() uint64 {
-	var n uint64
-	for _, d := range e.domains {
-		n += d.polls
-	}
-	return n
-}
+func (e *Engine) InlinePolls() uint64 { return e.polls }
 
-// HorizonRounds returns the number of conservative windows a parallel run
-// executed. Zero for sequential runs. Purely observational.
-func (e *Engine) HorizonRounds() uint64 { return e.rounds }
-
-// CrossEvents returns the number of cross-domain events (deliveries and
-// wakes) the coordinator drained. Zero for sequential runs.
-func (e *Engine) CrossEvents() uint64 { return e.crossEvents }
-
-// CrossTies returns the number of same-instant cross-domain delivery
-// collisions observed: pairs of messages from different domains to the same
-// processor at the same virtual time. When zero, the parallel run's message
-// order is identical to the sequential engine's (see DESIGN.md §3b); when
-// non-zero the run is still deterministic, but ties were broken by sequence
-// stripe instead of global send order.
-func (e *Engine) CrossTies() uint64 { return e.crossTies }
-
-// dsmvet:dispatch — runs once at Run, before any worker or processor
-// coroutine starts.
-//
-// partition commits the engine to its final domain layout. Sequential
-// engines keep the single domain built by NewEngine; parallel engines get
-// one domain per node.
-func (e *Engine) partition() {
-	if !(e.parallel && e.lookahead > 0 && e.cfg.Nodes > 1) {
-		return
-	}
-	d0 := e.domains[0]
-	if d0.runq.len() > 0 || d0.msgSeq != 0 {
-		panic("sim: deliveries or wakes before Run are not supported in parallel mode")
-	}
-	e.parallelActive = true
-	e.domains = make([]*domain, e.cfg.Nodes)
-	for i := range e.domains {
-		e.domains[i] = newDomain(e, i)
-	}
-	for _, p := range e.procs {
-		d := e.domains[p.Node]
-		p.dom = d
-		d.procs = append(d.procs, p)
-	}
-}
-
-// dsmvet:dispatch — runs before any worker or coroutine starts.
-//
 // Run executes the simulation until every processor with a body has finished,
 // or until no progress is possible (deadlock). It returns an error describing
 // a deadlock or a panic inside a processor body. On either failure the
@@ -348,27 +232,23 @@ func (e *Engine) Run() error {
 		return fmt.Errorf("sim: engine already ran")
 	}
 	e.started = true
-	e.applySchedule() // may pin sequential mode; must precede partition
-	e.partition()
-
-	for _, d := range e.domains {
-		d.runq.h = make([]entry, 0, len(d.procs)) // one entry per processor at most
-	}
+	e.applySchedule()
+	e.runq.h = make([]entry, 0, len(e.procs)) // one entry per processor at most
 	for _, p := range e.procs {
 		if p.body == nil {
 			p.state = stateDone
 			continue
 		}
-		p.dom.active++
-		p.dom.enqueue(p, e.startTime(p))
+		e.active++
+		e.enqueue(p, e.startTime(p))
 		p.next, p.stop = newCoro(p.coroutine)
 	}
-	return e.coordinate()
+	return e.runDispatcher()
 }
 
-func (e *Engine) deadlockError(active int) error {
+func (e *Engine) deadlockError() error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sim: deadlock with %d processors unfinished:", active)
+	fmt.Fprintf(&b, "sim: deadlock with %d processors unfinished:", e.active)
 	ids := make([]int, 0, len(e.procs))
 	for _, p := range e.procs {
 		if p.state != stateDone {

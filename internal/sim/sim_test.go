@@ -611,7 +611,7 @@ func TestEarlierDeliveriesDispatchOnce(t *testing.T) {
 		resumed = append(resumed, p.Now())
 		received = append(received, p.Recv("first").At)  // visible at 300
 		received = append(received, p.Recv("second").At) // b is queued at 700, so waiting until 600 is elision 3
-		p.YieldUntil(20000)                              // handoff 3, a -> b; b returns and the worker dispatches a
+		p.YieldUntil(20000)                              // handoff 3, a -> b; b returns and the dispatcher dispatches a
 		resumed = append(resumed, p.Now())
 	})
 	e.Go(b, func(p *Proc) {

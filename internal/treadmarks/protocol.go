@@ -1001,24 +1001,6 @@ func (t *Protocol) servePage(p *core.Proc, req msg.Request) {
 // Finalize implements core.Protocol.
 func (t *Protocol) Finalize(p *core.Proc) {}
 
-// DomainSafe implements core.DomainSafety. TreadMarks' host-level bookkeeping
-// is cluster-global: interval records, write notices, and cached diffs live
-// in shared per-page structures that the requesting processor reads and
-// mutates directly during its own acquire (rather than through timestamped
-// simulator messages), the lock-manager queues are mutated from requesters'
-// goroutines, and garbage collection walks every processor's interval lists
-// in place. The node-parallel engine therefore cannot run this protocol;
-// core.Run falls back to the sequential engine.
-//
-// The exact escape inventory is machine-checked: the domainescape analyzer
-// classifies every field access reachable from the entry points, and the
-// golden report internal/analysis/testdata/reports/treadmarks.golden.json
-// pins the field → call-path pairs (barrier state and the shared protocol
-// counters mutated from requesters' goroutines; the diff-serving counters
-// are message-mediated) that force this declaration. Flipping it to true
-// without emptying that list is itself a dsmvet diagnostic.
-func (t *Protocol) DomainSafe() bool { return false }
-
 // MaxCostJitter implements core.SchedulePerturbable: any cost inflation up
 // to 100% per operation is legal. TreadMarks' ordering decisions are all
 // logical, not temporal — vector timestamps order intervals, lock batons

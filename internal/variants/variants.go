@@ -26,18 +26,6 @@ func IsCashmere(name string) bool {
 	return name == "csm_pp" || name == "csm_int" || name == "csm_poll"
 }
 
-// DomainSafe reports, statically, whether a variant's protocol may run on the
-// node-parallel simulation engine (see core.DomainSafety). Every DSM variant
-// answers false: Cashmere writes remote home-node frames and the shared page
-// directory in place, and TreadMarks mutates cluster-global interval, diff,
-// and lock-manager state from the accessing processor's goroutine. Only the
-// single-processor sequential baseline is domain-confined (and, with one
-// node, the engine never parallelizes it anyway). The answer must agree with
-// the protocol's own DomainSafe method; a test cross-checks the two.
-func DomainSafe(name string) bool {
-	return name == Sequential
-}
-
 // Options adjust the model (defaults reproduce the paper's platform).
 type Options struct {
 	// MC overrides the Memory Channel parameters (zero value: first

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/interconnect"
 )
 
@@ -48,26 +47,6 @@ func TestIsCashmere(t *testing.T) {
 	for _, n := range []string{"tmk_udp_int", "tmk_mc_int", "tmk_mc_poll", Sequential} {
 		if IsCashmere(n) {
 			t.Errorf("%s recognized as Cashmere", n)
-		}
-	}
-}
-
-// TestDomainSafeMatchesProtocols cross-checks the static DomainSafe table
-// against what each variant's protocol instance actually declares, so the
-// table cannot drift when a protocol's safety analysis changes.
-func TestDomainSafeMatchesProtocols(t *testing.T) {
-	for _, name := range append(append([]string{}, Names...), Sequential) {
-		cfg, err := Config(name, 2, 2, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		proto := cfg.NewProtocol(nil) // factories only capture rt; safe pre-Setup
-		declared := false
-		if ds, ok := proto.(core.DomainSafety); ok {
-			declared = ds.DomainSafe()
-		}
-		if got := DomainSafe(name); got != declared {
-			t.Errorf("%s: static DomainSafe()=%v, protocol declares %v", name, got, declared)
 		}
 	}
 }

@@ -5,10 +5,7 @@
 #   1. go vet          — the stock toolchain checks;
 #   2. dsmvet          — the repo's determinism/invariant analyzers
 #                        (cmd/dsmvet; see DESIGN.md "Machine-checked
-#                        invariants"); -json writes dsmvet_report.json with
-#                        the per-protocol domain-safety reports, which CI
-#                        uploads as an artifact so the escape inventory is
-#                        diffable per PR;
+#                        invariants");
 #   3. gofmt           — formatting for tracked Go files, including testdata
 #                        fixtures (git ls-files, so untracked scratch
 #                        directories like .seedtree/ never fail lint);
@@ -23,7 +20,7 @@ echo "== go vet =="
 go vet ./...
 
 echo "== dsmvet =="
-go run ./cmd/dsmvet -json ./... > dsmvet_report.json
+go run ./cmd/dsmvet ./...
 
 echo "== gofmt =="
 unformatted=$(git ls-files -- '*.go' | xargs -r gofmt -l)
