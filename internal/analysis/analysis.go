@@ -18,9 +18,6 @@
 //     slices, channels, struct fields, or formatted output.
 //   - accessor: no direct access to vm.Space page frames outside the layers
 //     that charge fault and mprotect costs.
-//   - capsgate: every RemoteRead/WriteThrough call site must be dominated
-//     by a check of the corresponding interconnect Caps field (or carry a
-//     "dsmvet:caps-checked" marker pointing at the caller that checks).
 //   - chargepath: no raw sim.Proc.Deliver/NewMsg outside the charging
 //     layers, and no constant non-positive bytes argument to the
 //     byte-moving entry points.
@@ -80,7 +77,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full dsmvet suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Nondeterminism, MapOrder, Accessor, CapsGate, ChargePath}
+	return []*Analyzer{Nondeterminism, MapOrder, Accessor, ChargePath}
 }
 
 // Run applies each analyzer to each package and returns all findings sorted

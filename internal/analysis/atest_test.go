@@ -124,10 +124,6 @@ func TestAccessorFixtures(t *testing.T) {
 	runFixtureTest(t, Accessor, "accessor/...")
 }
 
-func TestCapsGateFixtures(t *testing.T) {
-	runFixtureTest(t, CapsGate, "capsgate/...")
-}
-
 func TestChargePathFixtures(t *testing.T) {
 	runFixtureTest(t, ChargePath, "charge/...")
 }

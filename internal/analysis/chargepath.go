@@ -60,7 +60,7 @@ func runChargePath(pass *Pass) error {
 			}
 			if rawDelivery && isSimProcMethod(f) && (f.Name() == "Deliver" || f.Name() == "NewMsg") {
 				pass.Reportf(call.Pos(),
-					"raw sim.Proc.%s bypasses the charging path: route the message through msg.Endpoint (or interconnect.Interrupt) so per-message cost and occupancy are charged",
+					"raw sim.Proc.%s bypasses the charging path: route the message through msg.Endpoint so per-message cost and occupancy are charged",
 					f.Name())
 			}
 			if freeBytes {

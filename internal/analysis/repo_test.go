@@ -10,8 +10,7 @@ import (
 // TestRepositoryIsClean is the regression gate behind the whole suite: the
 // real repository must produce zero diagnostics under every analyzer. A
 // failure here means a change reintroduced a nondeterminism source, a
-// map-order leak, an uncharged frame access, an ungated capability call, or
-// an uncharged message.
+// map-order leak, an uncharged frame access, or an uncharged message.
 func TestRepositoryIsClean(t *testing.T) {
 	l, err := NewModuleLoader(".")
 	if err != nil {

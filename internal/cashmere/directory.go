@@ -18,77 +18,13 @@
 //     depending on the variant) writes the page back through the MC.
 package cashmere
 
-import "fmt"
-
-// Directory word layout (paper §2.1): each directory entry is eight 4-byte
-// words, one per SMP node. Each word holds presence bits for the node's four
-// processors, the 5-bit home node id, a bit saying whether the home was set
-// by first touch, and per-processor exclusive read/write bits.
-const (
-	presenceShift = 0  // bits 0-3: presence, one per CPU in the node
-	homeShift     = 4  // bits 4-8: home node id
-	homeValidBit  = 9  // bit 9: home assigned by first-touch
-	exclShift     = 10 // bits 10-13: exclusive r/w, one per CPU
-)
-
-// PackWord encodes one node's directory word.
-func PackWord(presence uint8, home int, homeValid bool, excl uint8) uint32 {
-	if presence > 0xF || excl > 0xF {
-		panic(fmt.Sprintf("cashmere: presence %x / excl %x exceed 4 bits", presence, excl))
-	}
-	if home < 0 || home > 31 {
-		panic(fmt.Sprintf("cashmere: home %d exceeds 5 bits", home))
-	}
-	w := uint32(presence) << presenceShift
-	w |= uint32(home) << homeShift
-	if homeValid {
-		w |= 1 << homeValidBit
-	}
-	w |= uint32(excl) << exclShift
-	return w
-}
-
-// UnpackWord decodes one node's directory word.
-func UnpackWord(w uint32) (presence uint8, home int, homeValid bool, excl uint8) {
-	presence = uint8(w>>presenceShift) & 0xF
-	home = int(w>>homeShift) & 0x1F
-	homeValid = w&(1<<homeValidBit) != 0
-	excl = uint8(w>>exclShift) & 0xF
-	return
-}
-
-// Words renders a directory entry in the paper's wire format: one packed
-// word per node, with presence and exclusive bits expanded from the rank
-// bitmask. The home node and first-touch bit are replicated in every word,
-// as the paper notes ("The home node indications in separate words are
-// redundant").
-func (e *entry) Words(nodes, procsPerNode, home int, homeValid bool) []uint32 {
-	out := make([]uint32, nodes)
-	h := home
-	if h < 0 {
-		h = 0
-	}
-	for n := 0; n < nodes; n++ {
-		var presence, excl uint8
-		for cpu := 0; cpu < procsPerNode && cpu < 4; cpu++ {
-			rank := n*procsPerNode + cpu
-			if e.sharers&(1<<uint(rank)) != 0 {
-				presence |= 1 << uint(cpu)
-			}
-			if e.excl == int32(rank) {
-				excl |= 1 << uint(cpu)
-			}
-		}
-		out[n] = PackWord(presence, h, homeValid, excl)
-	}
-	return out
-}
-
 // entry is the simulator's functional form of one page's directory entry.
-// The packed-word form above is the wire format the paper describes; the
-// simulator keeps the decoded form and charges the paper's directory
-// modification costs (5 µs unlocked, 16 µs when the entry lock is needed)
-// plus broadcast traffic on every update.
+// On the wire (paper §2.1) an entry is eight 4-byte words, one per SMP node:
+// presence bits for the node's four processors, the 5-bit home node id, a bit
+// saying whether the home was set by first touch, and per-processor exclusive
+// read/write bits. The simulator keeps only the decoded form and charges the
+// paper's directory modification costs (5 µs unlocked, 16 µs when the entry
+// lock is needed) plus broadcast traffic on every update.
 type entry struct {
 	// sharers is a bitmask over compute ranks.
 	sharers uint64

@@ -282,10 +282,8 @@ func (c *Protocol) OnWriteFault(p *core.Proc, page int) {
 // OnSharedWrite implements core.Protocol: write doubling (§3.3.1). The
 // instruction overhead, the doubled address's cache pressure, the
 // write-through pipe occupancy, and the functional update of the home copy
-// all happen here.
-//
-// dsmvet:caps-checked RemoteWrites — Setup panics unless the backend
-// declares Caps().RemoteWrites, so every WriteThrough below runs gated.
+// all happen here. Setup has already refused a backend without
+// Caps().RemoteWrites.
 func (c *Protocol) OnSharedWrite(p *core.Proc, addr core.Addr, size int) {
 	p.Charge(core.CatDoubling, p.Costs().WriteDouble)
 	if c.cfg.DummyDoubling {

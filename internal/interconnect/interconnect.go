@@ -3,8 +3,9 @@
 //
 //   - Memory Channel (Kind MemoryChannel): the paper's network — remote
 //     writes only, total write ordering, per-link and aggregate bandwidth
-//     occupancy, imc_kill interrupts. The reference implementation; its
-//     behaviour is bit-identical to the pre-interface memchan package.
+//     occupancy, expensive imc_kill interrupts. The reference
+//     implementation; its behaviour is bit-identical to the pre-interface
+//     memchan package.
 //   - RDMA (Kind RDMA): a modern one-sided model — remote reads *and*
 //     writes, much lower latency, per-queue-pair occupancy instead of a
 //     shared hub.
@@ -20,12 +21,14 @@
 //   - Latency and occupancy charging: Transfer/WriteThrough advance the
 //     issuing processor past the issue cost and queue behind busy links;
 //     arrival times account for contention.
-//   - Ordering guarantees: every backend here declares total write ordering
-//     (Caps.TotalWriteOrder) — two writes to the same region are observed in
-//     the same order everywhere — because the protocols' lock and directory
-//     algorithms require it.
-//   - Interrupt delivery: Interrupt charges the sender and delivers a
-//     message at now + InterruptLatency.
+//   - Total write ordering: two writes to the same region are observed in
+//     the same order everywhere, on every backend, because the protocols'
+//     lock and directory algorithms require it. It is not a capability a
+//     backend may decline; the conformance suite tests it unconditionally.
+//   - Interrupt costs: a backend only declares what an inter-node signal
+//     costs its sender and how long it takes end to end
+//     (InterruptSendCost, InterruptLatency); msg computes when the target
+//     becomes eligible to run its handler from those two numbers.
 //   - Remote reads are capability-gated (Caps.RemoteReads): the Memory
 //     Channel and the switched fabric panic on RemoteRead; protocols must
 //     check the capability first.
@@ -109,10 +112,6 @@ type Caps struct {
 	// still check it so a future receive-only backend fails fast at Setup
 	// instead of mismodeling traffic.
 	RemoteWrites bool
-	// TotalWriteOrder reports that two writes to the same region are
-	// observed in the same order on every node. The lock and directory
-	// algorithms require it; every current backend provides it.
-	TotalWriteOrder bool
 }
 
 // Interconnect is the cluster-network contract the protocol and messaging
@@ -120,17 +119,9 @@ type Caps struct {
 // deterministic simulation; implementations are not safe for concurrent use
 // across engines.
 type Interconnect interface {
-	// Kind identifies the model.
-	Kind() Kind
 	// Caps declares the model's guarantees.
 	Caps() Caps
 
-	// MinCrossNodeLatency is the cross-node latency floor: the smallest
-	// virtual latency any cross-node interaction modeled by this backend
-	// can carry. The conformance suite and msg_test check every modeled
-	// arrival against it. It does NOT cover msg.Endpoint.Shutdown, which
-	// delivers teardown notices at zero latency.
-	MinCrossNodeLatency() sim.Time
 	// InterruptSendCost is the sender-side cost of an inter-node signal.
 	InterruptSendCost() sim.Time
 	// InterruptLatency is the end-to-end inter-node signal latency.
@@ -162,11 +153,6 @@ type Interconnect interface {
 	// nodes. Cashmere's release operation waits for this.
 	FenceTime(p *sim.Proc) sim.Time
 
-	// Interrupt sends an inter-node signal to the target processor: the
-	// sender pays the send cost, and the target's inbox receives a message
-	// with the given kind and payload at now + InterruptLatency.
-	Interrupt(p *sim.Proc, target *sim.Proc, kind int, data any)
-
 	// NewWordArray allocates a globally mapped array of n 8-byte words, all
 	// zero, charging traffic to the given class.
 	NewWordArray(n int, tc TrafficClass) *WordArray
@@ -182,17 +168,13 @@ type Interconnect interface {
 	// Transfers returns the number of bulk transfers (and remote reads)
 	// performed.
 	Transfers() int64
-	// Interrupts returns the number of inter-node interrupts sent.
-	Interrupts() int64
 }
 
 // stats is the traffic accounting every backend embeds (through shared); its
 // methods satisfy the accounting half of the Interconnect interface.
 type stats struct {
 	bytesByClass [NumTrafficClasses]int64
-	writesIssued int64
 	transfers    int64
-	interrupts   int64
 }
 
 // AccountTraffic implements Interconnect.
@@ -215,18 +197,6 @@ func (s *stats) TotalTraffic() int64 {
 // Transfers implements Interconnect.
 func (s *stats) Transfers() int64 { return s.transfers }
 
-// Interrupts implements Interconnect.
-func (s *stats) Interrupts() int64 { return s.interrupts }
-
-// pipeState is one processor's write-through pipe.
-type pipeState struct {
-	// drainAt is the virtual time at which all write-through bytes issued so
-	// far will have drained onto the link.
-	drainAt sim.Time
-	// bytes counts total doubled bytes issued (stats).
-	bytes int64
-}
-
 // durOn returns the time bytes occupy a pipe of the given bandwidth.
 func durOn(bytes int64, bw int64) sim.Time {
 	if bytes <= 0 {
@@ -240,8 +210,10 @@ func durOn(bytes int64, bw int64) sim.Time {
 // write buffer in front of it, and how long a drained store takes to be
 // applied at the farthest home node.
 type writePipes struct {
-	pipe []pipeState
-	bw   int64
+	// drainAt[p] is the virtual time at which all write-through bytes
+	// processor p has issued so far will have drained onto the link.
+	drainAt []sim.Time
+	bw      int64
 	// wordDur and bufDur are durOn of one 8-byte store and of the whole write
 	// buffer, computed once so that a doubled store costs no division.
 	wordDur, bufDur sim.Time
@@ -250,7 +222,7 @@ type writePipes struct {
 
 func newWritePipes(nprocs int, bw, bufferBytes int64, fenceLatency sim.Time) writePipes {
 	return writePipes{
-		pipe:         make([]pipeState, nprocs),
+		drainAt:      make([]sim.Time, nprocs),
 		bw:           bw,
 		wordDur:      durOn(8, bw),
 		bufDur:       durOn(bufferBytes, bw),
@@ -260,15 +232,12 @@ func newWritePipes(nprocs int, bw, bufferBytes int64, fenceLatency sim.Time) wri
 
 // FenceTime implements Interconnect: drain plus the fence latency.
 func (w *writePipes) FenceTime(p *sim.Proc) sim.Time {
-	d := w.pipe[p.ID].drainAt
+	d := w.drainAt[p.ID]
 	if d < p.Now() {
 		d = p.Now()
 	}
 	return d + w.fenceLatency
 }
-
-// DoubledBytes returns the total write-through bytes issued by processor p.
-func (w *writePipes) DoubledBytes(p *sim.Proc) int64 { return w.pipe[p.ID].bytes }
 
 // push queues bytes on p's pipe and stalls p while the write buffer cannot
 // absorb the backlog.
@@ -277,21 +246,19 @@ func (w *writePipes) push(p *sim.Proc, bytes int64) {
 	if bytes != 8 {
 		d = durOn(bytes, w.bw)
 	}
-	ps := &w.pipe[p.ID]
-	if ps.drainAt < p.Now() {
-		ps.drainAt = p.Now()
+	at := &w.drainAt[p.ID]
+	if *at < p.Now() {
+		*at = p.Now()
 	}
-	ps.drainAt += d
-	ps.bytes += bytes
-	if ps.drainAt-p.Now() > w.bufDur {
-		p.AdvanceTo(ps.drainAt - w.bufDur)
+	*at += d
+	if *at-p.Now() > w.bufDur {
+		p.AdvanceTo(*at - w.bufDur)
 	}
 }
 
 // shared is the state every backend embeds and the part of the Interconnect
 // interface that is the same on all of them: traffic accounting, the
-// write-through pipes, and the inter-node signal, which differs only in its
-// two costs.
+// write-through pipes, and the two costs of an inter-node signal.
 type shared struct {
 	stats
 	writePipes
@@ -310,10 +277,3 @@ func (s *shared) InterruptSendCost() sim.Time { return s.interruptSendCost }
 
 // InterruptLatency implements Interconnect.
 func (s *shared) InterruptLatency() sim.Time { return s.interruptLatency }
-
-// Interrupt implements Interconnect.
-func (s *shared) Interrupt(p *sim.Proc, target *sim.Proc, kind int, data any) {
-	p.Advance(s.interruptSendCost)
-	s.interrupts++
-	target.Deliver(p.NewMsg(p.Now()+s.interruptLatency, kind, data))
-}

@@ -85,18 +85,6 @@ func MCSecondGeneration() MCParams {
 	return p
 }
 
-// MinCrossNodeLatency returns the smallest virtual latency any cross-node
-// interaction modeled by these parameters can carry: reflected writes and
-// bulk transfers arrive no earlier than Latency after they are issued, and
-// inter-node interrupts no earlier than InterruptLatency.
-func (p MCParams) MinCrossNodeLatency() sim.Time {
-	min := p.Latency
-	if p.InterruptLatency < min {
-		min = p.InterruptLatency
-	}
-	return min
-}
-
 // Validate reports whether the parameters are usable.
 func (p MCParams) Validate() error {
 	if p.Latency <= 0 || p.WriteCost <= 0 || p.InterruptSendCost <= 0 || p.InterruptLatency <= 0 {
@@ -139,20 +127,10 @@ func newMemoryChannel(eng *sim.Engine, params MCParams) (*mcNet, error) {
 	}, nil
 }
 
-// Kind implements Interconnect.
-func (n *mcNet) Kind() Kind { return MemoryChannel }
-
-// Caps implements Interconnect: no remote reads (paper §3.1), total write
-// ordering.
+// Caps implements Interconnect: remote writes only (paper §3.1).
 func (n *mcNet) Caps() Caps {
-	return Caps{RemoteReads: false, RemoteWrites: true, TotalWriteOrder: true}
+	return Caps{RemoteReads: false, RemoteWrites: true}
 }
-
-// Params returns the network parameters.
-func (n *mcNet) Params() MCParams { return n.params }
-
-// MinCrossNodeLatency implements Interconnect.
-func (n *mcNet) MinCrossNodeLatency() sim.Time { return n.params.MinCrossNodeLatency() }
 
 // Transfer implements Interconnect: the arrival time accounts for link and
 // aggregate bandwidth occupancy plus the MC latency.

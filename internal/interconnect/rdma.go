@@ -68,16 +68,6 @@ func DefaultRDMA() RDMAParams {
 	}
 }
 
-// MinCrossNodeLatency returns the smallest cross-node latency the
-// parameters can produce (see Interconnect).
-func (p RDMAParams) MinCrossNodeLatency() sim.Time {
-	min := p.Latency
-	if p.InterruptLatency < min {
-		min = p.InterruptLatency
-	}
-	return min
-}
-
 // Validate reports whether the parameters are usable.
 func (p RDMAParams) Validate() error {
 	if p.Latency <= 0 || p.ReadLatency <= 0 || p.PostCost <= 0 ||
@@ -123,21 +113,13 @@ func newRDMA(eng *sim.Engine, params RDMAParams) (*rdmaNet, error) {
 	}, nil
 }
 
-// Kind implements Interconnect.
-func (n *rdmaNet) Kind() Kind { return RDMA }
-
 // Caps implements Interconnect: one-sided remote reads are the point of
-// this model; ordering within a queue pair plus the simulator's serialized
-// write execution give total write ordering.
+// this model. The total write ordering every backend owes the protocols
+// comes from ordering within a queue pair plus the simulator's serialized
+// write execution.
 func (n *rdmaNet) Caps() Caps {
-	return Caps{RemoteReads: true, RemoteWrites: true, TotalWriteOrder: true}
+	return Caps{RemoteReads: true, RemoteWrites: true}
 }
-
-// Params returns the network parameters.
-func (n *rdmaNet) Params() RDMAParams { return n.params }
-
-// MinCrossNodeLatency implements Interconnect.
-func (n *rdmaNet) MinCrossNodeLatency() sim.Time { return n.params.MinCrossNodeLatency() }
 
 // occupy charges one bulk movement between the caller's node and node peer:
 // the data serializes on the (local, peer) queue pair and occupies both

@@ -2,6 +2,7 @@ package interconnect
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -120,6 +121,7 @@ func TestClusterSpecValidate(t *testing.T) {
 }
 
 func TestClusterSpecBuildEachKind(t *testing.T) {
+	built := map[Kind]string{MemoryChannel: "*interconnect.mcNet", RDMA: "*interconnect.rdmaNet", Switched: "*interconnect.switchNet"}
 	for _, kind := range Kinds {
 		cs := ClusterSpec{Nodes: 4, ProcsPerNode: 2, Net: Spec{Kind: kind}}
 		eng, err := sim.NewEngine(cs.EngineConfig())
@@ -130,8 +132,8 @@ func TestClusterSpecBuildEachKind(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%s): %v", kind, err)
 		}
-		if net.Kind() != kind {
-			t.Errorf("Build(%s) returned kind %q", kind, net.Kind())
+		if got := fmt.Sprintf("%T", net); got != built[kind] {
+			t.Errorf("Build(%s) returned a %s, want %s", kind, got, built[kind])
 		}
 	}
 }
@@ -146,7 +148,7 @@ func TestClusterSpecZeroMCDefaultsToFirstGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := net.(*mcNet).Params(); got != MCFirstGeneration() {
+	if got := net.(*mcNet).params; got != MCFirstGeneration() {
 		t.Errorf("zero MC params built %+v, want the first-generation preset", got)
 	}
 }

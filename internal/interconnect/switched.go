@@ -69,17 +69,6 @@ func DefaultSwitched() SwitchedParams {
 	}
 }
 
-// MinCrossNodeLatency returns the smallest cross-node latency the
-// parameters can produce: the same-leaf (two-hop) path, or the interrupt
-// latency if that is somehow smaller.
-func (p SwitchedParams) MinCrossNodeLatency() sim.Time {
-	min := p.WireLatency + 2*p.HopLatency
-	if p.InterruptLatency < min {
-		min = p.InterruptLatency
-	}
-	return min
-}
-
 // Validate reports whether the parameters are usable.
 func (p SwitchedParams) Validate() error {
 	if p.SwitchRadix <= 0 {
@@ -131,17 +120,11 @@ func newSwitched(eng *sim.Engine, params SwitchedParams) (*switchNet, error) {
 	}, nil
 }
 
-// Kind implements Interconnect.
-func (n *switchNet) Kind() Kind { return Switched }
-
-// Caps implements Interconnect: remote writes only, total ordering (via the
-// diameter visibility horizon, see the package comment above).
+// Caps implements Interconnect: remote writes only. Total write ordering
+// comes from the diameter visibility horizon (see the package comment above).
 func (n *switchNet) Caps() Caps {
-	return Caps{RemoteReads: false, RemoteWrites: true, TotalWriteOrder: true}
+	return Caps{RemoteReads: false, RemoteWrites: true}
 }
-
-// Params returns the network parameters.
-func (n *switchNet) Params() SwitchedParams { return n.params }
 
 func (n *switchNet) leaf(node int) int { return node / n.params.SwitchRadix }
 
@@ -164,9 +147,6 @@ func (p SwitchedParams) diameter(nodes int) sim.Time {
 	}
 	return p.WireLatency + hops*p.HopLatency
 }
-
-// MinCrossNodeLatency implements Interconnect.
-func (n *switchNet) MinCrossNodeLatency() sim.Time { return n.params.MinCrossNodeLatency() }
 
 // Transfer implements Interconnect: occupancy on both access links (and on
 // both leaf uplinks for cross-leaf traffic) plus the per-hop path latency.

@@ -80,5 +80,4 @@ func (w *WordArray) set(p *sim.Proc, i int, v int64, writerNode int) {
 	wd.visibleFrom = p.Now() + w.latency
 	wd.writerNode = writerNode
 	w.st.bytesByClass[w.tc] += 8
-	w.st.writesIssued++
 }

@@ -105,7 +105,7 @@ func TestCallRoundTripPoll(t *testing.T) {
 	rtt, h := callRTT(t, ModePoll)
 	// Round trip in poll mode: two ~5.2us latencies plus transfer and
 	// software costs; far below one interrupt latency.
-	if rtt <= 2*h.net.MinCrossNodeLatency() {
+	if rtt <= 2*interconnect.MCFirstGeneration().Latency {
 		t.Errorf("rtt %d implausibly low", rtt)
 	}
 	if rtt >= h.net.InterruptLatency() {
