@@ -5,7 +5,6 @@ package apptest
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -52,25 +51,8 @@ func CrossCheck(t *testing.T, mk func() *core.Program, nodes, ppn int, relTol fl
 // (0 = exact).
 func checksAgree(t *testing.T, label string, got, want map[string]float64, relTol float64) {
 	t.Helper()
-	for key, w := range want {
-		g, ok := got[key]
-		if !ok {
-			t.Errorf("%s: missing check %q", label, key)
-			continue
-		}
-		if relTol == 0 {
-			if g != w {
-				t.Errorf("%s: check %q = %v, want %v (exact)", label, key, g, w)
-			}
-			continue
-		}
-		denom := math.Abs(w)
-		if denom < 1 {
-			denom = 1
-		}
-		if math.Abs(g-w)/denom > relTol {
-			t.Errorf("%s: check %q = %v, want %v (tol %v)", label, key, g, w, relTol)
-		}
+	if why := core.ChecksDisagree(got, want, relTol); why != "" {
+		t.Errorf("%s: %s", label, why)
 	}
 }
 

@@ -41,6 +41,13 @@ type Entry struct {
 	CheckTolerance float64
 }
 
+// Disagreement returns the first way a run's reported checks disagree with the
+// checks of the application's sequential run, the oracle, beyond
+// CheckTolerance, or "" when they agree.
+func (e Entry) Disagreement(got, oracle map[string]float64) string {
+	return core.ChecksDisagree(got, oracle, e.CheckTolerance)
+}
+
 var registry = map[string]Entry{}
 
 func register(e Entry) { registry[e.Name] = e }

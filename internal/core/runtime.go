@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/cache"
 	"repro/internal/interconnect"
@@ -133,6 +134,32 @@ type Result struct {
 	// serialized shape is indistinguishable from a canonical one, and cache
 	// separation is the run key's job (internal/runner), not the payload's.
 	Schedule sim.Schedule `json:"-"`
+}
+
+// ChecksDisagree compares a run's Checks with those of the oracle run of the
+// same program (the sequential baseline) and returns the first disagreement
+// in check-name order, or "" when every oracle check is reported within relTol
+// (relative to max(|oracle|, 1); 0 = exact). It is the tree's one copy of the
+// comparison: apps.Entry.Disagreement supplies an application's tolerance.
+func ChecksDisagree(got, oracle map[string]float64, relTol float64) string {
+	names := make([]string, 0, len(oracle))
+	for k := range oracle {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		w := oracle[k]
+		g, ok := got[k]
+		switch {
+		case !ok:
+			return fmt.Sprintf("check %q missing", k)
+		case relTol == 0 && g != w:
+			return fmt.Sprintf("check %q = %v, oracle %v (exact)", k, g, w)
+		case relTol != 0 && !(math.Abs(g-w)/math.Max(math.Abs(w), 1) <= relTol): // negated so NaN disagrees
+			return fmt.Sprintf("check %q = %v, oracle %v (tol %v)", k, g, w, relTol)
+		}
+	}
+	return ""
 }
 
 // Runtime wires one run together. Protocol implementations use its accessors
