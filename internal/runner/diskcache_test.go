@@ -2,6 +2,8 @@ package runner
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
@@ -158,6 +160,22 @@ func TestDiskCacheInvalidation(t *testing.T) {
 	}
 	if _, ok := loadDiskResult(dir, spec.Normalize().Key()); ok {
 		t.Fatal("entry with mismatched key served as a hit")
+	}
+
+	// An entry written by an earlier model revision — same schema, same key,
+	// numbers the current code would not produce — is a miss wherever it
+	// sits: at today's path, and at the path the unsalted digest gave it.
+	e.Key = spec.Normalize().Key()
+	e.Model = modelRevision - 1
+	oldModel, _ := json.Marshal(e)
+	unsalted := sha256.Sum256([]byte(SchemaVersion + "\n" + e.Key))
+	for _, at := range []string{path, filepath.Join(dir, hex.EncodeToString(unsalted[:])+".json")} {
+		if err := os.WriteFile(at, oldModel, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := loadDiskResult(dir, e.Key); ok {
+		t.Fatal("entry written by an earlier model revision served as a hit")
 	}
 }
 

@@ -110,6 +110,11 @@ type pstate struct {
 	// metadata at or below it is dropped (diffs created by flushes during
 	// the GC phase itself must survive).
 	gcHorizon VT
+
+	// serviceDepth counts the request handlers active on this processor
+	// (Service sets it; handlers nest when a reply waits for buffer space).
+	// incorporate refuses to run under it: see Protocol.
+	serviceDepth int
 }
 
 type handoffReq struct {
@@ -120,12 +125,6 @@ type handoffReq struct {
 // lock manager state (lives on the manager's rank slot).
 type lockMgr struct {
 	owner int32 // compute rank of current owner, -1 if never acquired
-}
-
-// barrier manager state (rank 0).
-type barrierSt struct {
-	arrived []msg.Request
-	vts     []VT
 }
 
 // Wire payloads.
@@ -172,9 +171,18 @@ type barrierRelease struct {
 }
 
 // Protocol is the TreadMarks protocol state for all processors. All fields
-// are only touched by the processor that owns them (or by its request
-// handlers, which run on the owning processor's goroutine), so the
-// single-baton scheduler provides all needed atomicity.
+// are only touched by the processor that owns them or by its request
+// handlers, which run on the owning processor, so the single-baton scheduler
+// makes every stretch of code between two waits atomic — and nothing more. A
+// fault or synchronization operation that blocks (Call, WaitReply, the
+// barrier manager's Recv, a reply waiting for buffer space) runs the
+// processor's handlers inside that wait, so at every wait the state a
+// handler reads must describe the frames as they are: validate raises
+// applied[w] only once w's diffs are merged, because servePage ships the
+// frame and applied together. And a handler may create and hand out diffs and
+// intervals but never incorporates any: that would raise known[w] for a page
+// the interrupted operation is about to map readable. incorporate runs only
+// at the processor's own acquires and barriers, and panics under Service.
 type Protocol struct {
 	rt     *core.Runtime
 	cfg    Config
@@ -182,7 +190,10 @@ type Protocol struct {
 
 	ps   []*pstate
 	mgrs []map[int]*lockMgr // lock managers: [rank][lock]
-	bars map[int]*barrierSt // on rank 0
+	// arrived queues, on rank 0, the barrierArriveMsg requests of the one
+	// barrier episode in flight (arrivers block until released, so there is
+	// never a second), in arrival order.
+	arrived []msg.Request
 
 	// GC state
 	barrierEpisodes int64
@@ -238,7 +249,6 @@ func (t *Protocol) Setup(rt *core.Runtime) {
 		t.ps = append(t.ps, st)
 		t.mgrs = append(t.mgrs, make(map[int]*lockMgr))
 	}
-	t.bars = make(map[int]*barrierSt)
 	// Shared memory starts valid everywhere: the initial data distribution
 	// happens at (untimed) startup, so cold accesses do not fault. Faults
 	// come only from invalidations and first writes (twins).
@@ -362,6 +372,9 @@ func wireBytes(recs []Interval) int64 {
 // write-notice horizon, and invalidates pages with unseen writes (§2.2).
 func (t *Protocol) incorporate(p *core.Proc, recs []Interval, senderVT VT) {
 	st := t.state(p)
+	if st.serviceDepth > 0 {
+		panic(fmt.Sprintf("treadmarks: rank %d incorporating intervals inside a request handler", p.Rank()))
+	}
 	rank := int32(p.Rank())
 	// A write notice for a page we have dirty supersedes our twin's span:
 	// flush the diff now, stamped with our pre-incorporation knowledge, so
@@ -488,13 +501,14 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 		writer int
 		diff   Diff
 	}
+	type inflight struct {
+		writer  int
+		token   uint64
+		covered int32 // the reply's Covered horizon
+	}
 	var all []gathered
+	var calls []inflight
 	if known != nil {
-		type inflight struct {
-			writer int
-			token  uint64
-		}
-		var calls []inflight
 		for w := 0; w < t.nprocs; w++ {
 			if w == rank || known[w] <= applied[w] {
 				continue
@@ -504,14 +518,12 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 				diffReqMsg{Page: page, Applied: applied[w]}, 24)
 			calls = append(calls, inflight{writer: w, token: tok})
 		}
-		for _, c := range calls {
-			dr := p.EP().WaitReply(c.token).(diffReply)
+		for i := range calls {
+			dr := p.EP().WaitReply(calls[i].token).(diffReply)
 			for _, d := range dr.Diffs {
-				all = append(all, gathered{writer: c.writer, diff: d})
+				all = append(all, gathered{writer: calls[i].writer, diff: d})
 			}
-			if dr.Covered > applied[c.writer] {
-				applied[c.writer] = dr.Covered
-			}
+			calls[i].covered = dr.Covered
 		}
 	}
 	// Merge in the causal order defined by the diffs' interval timestamps
@@ -535,6 +547,15 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 		if g.writer != rank {
 			p.ChargeProtocol(p.Costs().DiffApplyBase + p.Costs().Copy(g.diff.Bytes()))
 			p.Stats().DiffsApplied++
+		}
+	}
+	// Only now does the frame hold what the replies covered. A servePage
+	// nested in the waits above ships frame and applied together, so raising
+	// applied as each reply arrived would have it claim diffs the shipped
+	// frame lacks — and the requester would never ask their writer.
+	for _, c := range calls {
+		if c.covered > applied[c.writer] {
+			applied[c.writer] = c.covered
 		}
 	}
 	p.Space().SetProt(page, vm.ProtRead)
@@ -738,38 +759,48 @@ func (t *Protocol) barrierManager(p *core.Proc, id int) {
 	st := t.state(p)
 	t.barrierEpisodes++
 	gc := t.cfg.GCBarrierInterval > 0 && t.barrierEpisodes%int64(t.cfg.GCBarrierInterval) == 0
-	t.barrierRound(p, id, gc)
+	t.barrierRound(p, id, gc, false)
 	st.managerVTGuess = st.vt.Clone()
 	if gc {
 		t.gcRuns++
 		st.gcHorizon = st.vt.Clone()
 		t.gcValidate(p)
-		t.barrierRound(p, id, false) // confirmation round
+		t.barrierRound(p, id, false, true) // confirmation round
 		t.gcDrop(p)
 	}
 }
 
 // barrierRound gathers all arrivals for barrier id (servicing other requests
-// meanwhile) and releases everyone with the intervals they lack.
-func (t *Protocol) barrierRound(p *core.Proc, id int, gc bool) {
+// meanwhile), incorporates their intervals — here, at the manager's own
+// barrier, never in the handler that queued them (see Protocol), which is
+// also when TreadMarks' manager merges; the per-record work is therefore
+// charged at barrier time — and releases everyone with the intervals they
+// lack. confirm marks GC's second round, whose arrivals must carry none:
+// gcDrop assumes nothing was learned after gcValidate.
+func (t *Protocol) barrierRound(p *core.Proc, id int, gc, confirm bool) {
 	st := t.state(p)
-	bs := t.bars[id]
-	if bs == nil {
-		bs = &barrierSt{}
-		t.bars[id] = bs
-	}
-	for len(bs.arrived) < t.nprocs-1 {
+	for len(t.arrived) < t.nprocs-1 {
 		m := p.Sim().Recv("barrier manager awaiting arrivals")
 		t.dispatchAt(p, m)
 	}
+	arrived := t.arrived
+	t.arrived = nil
+	for _, req := range arrived {
+		ba := req.Data.(barrierArriveMsg)
+		if ba.Barrier != id {
+			panic(fmt.Sprintf("treadmarks: arrival for barrier %d during barrier %d", ba.Barrier, id))
+		}
+		if confirm && len(ba.Intervals) > 0 {
+			panic(fmt.Sprintf("treadmarks: GC confirmation arrival from %d carries %d intervals", req.From, len(ba.Intervals)))
+		}
+		t.incorporate(p, ba.Intervals, ba.VT)
+	}
 	p.ChargeProtocol(sim.Time(t.nprocs) * p.Costs().HandlerWork)
-	for i, req := range bs.arrived {
-		recs := t.intervalsSince(p, bs.vts[i])
+	for _, req := range arrived {
+		recs := t.intervalsSince(p, req.Data.(barrierArriveMsg).VT)
 		p.EP().Reply(req.From, req, barrierRelease{VT: st.vt.Clone(), Intervals: recs, GC: gc},
 			16+int64(4*t.nprocs)+wireBytes(recs))
 	}
-	bs.arrived = nil
-	bs.vts = nil
 }
 
 // gcValidate brings every page this processor holds a copy of fully up to
@@ -847,9 +878,17 @@ func (t *Protocol) dispatchAt(p *core.Proc, m sim.Msg) {
 // ---------------------------------------------------------------------------
 // Request service
 
-// Service implements core.Protocol.
+// Service implements core.Protocol. It runs inside whatever wait the
+// processor is blocked in, so it marks the processor as being in a handler:
+// the state a handler may touch is limited (see Protocol).
 func (t *Protocol) Service(p *core.Proc, m sim.Msg, req msg.Request) {
 	st := t.state(p)
+	st.serviceDepth++
+	t.serve(p, m, req)
+	st.serviceDepth--
+}
+
+func (t *Protocol) serve(p *core.Proc, m sim.Msg, req msg.Request) {
 	switch m.Kind {
 	case kindLockAcquire:
 		la := req.Data.(lockAcqMsg)
@@ -895,19 +934,11 @@ func (t *Protocol) Service(p *core.Proc, m sim.Msg, req msg.Request) {
 	case kindPageRequest:
 		t.servePage(p, req)
 	case kindBarrierArrive:
-		ba := req.Data.(barrierArriveMsg)
-		t.incorporate(p, ba.Intervals, ba.VT)
-		bs := t.bars[ba.Barrier]
-		if bs == nil {
-			bs = &barrierSt{}
-			t.bars[ba.Barrier] = bs
-		}
-		bs.arrived = append(bs.arrived, req)
-		bs.vts = append(bs.vts, ba.VT.Clone())
+		// Only queued: barrierRound incorporates the intervals.
+		t.arrived = append(t.arrived, req)
 	default:
 		panic(fmt.Sprintf("treadmarks: unknown request kind %d", m.Kind))
 	}
-	_ = st
 }
 
 // handleHandoff grants the lock now if we are not inside (or entering) the
@@ -1002,14 +1033,18 @@ func (t *Protocol) servePage(p *core.Proc, req msg.Request) {
 func (t *Protocol) Finalize(p *core.Proc) {}
 
 // MaxCostJitter implements core.SchedulePerturbable: any cost inflation up
-// to 100% per operation is legal. TreadMarks' ordering decisions are all
-// logical, not temporal — vector timestamps order intervals, lock batons
-// order critical sections, the barrier manager counts arrivals — and every
-// wait is condition-based (Recv blocks until the reply message exists).
-// The conservative barrier-manager VT guess is the one timing-sensitive
+// to 100% per operation is legal. TreadMarks' ordering decisions are meant
+// to be logical, not temporal — vector timestamps order intervals, lock
+// batons order critical sections, the barrier manager counts arrivals — and
+// every wait is condition-based (Recv blocks until the reply message
+// exists). That is a property the code has to earn, not one it has for free:
+// timing decides which handler runs inside which wait, and 23 cells of the
+// pinned small sweep once computed wrong answers by timing alone because two
+// wait windows exposed state a handler must not see (see Protocol). The
+// conservative barrier-manager VT guess is the one timing-sensitive
 // heuristic, and it errs only toward re-sending intervals the manager
-// already has, never toward dropping any. Stretching costs therefore yields
-// another legal execution of the same protocol.
+// already has, never toward dropping any. With the wait-window rule kept,
+// stretching costs yields another legal execution of the same protocol.
 func (t *Protocol) MaxCostJitter() float64 { return 1.0 }
 
 // Counters implements core.Protocol.

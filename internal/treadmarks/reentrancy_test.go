@@ -65,3 +65,36 @@ func TestBarrierArrivalIncorporatedAtBarrier(t *testing.T) {
 	requireEm3dAgrees(t, msg.ModeUDP,
 		em3d.Config{Nodes: 2048, Degree: 4, RemoteFrac: 0.1, Iters: 2, Seed: 5})
 }
+
+// TestIncorporateRefusesHandlerContext pins the rule behind defect B as a
+// check: incorporate panics when a request handler is active on the
+// processor, whatever the handler is.
+func TestIncorporateRefusesHandlerContext(t *testing.T) {
+	var tmk *Protocol
+	cfg := testConfig(1, 2, "tmk_mc_poll")
+	cfg.NewProtocol = func(rt *core.Runtime) core.Protocol {
+		tmk = New(Config{})(rt).(*Protocol)
+		return tmk
+	}
+	prog := &core.Program{
+		Name: "guard", SharedBytes: 8192, Barriers: 1,
+		Body: func(p *core.Proc) {
+			st := tmk.state(p)
+			st.serviceDepth++
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("rank %d: incorporate ran inside a handler", p.Rank())
+					}
+				}()
+				tmk.incorporate(p, nil, nil)
+			}()
+			st.serviceDepth--
+			p.Barrier(0) // depth is back to zero: the barrier's own incorporation runs
+			p.Finish()
+		},
+	}
+	if _, err := core.Run(cfg, prog); err != nil {
+		t.Fatal(err)
+	}
+}
