@@ -58,9 +58,6 @@ func TestConformanceDeclaredCaps(t *testing.T) {
 		if !net.Caps().RemoteWrites {
 			t.Error("backend does not declare remote writes (Caps().RemoteWrites)")
 		}
-		if presetLatency(t, net) <= 0 {
-			t.Errorf("preset latency = %d, want > 0", presetLatency(t, net))
-		}
 		if net.InterruptLatency() <= 0 || net.InterruptSendCost() <= 0 {
 			t.Errorf("interrupt costs = %d/%d, want > 0",
 				net.InterruptSendCost(), net.InterruptLatency())

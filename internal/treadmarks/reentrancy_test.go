@@ -24,24 +24,19 @@ func em3dField(t *testing.T, cfg core.Config, ec em3d.Config) float64 {
 	return res.Checks["field"]
 }
 
-// requireEm3dAgrees runs ec on 4 nodes x 2 under TreadMarks in the given
-// messaging mode and requires the one-processor NullProtocol answer, exactly:
-// Em3d is barrier-only and data-race-free, so every schedule computes the
-// same sums in the same order.
-func requireEm3dAgrees(t *testing.T, mode msg.Mode, ec em3d.Config) {
+// requireEm3dAgrees runs ec on 4 nodes x 2 under the named TreadMarks variant
+// and requires the one-processor NullProtocol answer, exactly: Em3d is
+// barrier-only and data-race-free, so every schedule computes the same sums
+// in the same order.
+func requireEm3dAgrees(t *testing.T, variant string, ec em3d.Config) {
 	t.Helper()
-	tmk := core.Config{
-		Nodes: 4, ProcsPerNode: 2,
-		MC: interconnect.MCFirstGeneration(), Costs: core.DefaultCosts(),
-		Msg: msg.DefaultParams(mode), NewProtocol: New(Config{}), Variant: "tmk",
-	}
 	seq := core.Config{
 		Nodes: 1, ProcsPerNode: 1,
 		MC: interconnect.MCFirstGeneration(), Costs: core.DefaultCosts(),
 		Msg: msg.DefaultParams(msg.ModePoll), NewProtocol: core.NewNullProtocol, Variant: "sequential",
 	}
-	if got, want := em3dField(t, tmk, ec), em3dField(t, seq, ec); got != want {
-		t.Errorf("field = %v under TreadMarks (%v), sequential oracle says %v", got, mode, want)
+	if got, want := em3dField(t, testConfig(4, 2, variant), ec), em3dField(t, seq, ec); got != want {
+		t.Errorf("field = %v under %s, sequential oracle says %v", got, variant, want)
 	}
 }
 
@@ -51,7 +46,7 @@ func requireEm3dAgrees(t *testing.T, mode msg.Mode, ec em3d.Config) {
 // without writer w's diff together with an applied vector that claimed it,
 // and the requester never asked w. Rank 6 read stale eval values that way.
 func TestAppliedAdvancesAfterMerge(t *testing.T) {
-	requireEm3dAgrees(t, msg.ModeInterrupt,
+	requireEm3dAgrees(t, "tmk_mc_int",
 		em3d.Config{Nodes: 2048, Degree: 4, RemoteFrac: 0.1, Iters: 1, Seed: 5})
 }
 
@@ -62,7 +57,7 @@ func TestAppliedAdvancesAfterMerge(t *testing.T) {
 // closing SetProt mapped it readable with known[w] > applied[w] and nothing
 // left to invalidate it: rank 0 kept all of rank 2's eval elements stale.
 func TestBarrierArrivalIncorporatedAtBarrier(t *testing.T) {
-	requireEm3dAgrees(t, msg.ModeUDP,
+	requireEm3dAgrees(t, "tmk_udp_int",
 		em3d.Config{Nodes: 2048, Degree: 4, RemoteFrac: 0.1, Iters: 2, Seed: 5})
 }
 
