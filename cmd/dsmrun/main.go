@@ -5,7 +5,9 @@
 // With a single variant it prints the full detailed report; with a
 // comma-separated variant list it runs all of them (plus the shared
 // sequential baseline) through the parallel runner pool and prints a
-// side-by-side comparison.
+// side-by-side comparison. Either way, each variant's reported checks are
+// compared with the sequential baseline's (the oracle) at the application's
+// registered tolerance: one "oracle: ok" or "oracle: MISMATCH ..." line each.
 //
 // Usage:
 //
@@ -172,7 +174,19 @@ func printDetailed(entry apps.Entry, app, variant string, size apps.Size, spec r
 		}
 		fmt.Println()
 	}
+	if seqRes != nil && variant != variants.Sequential {
+		fmt.Printf("  %s\n", oracleLine(entry, res, seqRes))
+	}
 	return nil
+}
+
+// oracleLine compares a run's checks with the sequential baseline's, the
+// oracle, at the application's registered tolerance.
+func oracleLine(entry apps.Entry, res, seqRes *core.Result) string {
+	if d := entry.Disagreement(res.Checks, seqRes.Checks); d != "" {
+		return "oracle: MISMATCH " + d
+	}
+	return "oracle: ok"
 }
 
 // printComparison renders a side-by-side metric table, one column per
@@ -229,6 +243,13 @@ func printComparison(entry apps.Entry, app string, vs []string, size apps.Size, 
 		}
 		return fmt.Sprintf("%.1f", float64(total)/1024)
 	})
+	if seqRes != nil {
+		for i, v := range vs {
+			if v != variants.Sequential {
+				fmt.Printf("%-22s%s\n", v, oracleLine(entry, results[i], seqRes))
+			}
+		}
+	}
 	return nil
 }
 

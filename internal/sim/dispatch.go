@@ -8,24 +8,31 @@ import (
 // maxTime is the "never" sentinel: the head time of an empty run queue.
 const maxTime = Time(math.MaxInt64)
 
-// enqueue makes target runnable at virtual time t. A target that is already
-// queued is moved, and t must be earlier than its current resume time (WakeAt
-// checks). Either way the push takes a fresh stamp from the push counter,
-// which is the FIFO tie-break.
-func (e *Engine) enqueue(target *Proc, t Time) {
+// stamp marks target queued to resume at virtual time t and takes a fresh
+// stamp from the push counter, which is the FIFO tie-break. The entry itself
+// is pushed by the caller: enqueue at once, or — for a yielder — the
+// dispatchNext that follows, fused with its pop.
+func (e *Engine) stamp(target *Proc, t Time) {
 	target.state = stateQueued
 	target.queuedAt = t
 	e.pushCount++
+}
+
+// enqueue makes target runnable at virtual time t. A target that is already
+// queued is moved, and t must be earlier than its current resume time (WakeAt
+// checks).
+func (e *Engine) enqueue(target *Proc, t Time) {
+	e.stamp(target, t)
 	e.runq.push(target, t, e.pushCount)
 }
 
 // yieldAt performs the scheduling step of "q yields until t" short of the
 // switch: it resets q's quantum origin, then either elides the yield (true: q
-// keeps the baton with its clock advanced to t) or queues q to resume at t
-// (false: the caller must dispatch a successor). Yield, PollWait and the
-// inline poll loop all take this one step, so each makes the same push-counter
-// updates — FIFO tie-breaking is global, and one extra push would renumber
-// every later tie.
+// keeps the baton with its clock advanced to t) or stamps q queued to resume
+// at t (false: the caller must hand q to dispatchNext, which pushes it).
+// Yield, PollWait and the inline poll loop all take this one step, so each
+// makes the same push-counter updates — FIFO tie-breaking is global, and one
+// extra push would renumber every later tie.
 //
 // The yield may be elided — the enqueue-and-dispatch step skipped entirely —
 // because exactly one goroutine runs at a time, so the run queue is quiescent,
@@ -37,7 +44,7 @@ func (e *Engine) enqueue(target *Proc, t Time) {
 func (e *Engine) yieldAt(q *Proc, t Time) (elided bool) {
 	q.lastYield = q.now
 	if !e.fastYield || t >= e.runq.headTime() {
-		e.enqueue(q, t)
+		e.stamp(q, t)
 		return false
 	}
 	e.elided++
@@ -78,13 +85,17 @@ func (e *Engine) pollInline(q *Proc) (resume bool) {
 // or a yielding, polling or blocking processor (see Proc.pass).
 //
 // It pops the minimum run-queue entry and returns its processor, marked
-// running with its clock at the entry's time. A processor parked in PollWait
-// has its poll evaluated inline and is returned only once the poll reports
-// done; otherwise it was re-queued and the loop goes on. nil means nothing is
-// runnable: the run is over, or deadlocked. A panic inside a poll (e.g. a
-// spin-wait livelock bound) is recovered here, once per call rather than once
-// per probe, and returned as the run's error.
-func (e *Engine) dispatchNext() (q *Proc, err error) {
+// running with its clock at the entry's time. stamped, if not nil, is a
+// yielder yieldAt stamped but did not push: its push is fused with the pop
+// (runQueue.pushPop), one sift instead of two. Its stamp is still the push
+// counter's latest, because nothing runs between yieldAt and here. A
+// processor parked in PollWait has its poll evaluated inline and is returned
+// only once the poll reports done; otherwise it was stamped again and the loop
+// goes on with it. nil means nothing is runnable: the run is over, or
+// deadlocked. A panic inside a poll (e.g. a spin-wait livelock bound) is
+// recovered here, once per call rather than once per probe, and returned as
+// the run's error.
+func (e *Engine) dispatchNext(stamped *Proc) (q *Proc, err error) {
 	defer func() {
 		if !e.polling {
 			return // not a poll's panic: let it propagate
@@ -94,8 +105,15 @@ func (e *Engine) dispatchNext() (q *Proc, err error) {
 			q, err = nil, fmt.Errorf("sim: proc %d poll panicked: %v", q.ID, r)
 		}
 	}()
-	for e.runq.headTime() < maxTime { // false when the queue is empty
-		q = e.runq.pop()
+	for {
+		switch {
+		case stamped != nil:
+			q = e.runq.pushPop(stamped, stamped.queuedAt, e.pushCount)
+		case e.runq.len() > 0:
+			q = e.runq.pop()
+		default:
+			return nil, nil
+		}
 		if q.queuedAt > q.now {
 			q.now = q.queuedAt
 		}
@@ -103,8 +121,8 @@ func (e *Engine) dispatchNext() (q *Proc, err error) {
 		if q.poll == nil || e.pollInline(q) {
 			return q, nil
 		}
+		stamped = q
 	}
-	return nil, nil
 }
 
 // dispatch runs the simulation to quiescence and reports a body's failure, if
@@ -113,7 +131,7 @@ func (e *Engine) dispatchNext() (q *Proc, err error) {
 // successor (Proc.pass), so the loop body is one half of every
 // processor-to-processor switch and nothing else.
 func (e *Engine) dispatch() error {
-	q, err := e.dispatchNext()
+	q, err := e.dispatchNext(nil)
 	for q != nil && err == nil {
 		succ, parked := q.next()
 		if parked {
@@ -124,7 +142,7 @@ func (e *Engine) dispatch() error {
 		if q.err != nil {
 			return q.err
 		}
-		q, err = e.dispatchNext()
+		q, err = e.dispatchNext(nil)
 	}
 	return err
 }

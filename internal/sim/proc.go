@@ -132,17 +132,18 @@ func (p *Proc) coroutine(yield func(*Proc) bool) {
 	returned = true
 }
 
-// pass is the processor's side of every baton pass. p has already queued
-// itself (yield, poll) or marked itself blocked; it now runs the dispatch loop
-// itself and, if the successor is another processor, parks by yielding that
+// pass is the processor's side of every baton pass. p has already stamped
+// itself queued (yield, poll: stamped is p, and dispatchNext pushes it) or
+// marked itself blocked (stamped is nil); it now runs the dispatch loop itself
+// and, if the successor is another processor, parks by yielding that
 // processor to the dispatcher, whose next() on it completes the switch: two
 // coroutine switches and no trip through the Go scheduler. If p's own entry
 // comes straight back (nothing else was due first, or an inline poll's
 // delivery woke a blocker) there is no switch at all. With nothing runnable p
 // yields nil, which ends the run as a deadlock. A panicking inline poll aborts
 // the run through this body's panic path.
-func (p *Proc) pass() {
-	q, err := p.eng.dispatchNext()
+func (p *Proc) pass(stamped *Proc) {
+	q, err := p.eng.dispatchNext(stamped)
 	if err != nil {
 		panic(err)
 	}
@@ -184,7 +185,7 @@ func (p *Proc) yieldUntil(t Time) {
 	// running. Bit-exact with parking: no other processor could have run in
 	// between.
 	if !p.eng.yieldAt(p, t) {
-		p.pass()
+		p.pass(p)
 	}
 }
 
@@ -233,10 +234,10 @@ func (p *Proc) PollWait(poll func() (done bool, next Time)) {
 		}
 		if p.eng.fastYield {
 			p.poll = poll
-			p.pass()
+			p.pass(p)
 			return // resumed only once a dispatcher saw the poll report done
 		}
-		p.pass()
+		p.pass(p)
 	}
 }
 
@@ -283,7 +284,7 @@ func (p *Proc) Block(reason string) {
 	// entry surfaces in the queue and pass returns at once with p running —
 	// exactly as if the wake had arrived after p parked.
 	p.state = stateBlocked
-	p.pass()
+	p.pass(nil)
 	p.blockReason = ""
 	p.wakeToken = false // the wake that resumed us is consumed
 }

@@ -1,29 +1,27 @@
 package sim
 
 // entry is one run-queue element: processor p becomes runnable at virtual
-// time at. order is the engine's push counter at the push; tie is the
-// equal-time key derived from it once, at the push (see runQueue.salt).
+// time at. key is the equal-time order, derived once at the push from the
+// engine's push counter (see runQueue.key).
 type entry struct {
-	at    Time
-	tie   uint64
-	order uint64
-	p     *Proc
+	at  Time
+	key uint64
+	p   *Proc
 }
 
-// before orders entries by (time, tie key, push order). FIFO ordering among
-// equal-time entries makes Yield hand the baton to same-clock peers instead of
-// spinning, and is deterministic because pushes happen in a deterministic
-// order. Under a tie-flipping schedule the equal-time order is the salted hash
-// of the push order instead — a different, equally deterministic
-// linearization of events the conservative rule leaves unordered.
+// before orders entries by (time, key). FIFO ordering among equal-time entries
+// makes Yield hand the baton to same-clock peers instead of spinning, and is
+// deterministic because pushes happen in a deterministic order. Under a
+// tie-flipping schedule the equal-time order is the salted hash of the push
+// order instead — a different, equally deterministic linearization of events
+// the conservative rule leaves unordered. Keys are unique either way (see
+// runQueue.key), so before is a strict total order on the entries a queue can
+// hold and never needs a third comparison.
 func (a *entry) before(b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.tie != b.tie {
-		return a.tie < b.tie
-	}
-	return a.order < b.order
+	return a.key < b.key
 }
 
 // runQueue is an indexed binary min-heap holding at most one entry per
@@ -41,6 +39,18 @@ type runQueue struct {
 	// processor can be starved by a fixed unlucky hash. Set once before Run
 	// (applySchedule), never touched during dispatch.
 	salt uint64
+}
+
+// key turns a push stamp into the entry's equal-time key: the stamp itself
+// (FIFO) when unsalted, else mix64(salt^order). Stamps are unique and both
+// the XOR with a fixed salt and mix64 (the splitmix64 finalizer) are
+// bijections on uint64, so salted keys are as unique as the stamps: two
+// entries never compare equal.
+func (q *runQueue) key(order uint64) uint64 {
+	if q.salt == 0 {
+		return order
+	}
+	return mix64(q.salt ^ order)
 }
 
 // headTime returns the time of the earliest entry, or maxTime if the queue is
@@ -64,10 +74,7 @@ func (q *runQueue) put(i int, e entry) {
 // time is earlier than the old one, so the entry can only move towards the
 // root.
 func (q *runQueue) push(p *Proc, at Time, order uint64) {
-	e := entry{at: at, order: order, p: p}
-	if q.salt != 0 {
-		e.tie = mix64(q.salt ^ order)
-	}
+	e := entry{at: at, key: q.key(order), p: p}
 	i := p.qpos
 	if i < 0 {
 		i = len(q.h)
@@ -92,9 +99,39 @@ func (q *runQueue) pop() *Proc {
 	n := len(q.h) - 1
 	e := q.h[n]
 	q.h = q.h[:n]
-	if n == 0 {
-		return top
+	if n > 0 {
+		q.siftDown(e)
 	}
+	return top
+}
+
+// pushPop is push(p, at, order) followed by pop() in one sift: p must not be
+// queued. If p's new entry sorts before the head it is the one the pop would
+// return, so it is returned without touching the heap; otherwise it replaces
+// the root, sifts down once, and the old head is returned. The result equals
+// push-then-pop because keys are unique: which entry a pop returns depends
+// only on the set of entries, never on the heap's layout.
+//
+// With yield elision on, a re-queue reaches here only when it was not elided,
+// i.e. at >= headTime, and the old head wins: on time, or on the tie with its
+// smaller push stamp. p comes straight back only without elision
+// (SIM_NO_FASTPATH, or a perturbed schedule, which pins it off): when it is
+// due strictly first, when the heap is empty, or on a salted tie.
+func (q *runQueue) pushPop(p *Proc, at Time, order uint64) *Proc {
+	e := entry{at: at, key: q.key(order), p: p}
+	if len(q.h) == 0 || e.before(&q.h[0]) {
+		return p
+	}
+	top := q.h[0].p
+	top.qpos = -1
+	q.siftDown(e)
+	return top
+}
+
+// siftDown stores e at the root, whose old entry the caller has taken out,
+// and moves it down to restore heap order.
+func (q *runQueue) siftDown(e entry) {
+	n := len(q.h)
 	i := 0
 	for {
 		c := 2*i + 1
@@ -111,7 +148,6 @@ func (q *runQueue) pop() *Proc {
 		i = c
 	}
 	q.put(i, e)
-	return top
 }
 
 func (q *runQueue) len() int { return len(q.h) }

@@ -479,7 +479,9 @@ func TestDeterminism(t *testing.T) {
 
 // refEntry and refQueue are the reference model TestRunQueueProperty checks the
 // indexed heap against: a slice with at most one entry per processor (the
-// latest push wins), re-sorted by (at, tie, order) on every pop.
+// latest push wins), re-sorted by (at, tie, order) on every pop. It keeps the
+// three-field comparator the queue's single key replaced, so the test also
+// checks that the key orders entries exactly as (tie, order) did.
 type refEntry struct {
 	at         Time
 	tie, order uint64
@@ -522,10 +524,12 @@ func (r *refQueue) pop() refEntry {
 }
 
 // TestRunQueueProperty drives random sequences of push, earlier wake of a
-// queued processor, and pop through the indexed run queue and the reference
-// model, under FIFO and salted tie-breaking. The pop sequences must agree, and
-// after every operation the heap must hold at most one entry per processor,
-// be heap-ordered, and agree with every processor's qpos (-1 when not queued).
+// queued processor, pop, and the fused pushPop of an unqueued processor
+// through the indexed run queue and the reference model (where pushPop is a
+// push followed by a pop), under FIFO and salted tie-breaking. The pop
+// sequences must agree, and after every operation the heap must hold at most
+// one entry per processor, be heap-ordered, and agree with every processor's
+// qpos (-1 when not queued).
 func TestRunQueueProperty(t *testing.T) {
 	const nprocs = 8
 	for _, salt := range []uint64{0, 0x9e3779b97f4a7c15} {
@@ -548,7 +552,7 @@ func TestRunQueueProperty(t *testing.T) {
 					}
 				}
 				for i := range q.h {
-					if q.h[i].p.qpos != i || i > 0 && q.h[i].before(&q.h[(i-1)/2]) {
+					if q.h[i].p.qpos != i || i > 0 && !q.h[(i-1)/2].before(&q.h[i]) {
 						return false
 					}
 				}
@@ -564,6 +568,15 @@ func TestRunQueueProperty(t *testing.T) {
 					}
 					want := ref.pop()
 					got := q.pop()
+					if got.ID != want.id || got.queuedAt != want.at || got.qpos != -1 {
+						return false
+					}
+				case op%4 == 2 && p.qpos < 0:
+					order++
+					p.queuedAt = at
+					ref.push(p.ID, at, order)
+					want := ref.pop()
+					got := q.pushPop(p, at, order)
 					if got.ID != want.id || got.queuedAt != want.at || got.qpos != -1 {
 						return false
 					}

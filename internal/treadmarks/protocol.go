@@ -77,6 +77,8 @@ type pstate struct {
 	// logBase[q]+1 (records at or below the base were garbage-collected).
 	log     [][]Interval
 	logBase []int32
+	// heads is intervalsSince's merge scratch, kept for its capacity.
+	heads []runHead
 	// known[page][w], allocated lazily, is the highest interval of writer w
 	// with a write notice for page that this processor has incorporated.
 	known [][]int32
@@ -331,30 +333,87 @@ func (t *Protocol) closeInterval(p *core.Proc) {
 	t.intervalsClosed++
 }
 
-// intervalsSince collects every interval record in p's log that the given
-// vector has not seen, in causal order.
-func (t *Protocol) intervalsSince(p *core.Proc, have VT) []Interval {
-	st := t.state(p)
+// intervalsSince collects every interval record in rank's log (st) that the
+// given vector has not seen, in causal order: ascending (VT.Sum, Proc, ID).
+// Each writer's unseen records are a contiguous slice of its log whose sums
+// ascend strictly (see Interval), so the order is a k-way merge of those runs,
+// written straight into the slice that is shipped: a min-heap of run heads
+// keyed (sum, writer) picks the next record, and the last run left is copied
+// whole.
+func (st *pstate) intervalsSince(rank int, have VT) []Interval {
+	heads := st.heads[:0]
 	n := 0
-	for q := int32(0); q < int32(t.nprocs); q++ {
-		if have[q] < st.logBase[q] {
-			panic(fmt.Sprintf("treadmarks: rank %d asked for GC'd intervals of %d below %d", p.Rank(), q, st.logBase[q]))
+	for q := range st.vt {
+		base := st.logBase[q]
+		if have[q] < base {
+			panic(fmt.Sprintf("treadmarks: rank %d asked for GC'd intervals of %d below %d", rank, q, base))
 		}
 		if st.vt[q] > have[q] {
-			n += int(st.vt[q] - have[q])
+			i, end := have[q]-base, st.vt[q]-base
+			heads = append(heads, runHead{sum: st.log[q][i].VT.Sum(), q: int32(q), i: i, end: end})
+			n += int(end - i)
 		}
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]Interval, 0, n)
-	for q := int32(0); q < int32(t.nprocs); q++ {
-		for id := have[q] + 1; id <= st.vt[q]; id++ {
-			out = append(out, st.rec(q, id))
-		}
+	for k := len(heads)/2 - 1; k >= 0; k-- {
+		siftHead(heads, k)
 	}
-	sortIntervals(out)
+	for len(heads) > 1 {
+		h := &heads[0]
+		run := st.log[h.q]
+		out = append(out, run[h.i])
+		if h.i++; h.i < h.end {
+			h.sum = run[h.i].VT.Sum()
+		} else {
+			last := len(heads) - 1
+			heads[0] = heads[last]
+			heads = heads[:last]
+		}
+		siftHead(heads, 0)
+	}
+	h := heads[0]
+	out = append(out, st.log[h.q][h.i:h.end]...)
+	st.heads = heads[:0]
 	return out
+}
+
+// runHead is one writer's run in intervalsSince's merge: log[q][i:end] is
+// still to be shipped, and sum is the VT sum of log[q][i].
+type runHead struct {
+	sum    int64
+	q      int32
+	i, end int32
+}
+
+// siftHead restores heap order on h below index i, ordering heads by (sum,
+// q). Writers are distinct, so no two heads compare equal.
+func siftHead(h []runHead, i int) {
+	e := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+}
+
+func (a *runHead) before(b *runHead) bool {
+	if a.sum != b.sum {
+		return a.sum < b.sum
+	}
+	return a.q < b.q
 }
 
 // wireBytes estimates the message size of an interval set: a compact header
@@ -711,7 +770,7 @@ func (t *Protocol) Unlock(p *core.Proc, id int) {
 func (t *Protocol) grantLock(p *core.Proc, lock int, h handoffReq) {
 	t.state(p).hasBaton[lock] = false
 	st := t.state(p)
-	recs := t.intervalsSince(p, h.vt)
+	recs := st.intervalsSince(p.Rank(), h.vt)
 	p.ChargeProtocol(p.Costs().HandlerWork)
 	p.EP().Reply(h.req.From, h.req, lockGrant{VT: st.vt.Clone(), Intervals: recs},
 		16+wireBytes(recs))
@@ -734,7 +793,7 @@ func (t *Protocol) Barrier(p *core.Proc, id int) {
 	}
 	// Send our VT plus the intervals the manager may lack, per our
 	// conservative guess of its vector timestamp.
-	recs := t.intervalsSince(p, st.managerVTGuess)
+	recs := st.intervalsSince(p.Rank(), st.managerVTGuess)
 	reply := p.EP().Call(t.rt.ProcByRank(0).EP(), kindBarrierArrive,
 		barrierArriveMsg{Barrier: id, VT: st.vt.Clone(), Intervals: recs},
 		16+int64(4*t.nprocs)+wireBytes(recs))
@@ -797,7 +856,7 @@ func (t *Protocol) barrierRound(p *core.Proc, id int, gc, confirm bool) {
 	}
 	p.ChargeProtocol(sim.Time(t.nprocs) * p.Costs().HandlerWork)
 	for _, req := range arrived {
-		recs := t.intervalsSince(p, req.Data.(barrierArriveMsg).VT)
+		recs := st.intervalsSince(p.Rank(), req.Data.(barrierArriveMsg).VT)
 		p.EP().Reply(req.From, req, barrierRelease{VT: st.vt.Clone(), Intervals: recs, GC: gc},
 			16+int64(4*t.nprocs)+wireBytes(recs))
 	}

@@ -94,30 +94,47 @@ func TestVTJoinProperties(t *testing.T) {
 	}
 }
 
-// Property: sortIntervals yields a linear extension of happens-before.
+// Property: intervalsSince ships a linear extension of happens-before, with
+// each writer's ids ascending and contiguous from the requester's horizon —
+// on a hand-built log and on random histories.
 func TestSortIntervalsCausal(t *testing.T) {
-	recs := []Interval{
-		{Proc: 1, ID: 2, VT: VT{0, 2, 1}},
-		{Proc: 0, ID: 1, VT: VT{1, 0, 0}},
-		{Proc: 2, ID: 1, VT: VT{0, 1, 1}},
-		{Proc: 1, ID: 1, VT: VT{0, 1, 0}},
+	st := &pstate{
+		vt: VT{1, 2, 1},
+		log: [][]Interval{
+			{{Proc: 0, ID: 1, VT: VT{1, 0, 0}}},
+			{{Proc: 1, ID: 1, VT: VT{0, 1, 0}}, {Proc: 1, ID: 2, VT: VT{0, 2, 1}}},
+			{{Proc: 2, ID: 1, VT: VT{0, 1, 1}}},
+		},
+		logBase: make([]int32, 3),
 	}
-	sortIntervals(recs)
-	for i := 0; i < len(recs); i++ {
-		for j := i + 1; j < len(recs); j++ {
-			// recs[j] must not happen-before recs[i].
-			if recs[i].VT.Covers(recs[j].VT) && recs[i].VT.Sum() != recs[j].VT.Sum() {
-				t.Errorf("order violates causality: %v before %v", recs[j], recs[i])
+	check := func(st *pstate, have VT) {
+		t.Helper()
+		recs := st.intervalsSince(0, have)
+		for i := 0; i < len(recs); i++ {
+			for j := i + 1; j < len(recs); j++ {
+				// recs[j] must not happen-before recs[i].
+				if recs[i].VT.Covers(recs[j].VT) && recs[i].VT.Sum() != recs[j].VT.Sum() {
+					t.Errorf("order violates causality: %v before %v", recs[j], recs[i])
+				}
 			}
 		}
-	}
-	// Per-proc ids must ascend.
-	last := map[int32]int32{}
-	for _, r := range recs {
-		if r.ID <= last[r.Proc] {
-			t.Errorf("proc %d ids not ascending", r.Proc)
+		// Per-proc ids must ascend by one from the requester's horizon.
+		last := append(VT(nil), have...)
+		for _, r := range recs {
+			if r.ID != last[r.Proc]+1 {
+				t.Errorf("proc %d: id %d follows %d", r.Proc, r.ID, last[r.Proc])
+			}
+			last[r.Proc] = r.ID
 		}
-		last[r.Proc] = r.ID
+	}
+	check(st, NewVT(3))
+	if recs := st.intervalsSince(0, NewVT(3)); len(recs) != 4 {
+		t.Errorf("shipped %d of 4 records", len(recs))
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := testRand(seed)
+		st, _ := randomLog(&r, 1+int(r.next()%12), 60, false)
+		check(st, NewVT(len(st.vt)))
 	}
 }
 
