@@ -1,29 +1,19 @@
-// Package analysis implements dsmvet, a suite of static analyzers that
-// machine-check the determinism and virtual-time invariants the simulator's
-// correctness argument rests on (DESIGN.md §3/§3a and the
-// "Machine-checked invariants" section).
+// Package analysis holds the repository's one static analyzer, maporder: no
+// map iteration whose body leaks the host's randomized iteration order into
+// slices, channels, struct fields, or formatted output (DESIGN.md §7a).
+// TestRepositoryIsClean runs it over the whole module; `go test
+// ./internal/analysis` is the gate. The same package's TestMeasuredImports
+// pins the measured packages' imports, which is what keeps wall clocks,
+// global randomness and environment reads off measured paths.
 //
-// The suite mirrors the golang.org/x/tools/go/analysis API shape — an
+// The framework mirrors the golang.org/x/tools/go/analysis API shape — an
 // Analyzer holding a Run function over a per-package Pass — but is
 // self-contained: the module deliberately has no external dependencies, so
-// the driver (cmd/dsmvet), the package loader (load.go), and the fixture
-// harness (atest_test.go) are built here on go/parser, go/types, and
-// go/importer alone.
+// the package loader (load.go) and the fixture harness (atest_test.go) are
+// built here on go/parser, go/types, and go/importer alone.
 //
-// Analyzers:
-//
-//   - nondeterminism: no wall clocks, unseeded randomness, undeclared
-//     environment reads, or runtime-randomized selects in measured packages.
-//   - maporder: no map iteration whose body leaks host iteration order into
-//     slices, channels, struct fields, or formatted output.
-//   - accessor: no direct access to vm.Space page frames outside the layers
-//     that charge fault and mprotect costs.
-//   - chargepath: no raw sim.Proc.Deliver/NewMsg outside the charging
-//     layers, and no constant non-positive bytes argument to the
-//     byte-moving entry points.
-//
-// Test files (*_test.go) are exempt from every analyzer: they never run on a
-// measured path, and the loader does not even parse them.
+// Test files (*_test.go) are exempt: they never run on a measured path, and
+// the loader does not even parse them.
 package analysis
 
 import (
@@ -32,7 +22,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // An Analyzer is one named check. Run inspects a single type-checked package
@@ -75,9 +64,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Analyzers returns the full dsmvet suite in stable order.
+// Analyzers returns the suite TestRepositoryIsClean runs.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Nondeterminism, MapOrder, Accessor, ChargePath}
+	return []*Analyzer{MapOrder}
 }
 
 // Run applies each analyzer to each package and returns all findings sorted
@@ -118,55 +107,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// measuredLeaves are the package-path leaf elements of the measured
-// packages: code whose execution order or charged costs feed virtual-time
-// results. internal/apps and its subpackages are matched by the "apps" path
-// element instead.
-var measuredLeaves = map[string]bool{
-	"sim":          true,
-	"core":         true,
-	"cashmere":     true,
-	"treadmarks":   true,
-	"interconnect": true,
-	"vm":           true,
-}
-
-// MeasuredPackage reports whether the import path names one of the measured
-// packages the nondeterminism analyzer patrols: internal/{sim, core,
-// cashmere, treadmarks, interconnect, vm} and everything under
-// internal/apps.
-func MeasuredPackage(path string) bool {
-	elems := strings.Split(path, "/")
-	for _, e := range elems {
-		if e == "apps" {
-			return true
-		}
-	}
-	return measuredLeaves[elems[len(elems)-1]]
-}
-
-// pathLeaf returns the last element of an import path.
-func pathLeaf(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}
-
-// commentHasMarker reports whether any line of the comment group contains
-// the given dsmvet annotation marker.
-func commentHasMarker(g *ast.CommentGroup, marker string) bool {
-	if g == nil {
-		return false
-	}
-	for _, c := range g.List {
-		if strings.Contains(c.Text, marker) {
-			return true
-		}
-	}
-	return false
-}
-
 // funcObj resolves a call expression to the *types.Func it invokes (package
 // functions and methods), or nil for builtins, conversions, and calls of
 // function-typed values.
@@ -184,15 +124,6 @@ func funcObj(info *types.Info, call *ast.CallExpr) *types.Func {
 	return f
 }
 
-// recvNamed unwraps a receiver type to its named type.
-func recvNamed(t types.Type) *types.Named {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
-}
-
 // objPkgPath returns the import path of the package an object belongs to,
 // or "" for builtins and universe-scope objects.
 func objPkgPath(obj types.Object) string {
@@ -200,22 +131,4 @@ func objPkgPath(obj types.Object) string {
 		return ""
 	}
 	return obj.Pkg().Path()
-}
-
-// inspectWithFunc walks every node of the file, passing along the enclosing
-// top-level function declaration (nil for package-scope code), so analyzers
-// can consult the enclosing function's doc comment for dsmvet annotations.
-// Go has no nested function declarations — function literals inside a
-// declaration report that declaration — so a per-declaration walk suffices.
-func inspectWithFunc(file *ast.File, visit func(n ast.Node, fn *ast.FuncDecl)) {
-	for _, decl := range file.Decls {
-		fn, _ := decl.(*ast.FuncDecl)
-		ast.Inspect(decl, func(n ast.Node) bool {
-			if n == nil {
-				return false
-			}
-			visit(n, fn)
-			return true
-		})
-	}
 }

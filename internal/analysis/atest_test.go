@@ -112,18 +112,6 @@ func parseWant(t *testing.T, comment string) ([]*regexp.Regexp, bool) {
 	return res, true
 }
 
-func TestNondeterminismFixtures(t *testing.T) {
-	runFixtureTest(t, Nondeterminism, "nondet/...")
-}
-
 func TestMapOrderFixtures(t *testing.T) {
 	runFixtureTest(t, MapOrder, "maporder/...")
-}
-
-func TestAccessorFixtures(t *testing.T) {
-	runFixtureTest(t, Accessor, "accessor/...")
-}
-
-func TestChargePathFixtures(t *testing.T) {
-	runFixtureTest(t, ChargePath, "charge/...")
 }

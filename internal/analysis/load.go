@@ -16,8 +16,8 @@ import (
 )
 
 // A Package is one loaded, type-checked package ready for analysis. Test
-// files are not included: dsmvet's invariants govern code that can run on a
-// measured path, and every analyzer exempts tests anyway.
+// files are not included: the invariants govern code that can run on a
+// measured path, and the analyzer exempts tests anyway.
 type Package struct {
 	Path  string // import path
 	Dir   string
@@ -31,8 +31,8 @@ type Package struct {
 // layouts are supported:
 //
 //   - module layout (NewModuleLoader): import paths under the go.mod module
-//     path map to directories under the module root — how cmd/dsmvet and the
-//     repo-wide regression test load the real repository;
+//     path map to directories under the module root — how the repo-wide
+//     regression test loads the real repository;
 //   - src layout (NewSrcLoader): an import path maps directly to a
 //     subdirectory of a fixture root, mirroring analysistest's
 //     testdata/src/<importpath> convention.

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // MapOrder flags map iterations whose bodies can leak the host's randomized
@@ -75,6 +76,13 @@ func runMapOrder(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// isTestFile reports whether the file is a _test.go file. The loaders never
+// parse test files, but the analyzer guards anyway so a caller feeding its own
+// files gets the documented exemption.
+func isTestFile(pass *Pass, file *ast.File) bool {
+	return strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go")
 }
 
 func unlabel(stmt ast.Stmt) ast.Stmt {

@@ -27,10 +27,13 @@ type Proc struct {
 	yield func(*Proc) bool
 	err   error
 
-	now      Time
-	state    procState
-	queuedAt Time // resume time of the run-queue entry (state == stateQueued)
-	qpos     int  // index of that entry in the run queue, -1 without one
+	now   Time
+	state procState
+	// queuedAt is the resume time while state == stateQueued. A yielder that
+	// stamp marked queued has no run-queue entry yet: until dispatchNext's
+	// pushPop makes one, queuedAt is the only record of its time.
+	queuedAt Time
+	qpos     int // index of the run-queue entry, -1 without one
 
 	// wakeToken records that a WakeAt was issued and not yet consumed by a
 	// Block. Tokens survive intervening Yields so that a wake issued while

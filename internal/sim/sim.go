@@ -53,8 +53,10 @@ const ParallelEnv = "SIM_PARALLEL"
 // runtimes created from now on (the environment is consulted at creation
 // time, not per operation).
 //
-// dsmvet:env-switch — declared SIM_* switch site; the only sanctioned kind
-// of environment read in measured packages.
+// This is the one environment read in the measured packages, and sim.go the
+// one measured file that may import os (internal/analysis TestMeasuredImports):
+// the toggle changes host time only, so a result stays a function of its
+// RunSpec.
 func FastPathEnabled() bool { return os.Getenv(NoFastPathEnv) == "" }
 
 // Time is virtual time in nanoseconds.

@@ -3,9 +3,10 @@
 # sending a change:
 #
 #   1. go vet          — the stock toolchain checks;
-#   2. dsmvet          — the repo's determinism/invariant analyzers
-#                        (cmd/dsmvet; see DESIGN.md "Machine-checked
-#                        invariants");
+#   2. analysis        — go test ./internal/analysis: the maporder analyzer
+#                        over the whole module (TestRepositoryIsClean), its
+#                        fixtures, and the measured packages' import
+#                        allowlist (TestMeasuredImports); see DESIGN.md §7a;
 #   3. gofmt           — formatting for tracked Go files, including testdata
 #                        fixtures (git ls-files, so untracked scratch
 #                        directories like .seedtree/ never fail lint);
@@ -19,8 +20,8 @@ cd "$(dirname "$0")/.."
 echo "== go vet =="
 go vet ./...
 
-echo "== dsmvet =="
-go run ./cmd/dsmvet ./...
+echo "== analysis =="
+go test -count=1 ./internal/analysis
 
 echo "== gofmt =="
 unformatted=$(git ls-files -- '*.go' | xargs -r gofmt -l)
