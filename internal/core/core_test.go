@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -91,6 +93,52 @@ func TestLayoutAllocation(t *testing.T) {
 		}
 	}()
 	a.Addr(10)
+}
+
+// TestSharedIndexChecked: At and Set on both array types reject index N and
+// -1 with the index and the bound. The check lives in Proc.load/store; one
+// past the end still lies inside the mapped page, so without it the access
+// would succeed.
+func TestSharedIndexChecked(t *testing.T) {
+	l := NewLayout()
+	f, n := l.F64(4), l.I64(3)
+	for _, tc := range []struct {
+		name   string
+		n      int
+		access func(p *Proc, i int)
+	}{
+		{"F64Array.At", f.N, func(p *Proc, i int) { f.At(p, i) }},
+		{"F64Array.Set", f.N, func(p *Proc, i int) { f.Set(p, i, 1) }},
+		{"I64Array.At", n.N, func(p *Proc, i int) { n.At(p, i) }},
+		{"I64Array.Set", n.N, func(p *Proc, i int) { n.Set(p, i, 1) }},
+	} {
+		for _, i := range []int{tc.n, -1} {
+			prog := &Program{
+				Name:        "index",
+				SharedBytes: l.Size(),
+				Body:        func(p *Proc) { tc.access(p, i) },
+			}
+			_, err := Run(seqConfig(), prog)
+			want := fmt.Sprintf("index %d out of range [0,%d)", i, tc.n)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s(%d): err = %v, want it to contain %q", tc.name, i, err, want)
+			}
+		}
+	}
+}
+
+// TestComputeNegativePanics: a negative computation time is a caller bug, as
+// it is for Advance and Charge, not a silent no-op.
+func TestComputeNegativePanics(t *testing.T) {
+	prog := &Program{
+		Name:        "negcompute",
+		SharedBytes: vmPageSize,
+		Body:        func(p *Proc) { p.Compute(-3) },
+	}
+	_, err := Run(seqConfig(), prog)
+	if want := "proc 0 Compute(-3)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to contain %q", err, want)
+	}
 }
 
 func TestLayoutBadAlign(t *testing.T) {
@@ -515,6 +563,35 @@ func BenchmarkSharedAccess(b *testing.B) {
 			for i := 0; i < n; i++ {
 				arr.Set(p, i%arr.N, float64(i))
 			}
+		},
+	}
+	b.ResetTimer()
+	if _, err := Run(cfg, prog); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// readSink keeps BenchmarkSharedRead's loads live.
+var readSink float64
+
+// BenchmarkSharedRead is BenchmarkSharedAccess for loads: sequential scalar
+// At reads.
+func BenchmarkSharedRead(b *testing.B) {
+	cfg := seqConfig()
+	c := cache.Alpha21064A
+	cfg.Cache = &c
+	l := NewLayout()
+	arr := l.F64Pages(8192)
+	n := b.N
+	prog := &Program{
+		Name:        "hotpath-read",
+		SharedBytes: l.Size(),
+		Body: func(p *Proc) {
+			s := 0.0
+			for i := 0; i < n; i++ {
+				s += arr.At(p, i%arr.N)
+			}
+			readSink = s
 		},
 	}
 	b.ResetTimer()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/vm"
 )
@@ -83,10 +84,10 @@ func (a F64Array) Addr(i int) Addr {
 }
 
 // At reads element i through processor p.
-func (a F64Array) At(p *Proc, i int) float64 { return p.ReadF64(a.Addr(i)) }
+func (a F64Array) At(p *Proc, i int) float64 { return math.Float64frombits(p.load(a.Base, i, a.N)) }
 
 // Set writes element i through processor p.
-func (a F64Array) Set(p *Proc, i int, v float64) { p.WriteF64(a.Addr(i), v) }
+func (a F64Array) Set(p *Proc, i int, v float64) { p.store(a.Base, i, a.N, math.Float64bits(v)) }
 
 // Init writes element i into the initial image (untimed setup).
 func (a F64Array) Init(w *ImageWriter, i int, v float64) { w.WriteF64(a.Addr(i), v) }
@@ -106,10 +107,10 @@ func (a I64Array) Addr(i int) Addr {
 }
 
 // At reads element i through processor p.
-func (a I64Array) At(p *Proc, i int) int64 { return p.ReadI64(a.Addr(i)) }
+func (a I64Array) At(p *Proc, i int) int64 { return int64(p.load(a.Base, i, a.N)) }
 
 // Set writes element i through processor p.
-func (a I64Array) Set(p *Proc, i int, v int64) { p.WriteI64(a.Addr(i), v) }
+func (a I64Array) Set(p *Proc, i int, v int64) { p.store(a.Base, i, a.N, uint64(v)) }
 
 // Init writes element i into the initial image (untimed setup).
 func (a I64Array) Init(w *ImageWriter, i int, v int64) { w.WriteI64(a.Addr(i), v) }

@@ -106,18 +106,13 @@ func (p *Proc) Charge(cat Category, d sim.Time) {
 // protocol code.
 func (p *Proc) ChargeProtocol(d sim.Time) { p.Charge(CatProtocol, d) }
 
-// checkpoint services eligible incoming requests and yields if the clock has
-// run a quantum ahead. Called from poll points, compute slices, and every
-// shared access. The quiet guard is exact — PollVisible is a no-op when no
-// message is visible and YieldIfQuantum is a no-op under quantum — so
-// skipping cannot change any virtual-time result.
-func (p *Proc) checkpoint() {
-	if p.noFastPath || !p.sp.CheckpointQuiet(Quantum) {
-		p.pollAndYield()
-	}
-}
-
-// pollAndYield is the checkpoint proper, out of line behind the quiet guard.
+// pollAndYield is a checkpoint: it services eligible incoming requests and
+// yields if the clock has run a quantum ahead. Compute slices, poll points and
+// every shared access call it only when the quiet guard `p.noFastPath ||
+// !p.sp.CheckpointQuiet(Quantum)` holds, written out at each site because no
+// helper holding it fits the inliner's budget. The guard is exact —
+// PollVisible is a no-op when no message is visible and YieldIfQuantum is a
+// no-op under quantum — so skipping cannot change any virtual-time result.
 func (p *Proc) pollAndYield() {
 	p.ep.PollVisible()
 	p.sp.YieldIfQuantum(Quantum)
@@ -127,13 +122,19 @@ func (p *Proc) pollAndYield() {
 // quanta with checkpoints so that the processor stays responsive to
 // protocol requests.
 func (p *Proc) Compute(d sim.Time) {
+	if d < 0 {
+		panic(fmt.Sprintf("core: proc %d Compute(%d): negative duration", p.sp.ID, d))
+	}
 	for d > 0 {
 		step := d
 		if step > Quantum {
 			step = Quantum
 		}
-		p.Charge(CatUser, step)
-		p.checkpoint()
+		p.sp.Advance(step)
+		p.stats.Cat[CatUser] += step
+		if p.noFastPath || !p.sp.CheckpointQuiet(Quantum) {
+			p.pollAndYield()
+		}
 		d -= step
 	}
 }
@@ -143,16 +144,28 @@ func (p *Proc) Compute(d sim.Time) {
 // is a checkpoint.
 func (p *Proc) PollPoint() {
 	if p.rt.cfg.PollingInstrumented {
-		p.Charge(CatPolling, p.costs.PollCheck)
+		p.sp.Advance(p.costs.PollCheck)
+		p.stats.Cat[CatPolling] += p.costs.PollCheck
 	}
-	p.checkpoint()
+	if p.noFastPath || !p.sp.CheckpointQuiet(Quantum) {
+		p.pollAndYield()
+	}
 }
 
-// access charges one shared-memory reference, including the L1 model, and
-// checkpoints. Charge and checkpoint are written out here because neither
-// fits the inliner's budget, and this runs once per simulated load or store:
-// the quiet case is straight-line code with no call.
-func (p *Proc) access(a Addr) {
+// load is every shared read: element i of the n-word array at base, checked
+// against n, looked up in the frame table (faulting on nil), charged with the
+// L1 model, then checkpointed. It returns the word from the frame looked up
+// before the checkpoint. The typed accessors are one-line wrappers the
+// compiler inlines, so a quiet read is this one call (scripts/lint.sh).
+func (p *Proc) load(base Addr, i, n int) uint64 {
+	if uint(i) >= uint(n) {
+		panic(fmt.Sprintf("core: index %d out of range [0,%d)", i, n))
+	}
+	a := base + Addr(i)*8
+	fr := p.space.ReadFrame(vm.PageOf(a))
+	if fr == nil {
+		fr = p.readSlow(a)
+	}
 	c := p.costs.MemAccess
 	if p.l1 != nil && !p.l1.Access(a) {
 		c += p.costs.CacheMiss
@@ -162,12 +175,40 @@ func (p *Proc) access(a Addr) {
 	if p.noFastPath || !p.sp.CheckpointQuiet(Quantum) {
 		p.pollAndYield()
 	}
+	return binary.LittleEndian.Uint64(fr[vm.Offset(a):])
+}
+
+// store is load for a write: the word goes into the frame before the charge
+// and the checkpoint, and the protocol's write hook, if it asked for one,
+// runs after them.
+func (p *Proc) store(base Addr, i, n int, v uint64) {
+	if uint(i) >= uint(n) {
+		panic(fmt.Sprintf("core: index %d out of range [0,%d)", i, n))
+	}
+	a := base + Addr(i)*8
+	fr := p.space.WriteFrame(vm.PageOf(a))
+	if fr == nil {
+		fr = p.writeSlow(a)
+	}
+	binary.LittleEndian.PutUint64(fr[vm.Offset(a):], v)
+	c := p.costs.MemAccess
+	if p.l1 != nil && !p.l1.Access(a) {
+		c += p.costs.CacheMiss
+	}
+	p.sp.Advance(c)
+	p.stats.Cat[CatUser] += c
+	if p.noFastPath || !p.sp.CheckpointQuiet(Quantum) {
+		p.pollAndYield()
+	}
+	if p.writeHook {
+		p.proto.OnSharedWrite(p, a, 8)
+	}
 }
 
 // readSlow returns the frame for a read of a whose page the frame table has
 // no entry for: the page is unreadable, so the protocol's read-fault handler
-// runs first, or readable but never copied in (materialize). Every reading
-// accessor opens with ReadFrame and comes here on nil.
+// runs first, or readable but never copied in (materialize). load opens with
+// ReadFrame and comes here on nil.
 func (p *Proc) readSlow(a Addr) *[vm.PageSize]byte {
 	page := vm.PageOf(a)
 	if !p.space.Prot(page).CanRead() {
@@ -222,65 +263,25 @@ func (p *Proc) MaterializedFrame(page int) []byte {
 }
 
 // ReadF64 reads a float64 from shared memory.
-func (p *Proc) ReadF64(a Addr) float64 {
-	fr := p.space.ReadFrame(vm.PageOf(a))
-	if fr == nil {
-		fr = p.readSlow(a)
-	}
-	p.access(a)
-	return math.Float64frombits(binary.LittleEndian.Uint64(fr[vm.Offset(a):]))
-}
+func (p *Proc) ReadF64(a Addr) float64 { return math.Float64frombits(p.load(a, 0, 1)) }
 
 // WriteF64 writes a float64 to shared memory.
-func (p *Proc) WriteF64(a Addr, v float64) {
-	fr := p.space.WriteFrame(vm.PageOf(a))
-	if fr == nil {
-		fr = p.writeSlow(a)
-	}
-	binary.LittleEndian.PutUint64(fr[vm.Offset(a):], math.Float64bits(v))
-	p.access(a)
-	if p.writeHook {
-		p.proto.OnSharedWrite(p, a, 8)
-	}
-}
+func (p *Proc) WriteF64(a Addr, v float64) { p.store(a, 0, 1, math.Float64bits(v)) }
 
 // ReadI64 reads an int64 from shared memory.
-func (p *Proc) ReadI64(a Addr) int64 {
-	fr := p.space.ReadFrame(vm.PageOf(a))
-	if fr == nil {
-		fr = p.readSlow(a)
-	}
-	p.access(a)
-	return int64(binary.LittleEndian.Uint64(fr[vm.Offset(a):]))
-}
+func (p *Proc) ReadI64(a Addr) int64 { return int64(p.load(a, 0, 1)) }
 
 // WriteI64 writes an int64 to shared memory.
-func (p *Proc) WriteI64(a Addr, v int64) {
-	fr := p.space.WriteFrame(vm.PageOf(a))
-	if fr == nil {
-		fr = p.writeSlow(a)
-	}
-	binary.LittleEndian.PutUint64(fr[vm.Offset(a):], uint64(v))
-	p.access(a)
-	if p.writeHook {
-		p.proto.OnSharedWrite(p, a, 8)
-	}
-}
+func (p *Proc) WriteI64(a Addr, v int64) { p.store(a, 0, 1, uint64(v)) }
 
 // ReadF64Range reads len(dst) consecutive float64 elements starting at a
-// into dst. It is len(dst) ReadF64 calls at a, a+8, ... with the call
-// overhead removed: every element checks protection, charges its access and
-// L1 cost and checkpoints, so a handler run from a checkpoint that downgrades
-// the current page makes the very next element fault.
+// into dst. It is len(dst) ReadF64 calls at a, a+8, ...: every element
+// checks protection, charges its access and L1 cost and checkpoints, so a
+// handler run from a checkpoint that downgrades the current page makes the
+// very next element fault.
 func (p *Proc) ReadF64Range(a Addr, dst []float64) {
 	for i := range dst {
-		ea := a + Addr(i)*8
-		fr := p.space.ReadFrame(vm.PageOf(ea))
-		if fr == nil {
-			fr = p.readSlow(ea)
-		}
-		p.access(ea)
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(fr[vm.Offset(ea):]))
+		dst[i] = math.Float64frombits(p.load(a, i, len(dst)))
 	}
 }
 
@@ -289,16 +290,7 @@ func (p *Proc) ReadF64Range(a Addr, dst []float64) {
 // including per-element write hooks for protocols that request them.
 func (p *Proc) WriteF64Range(a Addr, src []float64) {
 	for i, v := range src {
-		ea := a + Addr(i)*8
-		fr := p.space.WriteFrame(vm.PageOf(ea))
-		if fr == nil {
-			fr = p.writeSlow(ea)
-		}
-		binary.LittleEndian.PutUint64(fr[vm.Offset(ea):], math.Float64bits(v))
-		p.access(ea)
-		if p.writeHook {
-			p.proto.OnSharedWrite(p, ea, 8)
-		}
+		p.store(a, i, len(src), math.Float64bits(v))
 	}
 }
 

@@ -10,10 +10,12 @@
 #   3. gofmt           — formatting for tracked Go files, including testdata
 #                        fixtures (git ls-files, so untracked scratch
 #                        directories like .seedtree/ never fail lint);
-#   4. inlining        — the functions every simulated load and store goes
-#                        through, and the run queue's head-time read in the
-#                        yield-elision test, must stay within the compiler's
-#                        inlining budget (DESIGN.md §3a items 1 and 3).
+#   4. inlining        — the typed accessors that wrap core's one out-of-line
+#                        load/store, the functions every simulated load and
+#                        store inlines inside it, and the run queue's
+#                        head-time read in the yield-elision test must stay
+#                        within the compiler's inlining budget (DESIGN.md §3a
+#                        items 1 and 3).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,10 +34,12 @@ if [ -n "$unformatted" ]; then
 fi
 
 echo "== inlining =="
-inlinable=$(go build -gcflags=-m ./internal/vm ./internal/cache ./internal/sim 2>&1 |
+inlinable=$(go build -gcflags=-m ./internal/vm ./internal/cache ./internal/sim ./internal/core 2>&1 |
     sed -n 's/.*: can inline //p')
 for fn in '(*Space).ReadFrame' '(*Space).WriteFrame' '(*L1).Access' \
-    '(*Proc).Advance' '(*Proc).CheckpointQuiet' '(*runQueue).headTime'; do
+    '(*Proc).Advance' '(*Proc).CheckpointQuiet' '(*runQueue).headTime' \
+    'F64Array.At' 'F64Array.Set' 'I64Array.At' 'I64Array.Set' \
+    '(*Proc).ReadF64' '(*Proc).WriteF64' '(*Proc).ReadI64' '(*Proc).WriteI64'; do
     if ! grep -qxF -- "$fn" <<<"$inlinable"; then
         echo "$fn is no longer inlinable: the shared-access or elided-yield fast path now pays a call for it" >&2
         exit 1
