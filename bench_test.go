@@ -65,7 +65,8 @@ func runOnce(b *testing.B, app, variant string, procs int) {
 // BenchmarkTable1 regenerates the basic-operation cost table.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := bench.Table1(io.Discard, variants.Options{}); err != nil {
+		rs := execute(b, bench.Table1Specs(variants.Options{}))
+		if err := bench.Table1Render(io.Discard, variants.Options{}, rs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,11 +124,26 @@ func BenchmarkTable3(b *testing.B) {
 
 // BenchmarkAblation regenerates the design-choice ablations.
 func BenchmarkAblation(b *testing.B) {
+	opts := bench.Options{Size: size()}
 	for i := 0; i < b.N; i++ {
-		if err := bench.Ablations(io.Discard, bench.Options{Size: size()}); err != nil {
+		rs := execute(b, bench.AblationSpecs(opts))
+		if err := bench.AblationsRender(io.Discard, opts, rs); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// execute runs specs as one plan, the way cmd/dsmbench does before it
+// renders a section.
+func execute(b *testing.B, specs []runner.RunSpec) *runner.ResultSet {
+	b.Helper()
+	plan := runner.NewPlan()
+	plan.Add(specs...)
+	rs, err := runner.Execute(plan, runner.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rs
 }
 
 // BenchmarkPlanExecute measures the runner executing one application's

@@ -93,7 +93,12 @@ func main() {
 		}()
 	}
 
-	opts := bench.Options{Size: apps.Size(*size)}
+	sz, err := parseSize(*size)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dsmbench:", err)
+		os.Exit(1)
+	}
+	opts := bench.Options{Size: sz}
 	if *netF != "" {
 		kind, err := interconnect.ParseKind(*netF)
 		if err != nil {
@@ -243,6 +248,16 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "dsmbench: wrote %s (%d specs)\n", path, rs.Len())
 	}
+}
+
+// parseSize accepts the two dataset sizes and rejects anything else before a
+// single run starts.
+func parseSize(s string) (apps.Size, error) {
+	switch size := apps.Size(s); size {
+	case apps.SizeSmall, apps.SizeDefault:
+		return size, nil
+	}
+	return "", fmt.Errorf("unknown -size %q (want small or default)", s)
 }
 
 func writeJSON(path string, rs *runner.ResultSet) error {

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -60,7 +61,7 @@ func main() {
 			opts.Net = &interconnect.Spec{Kind: kind}
 		}
 	}
-	if err := run(*app, vs, *procs, *nodes, *ppn, apps.Size(*size), *seq, *jobs, opts); err != nil {
+	if err := run(os.Stdout, *app, vs, *procs, *nodes, *ppn, apps.Size(*size), *seq, *jobs, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "dsmrun:", err)
 		os.Exit(1)
 	}
@@ -77,7 +78,12 @@ func specFor(app, variant string, procs, nodes, ppn int, size apps.Size, opts va
 	return s
 }
 
-func run(app string, vs []string, procs, nodes, ppn int, size apps.Size, seqBaseline bool, jobs int, opts variants.Options) error {
+// run executes the variants (and the sequential baseline) and writes the
+// report to w. An unknown size is rejected before anything runs.
+func run(w io.Writer, app string, vs []string, procs, nodes, ppn int, size apps.Size, seqBaseline bool, jobs int, opts variants.Options) error {
+	if size != apps.SizeSmall && size != apps.SizeDefault {
+		return fmt.Errorf("unknown -size %q (want small or default)", size)
+	}
 	entry, err := apps.Get(app)
 	if err != nil {
 		return err
@@ -116,25 +122,25 @@ func run(app string, vs []string, procs, nodes, ppn int, size apps.Size, seqBase
 		if err != nil {
 			return err
 		}
-		return printDetailed(entry, app, vs[0], size, specs[0], res, seqRes)
+		return printDetailed(w, entry, app, vs[0], size, specs[0], res, seqRes)
 	}
-	return printComparison(entry, app, vs, size, specs, rs, seqRes)
+	return printComparison(w, entry, app, vs, size, specs, rs, seqRes)
 }
 
 // printDetailed is the single-variant report.
-func printDetailed(entry apps.Entry, app, variant string, size apps.Size, spec runner.RunSpec, res *core.Result, seqRes *core.Result) error {
+func printDetailed(w io.Writer, entry apps.Entry, app, variant string, size apps.Size, spec runner.RunSpec, res *core.Result, seqRes *core.Result) error {
 	nodes, ppn := shapeOf(spec, res)
-	fmt.Printf("%s (%s) on %s, %d processors (%dx%d)\n",
+	fmt.Fprintf(w, "%s (%s) on %s, %d processors (%dx%d)\n",
 		app, entry.Problem(size), variant, res.Procs, nodes, ppn)
-	fmt.Printf("  execution time: %s\n", fmtTime(res.Time))
+	fmt.Fprintf(w, "  execution time: %s\n", fmtTime(res.Time))
 	if seqRes != nil && variant != variants.Sequential {
-		fmt.Printf("  sequential:     %s  (speedup %.2f)\n",
+		fmt.Fprintf(w, "  sequential:     %s  (speedup %.2f)\n",
 			fmtTime(seqRes.Time), float64(seqRes.Time)/float64(res.Time))
 	}
 	tot := res.Total
-	fmt.Printf("  barriers %d  locks %d  read faults %d  write faults %d\n",
+	fmt.Fprintf(w, "  barriers %d  locks %d  read faults %d  write faults %d\n",
 		tot.Barriers, tot.LockAcquires, tot.ReadFaults, tot.WriteFaults)
-	fmt.Printf("  page transfers %d  page copies %d  twins %d  diffs %d/%d  messages %d  data %.1f KB\n",
+	fmt.Fprintf(w, "  page transfers %d  page copies %d  twins %d  diffs %d/%d  messages %d  data %.1f KB\n",
 		tot.PageTransfers, tot.PageCopies, tot.Twins, tot.DiffsCreated, tot.DiffsApplied,
 		tot.Messages, float64(tot.DataBytes)/1024)
 	var catSum sim.Time
@@ -146,36 +152,36 @@ func printDetailed(entry apps.Entry, app, variant string, size apps.Size, spec r
 		elapsed += st.FinishedAt
 	}
 	if elapsed > 0 {
-		fmt.Printf("  breakdown:")
+		fmt.Fprintf(w, "  breakdown:")
 		for c := core.Category(0); c < core.NumCategories; c++ {
-			fmt.Printf(" %s %.1f%%", c, 100*float64(tot.Cat[c])/float64(elapsed))
+			fmt.Fprintf(w, " %s %.1f%%", c, 100*float64(tot.Cat[c])/float64(elapsed))
 		}
-		fmt.Printf(" Comm&Wait %.1f%%\n", 100*float64(elapsed-catSum)/float64(elapsed))
+		fmt.Fprintf(w, " Comm&Wait %.1f%%\n", 100*float64(elapsed-catSum)/float64(elapsed))
 	}
-	fmt.Printf("  MC traffic:")
+	fmt.Fprintf(w, "  MC traffic:")
 	keys := make([]string, 0, len(res.Traffic))
 	for k := range res.Traffic {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf(" %s %.1fKB", k, float64(res.Traffic[k])/1024)
+		fmt.Fprintf(w, " %s %.1fKB", k, float64(res.Traffic[k])/1024)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if len(res.Checks) > 0 {
-		fmt.Printf("  checks:")
+		fmt.Fprintf(w, "  checks:")
 		ckeys := make([]string, 0, len(res.Checks))
 		for k := range res.Checks {
 			ckeys = append(ckeys, k)
 		}
 		sort.Strings(ckeys)
 		for _, k := range ckeys {
-			fmt.Printf(" %s=%g", k, res.Checks[k])
+			fmt.Fprintf(w, " %s=%g", k, res.Checks[k])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if seqRes != nil && variant != variants.Sequential {
-		fmt.Printf("  %s\n", oracleLine(entry, res, seqRes))
+		fmt.Fprintf(w, "  %s\n", oracleLine(entry, res, seqRes))
 	}
 	return nil
 }
@@ -191,7 +197,7 @@ func oracleLine(entry apps.Entry, res, seqRes *core.Result) string {
 
 // printComparison renders a side-by-side metric table, one column per
 // variant.
-func printComparison(entry apps.Entry, app string, vs []string, size apps.Size, specs []runner.RunSpec, rs *runner.ResultSet, seqRes *core.Result) error {
+func printComparison(w io.Writer, entry apps.Entry, app string, vs []string, size apps.Size, specs []runner.RunSpec, rs *runner.ResultSet, seqRes *core.Result) error {
 	results := make([]*core.Result, len(vs))
 	for i, s := range specs {
 		res, err := rs.Get(s)
@@ -200,22 +206,22 @@ func printComparison(entry apps.Entry, app string, vs []string, size apps.Size, 
 		}
 		results[i] = res
 	}
-	fmt.Printf("%s (%s), %d processors, size %s\n", app, entry.Problem(size), results[0].Procs, size)
+	fmt.Fprintf(w, "%s (%s), %d processors, size %s\n", app, entry.Problem(size), results[0].Procs, size)
 	if seqRes != nil {
-		fmt.Printf("sequential baseline: %s\n", fmtTime(seqRes.Time))
+		fmt.Fprintf(w, "sequential baseline: %s\n", fmtTime(seqRes.Time))
 	}
 
-	fmt.Printf("%-22s", "metric")
+	fmt.Fprintf(w, "%-22s", "metric")
 	for _, v := range vs {
-		fmt.Printf("%16s", v)
+		fmt.Fprintf(w, "%16s", v)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	row := func(label string, f func(*core.Result) string) {
-		fmt.Printf("%-22s", label)
+		fmt.Fprintf(w, "%-22s", label)
 		for _, r := range results {
-			fmt.Printf("%16s", f(r))
+			fmt.Fprintf(w, "%16s", f(r))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	row("time (ms)", func(r *core.Result) string { return fmt.Sprintf("%.3f", float64(r.Time)/1e6) })
 	if seqRes != nil {
@@ -246,7 +252,7 @@ func printComparison(entry apps.Entry, app string, vs []string, size apps.Size, 
 	if seqRes != nil {
 		for i, v := range vs {
 			if v != variants.Sequential {
-				fmt.Printf("%-22s%s\n", v, oracleLine(entry, results[i], seqRes))
+				fmt.Fprintf(w, "%-22s%s\n", v, oracleLine(entry, results[i], seqRes))
 			}
 		}
 	}

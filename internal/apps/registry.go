@@ -90,129 +90,83 @@ func init() {
 	register(Entry{
 		Name: "SOR",
 		Problem: func(s Size) string {
-			c := sorConfig(s)
+			c := sized(s, sor.Small, sor.Default)
 			return fmt.Sprintf("%dx%d, %d iters", c.Rows, c.Cols, c.Iters)
 		},
-		New:            func(s Size) *core.Program { return sor.New(sorConfig(s)) },
+		New:            func(s Size) *core.Program { return sor.New(sized(s, sor.Small, sor.Default)) },
 		CheckTolerance: 0,
 	})
 	register(Entry{
 		Name: "LU",
 		Problem: func(s Size) string {
-			c := luConfig(s)
+			c := sized(s, lu.Small, lu.Default)
 			return fmt.Sprintf("%dx%d, block %d", c.N, c.N, c.B)
 		},
-		New:            func(s Size) *core.Program { return lu.New(luConfig(s)) },
+		New:            func(s Size) *core.Program { return lu.New(sized(s, lu.Small, lu.Default)) },
 		CheckTolerance: 0,
 	})
 	register(Entry{
 		Name: "Water",
 		Problem: func(s Size) string {
-			c := waterConfig(s)
+			c := sized(s, water.Small, water.Default)
 			return fmt.Sprintf("%d mols, %d steps", c.Mols, c.Steps)
 		},
-		New: func(s Size) *core.Program { return water.New(waterConfig(s)) },
+		New: func(s Size) *core.Program { return water.New(sized(s, water.Small, water.Default)) },
 		// Force merge order depends on lock timing: tolerate rounding drift.
 		CheckTolerance: 1e-6,
 	})
 	register(Entry{
 		Name: "TSP",
 		Problem: func(s Size) string {
-			return fmt.Sprintf("%d cities", tspConfig(s).Cities)
+			return fmt.Sprintf("%d cities", sized(s, tsp.Small, tsp.Default).Cities)
 		},
-		New:            func(s Size) *core.Program { return tsp.New(tspConfig(s)) },
+		New:            func(s Size) *core.Program { return tsp.New(sized(s, tsp.Small, tsp.Default)) },
 		CheckTolerance: 0,
 	})
 	register(Entry{
 		Name: "Gauss",
 		Problem: func(s Size) string {
-			c := gaussConfig(s)
+			c := sized(s, gauss.Small, gauss.Default)
 			return fmt.Sprintf("%dx%d", c.N, c.N)
 		},
-		New:            func(s Size) *core.Program { return gauss.New(gaussConfig(s)) },
+		New:            func(s Size) *core.Program { return gauss.New(sized(s, gauss.Small, gauss.Default)) },
 		CheckTolerance: 0,
 	})
 	register(Entry{
 		Name: "Ilink",
 		Problem: func(s Size) string {
-			c := ilinkConfig(s)
+			c := sized(s, ilink.Small, ilink.Default)
 			return fmt.Sprintf("%dK elems, %.0f%% dense, %d iters", c.Elements/1024, c.Density*100, c.Iters)
 		},
-		New:            func(s Size) *core.Program { return ilink.New(ilinkConfig(s)) },
+		New:            func(s Size) *core.Program { return ilink.New(sized(s, ilink.Small, ilink.Default)) },
 		CheckTolerance: 0,
 	})
 	register(Entry{
 		Name: "Em3d",
 		Problem: func(s Size) string {
-			c := em3dConfig(s)
+			c := sized(s, em3d.Small, em3d.Default)
 			return fmt.Sprintf("%d nodes, deg %d, %d iters", 2*c.Nodes, c.Degree, c.Iters)
 		},
-		New:            func(s Size) *core.Program { return em3d.New(em3dConfig(s)) },
+		New:            func(s Size) *core.Program { return em3d.New(sized(s, em3d.Small, em3d.Default)) },
 		CheckTolerance: 0,
 	})
 	register(Entry{
 		Name: "Barnes",
 		Problem: func(s Size) string {
-			c := barnesConfig(s)
+			c := sized(s, barnes.Small, barnes.Default)
 			return fmt.Sprintf("%d bodies, %d steps", c.Bodies, c.Steps)
 		},
-		New:            func(s Size) *core.Program { return barnes.New(barnesConfig(s)) },
+		New:            func(s Size) *core.Program { return barnes.New(sized(s, barnes.Small, barnes.Default)) },
 		CheckTolerance: 0,
 	})
 }
 
-func sorConfig(s Size) sor.Config {
+// sized returns an application's small configuration for SizeSmall and its
+// default one otherwise; the runner and the CLIs reject every size but the
+// two before a program is built.
+func sized[C any](s Size, small, def func() C) C {
 	if s == SizeSmall {
-		return sor.Small()
+		return small()
 	}
-	return sor.Default()
-}
-
-func luConfig(s Size) lu.Config {
-	if s == SizeSmall {
-		return lu.Small()
-	}
-	return lu.Default()
-}
-
-func waterConfig(s Size) water.Config {
-	if s == SizeSmall {
-		return water.Small()
-	}
-	return water.Default()
-}
-
-func tspConfig(s Size) tsp.Config {
-	if s == SizeSmall {
-		return tsp.Small()
-	}
-	return tsp.Default()
-}
-
-func gaussConfig(s Size) gauss.Config {
-	if s == SizeSmall {
-		return gauss.Small()
-	}
-	return gauss.Default()
-}
-
-func ilinkConfig(s Size) ilink.Config {
-	if s == SizeSmall {
-		return ilink.Small()
-	}
-	return ilink.Default()
-}
-
-func em3dConfig(s Size) em3d.Config {
-	if s == SizeSmall {
-		return em3d.Small()
-	}
-	return em3d.Default()
-}
-
-func barnesConfig(s Size) barnes.Config {
-	if s == SizeSmall {
-		return barnes.Small()
-	}
-	return barnes.Default()
+	return def()
 }

@@ -106,15 +106,6 @@ func AblationsRender(w io.Writer, opts Options, rs *runner.ResultSet) error {
 	return ablationDummyDoubling(w, opts, rs)
 }
 
-// Ablations plans, executes, and renders the ablation suite in one call.
-func Ablations(w io.Writer, opts Options) error {
-	rs, err := execute(AblationSpecs(opts))
-	if err != nil {
-		return err
-	}
-	return AblationsRender(w, opts, rs)
-}
-
 func ablationExclusive(w io.Writer, opts Options, rs *runner.ResultSet) error {
 	header(w, "Ablation (a): Cashmere exclusive mode (SOR, Water at 8 processors, csm_poll)")
 	fmt.Fprintf(w, "%-8s %14s %14s %16s %16s\n", "App", "on (s)", "off (s)", "wfaults on", "wfaults off")

@@ -8,11 +8,11 @@
 //
 // Every table and figure is a pure two-phase function: XxxSpecs(opts)
 // enumerates the runs it needs as runner.RunSpecs, and XxxRender(w, opts,
-// rs) formats a ResultSet that contains them. The one-shot Xxx(w, opts)
-// wrappers plan, execute (parallel, cached), and render; callers that draw
-// several tables from one sweep build a combined plan instead and render
-// each section from the shared ResultSet, so overlapping configurations
-// (e.g. the sequential baseline) are simulated once.
+// rs) formats a ResultSet that contains them. Callers (cmd/dsmbench, the
+// goldens) add the specs of every section they draw to one plan, execute it
+// once with runner.Execute (parallel, cached) and render each section from
+// the shared ResultSet, so overlapping configurations (e.g. the sequential
+// baseline) are simulated once.
 package bench
 
 import (

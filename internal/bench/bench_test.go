@@ -2,12 +2,27 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/runner"
 	"repro/internal/variants"
 )
+
+// section executes one table's or figure's specs and renders it from the
+// result set, the path cmd/dsmbench takes for each section.
+func section(t *testing.T, w io.Writer, opts Options, specs func(Options) []runner.RunSpec, render func(io.Writer, Options, *runner.ResultSet) error) {
+	t.Helper()
+	rs, err := execute(specs(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := render(w, opts, rs); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestCostsPrints(t *testing.T) {
 	var buf bytes.Buffer
@@ -22,9 +37,7 @@ func TestCostsPrints(t *testing.T) {
 func TestTable2Small(t *testing.T) {
 	var buf bytes.Buffer
 	opts := Options{Size: apps.SizeSmall, Apps: []string{"SOR", "Water"}}
-	if err := Table2(&buf, opts); err != nil {
-		t.Fatal(err)
-	}
+	section(t, &buf, opts, Table2Specs, Table2Render)
 	out := buf.String()
 	for _, want := range []string{"SOR", "Water", "Problem Size"} {
 		if !strings.Contains(out, want) {
@@ -41,9 +54,7 @@ func TestFig5SmallSubset(t *testing.T) {
 		Procs:    []int{1, 4},
 		Variants: []string{"csm_poll", "tmk_mc_poll"},
 	}
-	if err := Fig5(&buf, opts); err != nil {
-		t.Fatal(err)
-	}
+	section(t, &buf, opts, Fig5Specs, Fig5Render)
 	if !strings.Contains(buf.String(), "SOR speedups") {
 		t.Errorf("fig5 output:\n%s", buf.String())
 	}
@@ -57,9 +68,7 @@ func TestFig5InfeasibleMarked(t *testing.T) {
 		Procs:    []int{32},
 		Variants: []string{"csm_pp"},
 	}
-	if err := Fig5(&buf, opts); err != nil {
-		t.Fatal(err)
-	}
+	section(t, &buf, opts, Fig5Specs, Fig5Render)
 	if !strings.Contains(buf.String(), "-") {
 		t.Error("csm_pp at 32 not marked infeasible")
 	}
@@ -68,16 +77,12 @@ func TestFig5InfeasibleMarked(t *testing.T) {
 func TestTable3AndFig6Small(t *testing.T) {
 	opts := Options{Size: apps.SizeSmall, Apps: []string{"Water"}}
 	var buf bytes.Buffer
-	if err := Table3(&buf, opts); err != nil {
-		t.Fatal(err)
-	}
+	section(t, &buf, opts, Table3Specs, Table3Render)
 	if !strings.Contains(buf.String(), "Page transfers") {
 		t.Errorf("table 3 output:\n%s", buf.String())
 	}
 	buf.Reset()
-	if err := Fig6(&buf, opts); err != nil {
-		t.Fatal(err)
-	}
+	section(t, &buf, opts, Fig6Specs, Fig6Render)
 	out := buf.String()
 	for _, want := range []string{"Water", "CSM", "TMK", "Comm&Wait"} {
 		if !strings.Contains(out, want) {

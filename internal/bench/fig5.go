@@ -61,12 +61,3 @@ func Fig5Render(w io.Writer, opts Options, rs *runner.ResultSet) error {
 	}
 	return nil
 }
-
-// Fig5 plans, executes, and renders Figure 5 in one call.
-func Fig5(w io.Writer, opts Options) error {
-	rs, err := execute(Fig5Specs(opts))
-	if err != nil {
-		return err
-	}
-	return Fig5Render(w, opts, rs)
-}

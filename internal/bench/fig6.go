@@ -43,15 +43,6 @@ func Fig6Render(w io.Writer, opts Options, rs *runner.ResultSet) error {
 	return nil
 }
 
-// Fig6 plans, executes, and renders Figure 6 in one call.
-func Fig6(w io.Writer, opts Options) error {
-	rs, err := execute(Fig6Specs(opts))
-	if err != nil {
-		return err
-	}
-	return Fig6Render(w, opts, rs)
-}
-
 func printBreakdown(w io.Writer, app, sys string, res *core.Result, normBase float64) {
 	var elapsed, catSum sim.Time
 	var cats [core.NumCategories]sim.Time

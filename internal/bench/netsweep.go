@@ -96,12 +96,3 @@ func NetSweepRender(w io.Writer, opts Options, rs *runner.ResultSet) error {
 	}
 	return nil
 }
-
-// NetSweep plans, executes, and renders the interconnect sweep in one call.
-func NetSweep(w io.Writer, opts Options) error {
-	rs, err := execute(NetSweepSpecs(opts))
-	if err != nil {
-		return err
-	}
-	return NetSweepRender(w, opts, rs)
-}

@@ -10,10 +10,9 @@ import (
 	"repro/internal/variants"
 )
 
-// TestSequentialBaselineRunsOnce proves the satellite fix for duplicated
-// baseline runs: Table 2, Figure 5, and the one-shot wrappers all key the
-// sequential baseline on the same canonical spec, so across any number of
-// tables it executes exactly once per (app, size).
+// TestSequentialBaselineRunsOnce: Table 2 and Figure 5 key the sequential
+// baseline on the same canonical spec, so across any number of tables it
+// executes exactly once per (app, size).
 func TestSequentialBaselineRunsOnce(t *testing.T) {
 	runner.ResetCache()
 	opts := Options{
@@ -39,24 +38,18 @@ func TestSequentialBaselineRunsOnce(t *testing.T) {
 	}
 
 	// Table 2 executes the baseline (1 simulation).
-	if err := Table2(io.Discard, opts); err != nil {
-		t.Fatal(err)
-	}
+	section(t, io.Discard, opts, Table2Specs, Table2Render)
 	after2 := runner.Executions()
 
 	// Figure 5 needs the same baseline plus 2 parallel cells: only the
 	// cells may execute.
-	if err := Fig5(io.Discard, opts); err != nil {
-		t.Fatal(err)
-	}
+	section(t, io.Discard, opts, Fig5Specs, Fig5Render)
 	if delta := runner.Executions() - after2; delta != 2 {
 		t.Fatalf("Fig5 after Table2 ran %d simulations, want 2 (baseline must come from cache)", delta)
 	}
 
 	// Re-rendering Table 2 must execute nothing at all.
-	if err := Table2(io.Discard, opts); err != nil {
-		t.Fatal(err)
-	}
+	section(t, io.Discard, opts, Table2Specs, Table2Render)
 	if delta := runner.Executions() - after2; delta != 2 {
 		t.Fatalf("repeat Table2 re-ran %d baseline simulations, want 0", delta-2)
 	}

@@ -102,15 +102,6 @@ func Table1Render(w io.Writer, vo variants.Options, rs *runner.ResultSet) error 
 	return nil
 }
 
-// Table1 plans, executes, and renders Table 1 in one call.
-func Table1(w io.Writer, vo variants.Options) error {
-	rs, err := execute(Table1Specs(vo))
-	if err != nil {
-		return err
-	}
-	return Table1Render(w, vo, rs)
-}
-
 // lockProgram times an uncontended lock acquire by a processor that is not
 // the lock's last owner (the remote-acquire path).
 func lockProgram() *core.Program {

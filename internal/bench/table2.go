@@ -44,12 +44,3 @@ func Table2Render(w io.Writer, opts Options, rs *runner.ResultSet) error {
 	}
 	return nil
 }
-
-// Table2 plans, executes, and renders Table 2 in one call.
-func Table2(w io.Writer, opts Options) error {
-	rs, err := execute(Table2Specs(opts))
-	if err != nil {
-		return err
-	}
-	return Table2Render(w, opts, rs)
-}

@@ -88,12 +88,3 @@ func Table3Render(w io.Writer, opts Options, rs *runner.ResultSet) error {
 	prow("  Data (Kbytes)", func(r *core.Result) string { return fmt.Sprintf("%.0f", float64(r.Total.DataBytes)/1024) }, tmk)
 	return nil
 }
-
-// Table3 plans, executes, and renders Table 3 in one call.
-func Table3(w io.Writer, opts Options) error {
-	rs, err := execute(Table3Specs(opts))
-	if err != nil {
-		return err
-	}
-	return Table3Render(w, opts, rs)
-}

@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/apps/fuzz"
 	"repro/internal/core"
@@ -123,19 +122,5 @@ func diffReason(c fuzz.Config, variant string, shape Shape, sched sim.Schedule, 
 	if len(res.Checks) != len(want) {
 		return fmt.Sprintf("reported %d checks, oracle has %d", len(res.Checks), len(want))
 	}
-	names := make([]string, 0, len(want))
-	for name := range want {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		got, ok := res.Checks[name]
-		if !ok {
-			return fmt.Sprintf("check %q never reported", name)
-		}
-		if got != want[name] {
-			return fmt.Sprintf("check %q = %v, oracle says %v", name, got, want[name])
-		}
-	}
-	return ""
+	return core.ChecksDisagree(res.Checks, want, 0)
 }

@@ -6,9 +6,7 @@ import (
 	"os"
 
 	"repro/internal/apps/fuzz"
-	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/variants"
 )
 
 // Repro kinds.
@@ -93,17 +91,9 @@ func Replay(r Repro) (string, error) {
 			if test.Name != r.Litmus {
 				continue
 			}
-			cfg, err := variants.Config(r.Variant, r.Nodes, r.PPN, variants.Options{Schedule: r.Schedule})
-			if err != nil {
-				return "", err
-			}
-			res, err := core.Run(cfg, test.New(r.Perm))
-			if err != nil {
-				return fmt.Sprintf("run failed: %v", err), nil
-			}
-			regs, err := test.outcome(res.Checks)
-			if err != nil {
-				return err.Error(), nil
+			regs, reason, err := runLitmusJob(litmusJob{test, r.Variant, r.shape(), r.Schedule, r.Perm})
+			if err != nil || reason != "" {
+				return reason, err
 			}
 			if test.Forbidden(regs) {
 				return fmt.Sprintf("forbidden outcome %s", test.Format(regs)), nil

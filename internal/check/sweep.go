@@ -1,11 +1,13 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/variants"
 )
 
@@ -63,11 +65,11 @@ func (r *LitmusReport) Failed() bool {
 
 // litmusJob is one simulation of the sweep.
 type litmusJob struct {
-	test     Litmus
-	variant  string
-	shape    Shape
-	schedIdx int
-	perm     int
+	test    Litmus
+	variant string
+	shape   Shape
+	sched   sim.Schedule
+	perm    int
 }
 
 // RunLitmus sweeps every litmus test across the configured variants, shapes,
@@ -84,19 +86,22 @@ func RunLitmus(p Params) (*LitmusReport, error) {
 				// Rotate the shape fastest and the role permutation slowest
 				// so the sweep covers every (shape, rotation) combination.
 				perm := (i / len(shapes)) % test.Roles
-				jobs = append(jobs, litmusJob{test, variant, shapes[i%len(shapes)], i, perm})
+				jobs = append(jobs, litmusJob{test, variant, shapes[i%len(shapes)], p.schedule(i), perm})
 			}
 		}
 	}
 	regs := make([][]int64, len(jobs))
 	errs := make([]error, len(jobs))
 	runPool(p.Jobs, len(jobs), func(j int) {
-		regs[j], errs[j] = runLitmusJob(p, jobs[j])
+		var reason string
+		if regs[j], reason, errs[j] = runLitmusJob(jobs[j]); reason != "" {
+			errs[j] = errors.New(reason)
+		}
 	})
 	for j, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s/%s seed %d: %w",
-				jobs[j].test.Name, jobs[j].variant, jobs[j].shape, p.schedule(jobs[j].schedIdx).Seed, err)
+				jobs[j].test.Name, jobs[j].variant, jobs[j].shape, jobs[j].sched.Seed, err)
 		}
 	}
 
@@ -134,13 +139,13 @@ func RunLitmus(p Params) (*LitmusReport, error) {
 			if len(c.row.Violations) < 8 {
 				c.row.Violations = append(c.row.Violations,
 					fmt.Sprintf("forbidden outcome %s (shape %s, schedule seed %d)",
-						out, job.shape, p.schedule(job.schedIdx).Seed))
+						out, job.shape, job.sched.Seed))
 			}
 			if firstViolation == nil {
 				firstViolation = &Repro{
 					Kind: KindLitmus, Litmus: job.test.Name, Perm: job.perm,
 					Variant: job.variant, Nodes: job.shape.Nodes, PPN: job.shape.PPN,
-					Schedule: p.schedule(job.schedIdx),
+					Schedule: job.sched,
 					Reason:   fmt.Sprintf("forbidden outcome %s", out),
 				}
 			}
@@ -171,18 +176,22 @@ func RunLitmus(p Params) (*LitmusReport, error) {
 }
 
 // runLitmusJob executes one litmus simulation and extracts its registers.
-func runLitmusJob(p Params, job litmusJob) ([]int64, error) {
-	cfg, err := variants.Config(job.variant, job.shape.Nodes, job.shape.PPN, variants.Options{
-		Schedule: p.schedule(job.schedIdx),
-	})
+// Replay shares it, so a repro re-runs the sweep's exact simulation. The
+// error is a variant that cannot be configured (a malformed job); a run that
+// fails or leaves a register unreported is the reason.
+func runLitmusJob(job litmusJob) (regs []int64, reason string, err error) {
+	cfg, err := variants.Config(job.variant, job.shape.Nodes, job.shape.PPN, variants.Options{Schedule: job.sched})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	res, err := core.Run(cfg, job.test.New(job.perm))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Sprintf("run failed: %v", err), nil
 	}
-	return job.test.outcome(res.Checks)
+	if regs, err = job.test.outcome(res.Checks); err != nil {
+		return nil, err.Error(), nil
+	}
+	return regs, "", nil
 }
 
 // runPool runs fn(0..n-1) on a fixed-width worker pool.

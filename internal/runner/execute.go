@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/variants"
 )
@@ -119,6 +120,9 @@ func lookup(key string) *memoEntry {
 
 // run executes one spec's simulation (no caching).
 func run(s RunSpec) (*core.Result, error) {
+	if s.Size != apps.SizeSmall && s.Size != apps.SizeDefault {
+		return nil, fmt.Errorf("runner: %s/%s/p%d: unknown size %q (want small or default)", s.App, s.Variant, s.Procs, s.Size)
+	}
 	nodes, ppn, err := layoutFor(s)
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/interconnect"
+	"repro/internal/treadmarks"
 )
 
 // SchemaVersion identifies the JSON layout emitted by WriteJSON. Bump it on
@@ -17,9 +18,9 @@ const SchemaVersion = "dsmbench-results/v1"
 
 // JSONSpec is the serialized form of a RunSpec with options resolved to
 // their effective values (no pointers, no nils). Interconnect is present
-// only for non-Memory-Channel runs, so documents produced by Memory Channel
-// configurations serialize exactly as they did before the interconnect
-// became pluggable.
+// only for non-Memory-Channel runs and TreadMarks only for non-zero
+// TreadMarks options, so documents produced by the paper's configurations
+// serialize exactly as they did before either became part of the spec.
 type JSONSpec struct {
 	App          string             `json:"app"`
 	Variant      string             `json:"variant"`
@@ -29,6 +30,7 @@ type JSONSpec struct {
 	Size         apps.Size          `json:"size"`
 	Options      resolvedOpts       `json:"options"`
 	Interconnect *interconnect.Spec `json:"interconnect,omitempty"`
+	TreadMarks   *treadmarks.Config `json:"treadmarks,omitempty"`
 }
 
 // JSONResult is one executed spec with its outcome. Exactly one of
@@ -65,6 +67,7 @@ func (rs *ResultSet) Document() JSONDocument {
 				Size:         s.Size,
 				Options:      resolve(s.Opts),
 				Interconnect: netSpec(s.Opts),
+				TreadMarks:   tmkConfig(s.Opts),
 			},
 			Key: s.Key(),
 		}

@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/interconnect"
 	"repro/internal/sim"
+	"repro/internal/treadmarks"
 	"repro/internal/variants"
 )
 
@@ -113,14 +114,28 @@ func resolve(o variants.Options) resolvedOpts {
 // spec that normalizes to the Memory Channel contribute nothing to the key,
 // so every pre-pluggable-interconnect key (and its disk-cache entry) remains
 // byte-identical; only a genuinely different interconnect appends a
-// "|net=..." segment and therefore a different cache identity.
+// "|net=..." segment and therefore a different cache identity. Non-zero
+// TreadMarks options append a "|tmk=..." segment the same way.
 func (s RunSpec) Key() string {
 	s = s.Normalize()
 	key := fmt.Sprintf("%s|%s|%d|%dx%d|%s|%+v", s.App, s.Variant, s.Procs, s.Nodes, s.PPN, s.Size, resolve(s.Opts))
 	if net := netSpec(s.Opts); net != nil {
 		key += "|net=" + net.String()
 	}
+	if tmk := tmkConfig(s.Opts); tmk != nil {
+		key += fmt.Sprintf("|tmk=%+v", *tmk)
+	}
 	return key
+}
+
+// tmkConfig returns the TreadMarks options, or nil for the paper's
+// configuration (the zero value), which keys as it did before the options
+// were part of the key.
+func tmkConfig(o variants.Options) *treadmarks.Config {
+	if o.TreadMarks == (treadmarks.Config{}) {
+		return nil
+	}
+	return &o.TreadMarks
 }
 
 // netSpec returns the normalized non-Memory-Channel interconnect spec, or

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/interconnect"
 	"repro/internal/sim"
+	"repro/internal/treadmarks"
 	"repro/internal/variants"
 	"repro/internal/vm"
 )
@@ -54,6 +56,67 @@ func TestKeyDistinguishesOptions(t *testing.T) {
 	bigger.Procs = 8
 	if base.Key() == bigger.Key() {
 		t.Fatal("different processor counts produced the same key")
+	}
+}
+
+// TestTreadMarksOptionsKeyed: non-zero TreadMarks options are part of a
+// spec's identity, so a run with the injected diff-loss fault armed never
+// shares a plan slot, a memo entry or a disk-cache file with the healthy run.
+// Zero options add nothing to the key (TestLegacySpecKeyUnchanged).
+func TestTreadMarksOptionsKeyed(t *testing.T) {
+	healthy := smallSpec("tmk_mc_poll", 8)
+	armed := healthy
+	armed.Opts.TreadMarks = treadmarks.Config{TestDropDiffRuns: 3}
+	if healthy.Key() == armed.Key() {
+		t.Fatalf("armed and healthy specs share the key %s", healthy.Key())
+	}
+	if strings.Contains(healthy.Key(), "|tmk=") {
+		t.Errorf("zero TreadMarks options appear in the key: %s", healthy.Key())
+	}
+	p := NewPlan()
+	p.Add(healthy, armed)
+	if p.Len() != 2 {
+		t.Fatalf("plan kept %d of the 2 specs", p.Len())
+	}
+	rs, err := Execute(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		spec RunSpec
+		lost bool
+	}{{healthy, false}, {armed, true}} {
+		res, err := rs.Get(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, lost := res.Counters["test_diff_runs_lost"]; lost != c.lost {
+			t.Errorf("%s: test_diff_runs_lost present = %v, want %v", c.spec.Key(), lost, c.lost)
+		}
+	}
+	for _, r := range rs.Document().Results {
+		if strings.Contains(r.Key, "|tmk=") != (r.Spec.TreadMarks != nil) {
+			t.Errorf("%s: JSON treadmarks field %+v", r.Key, r.Spec.TreadMarks)
+		}
+	}
+}
+
+// TestUnknownSizeIsAnError: a size other than small or default fails its
+// spec with an error naming the spec, instead of running the default
+// dataset. An empty size still normalizes to default.
+func TestUnknownSizeIsAnError(t *testing.T) {
+	bad := RunSpec{App: "SOR", Variant: variants.Sequential, Size: "smal"}
+	p := NewPlan()
+	p.Add(bad)
+	rs, err := Execute(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Get(bad); err == nil || !strings.Contains(err.Error(), `SOR/sequential/p1: unknown size "smal"`) {
+		t.Fatalf("size smal: err = %v, want an error naming the spec and the size", err)
+	}
+	if got := (RunSpec{App: "SOR", Variant: variants.Sequential}).Normalize().Size; got != apps.SizeDefault {
+		t.Fatalf("empty size normalizes to %q, want %q", got, apps.SizeDefault)
 	}
 }
 

@@ -3,13 +3,13 @@
 # sending a change:
 #
 #   1. go vet          — the stock toolchain checks;
-#   2. analysis        — go test ./internal/analysis: the maporder analyzer
-#                        over the whole module (TestRepositoryIsClean), its
-#                        fixtures, and the measured packages' import
-#                        allowlist (TestMeasuredImports); see DESIGN.md §7a;
-#   3. gofmt           — formatting for tracked Go files, including testdata
-#                        fixtures (git ls-files, so untracked scratch
-#                        directories like .seedtree/ never fail lint);
+#   2. analysis        — go test ./internal/analysis: the measured packages'
+#                        import allowlist (TestMeasuredImports), the one
+#                        static check; the goldens in go test ./... pin
+#                        everything else (DESIGN.md §7a);
+#   3. gofmt           — formatting for tracked Go files (git ls-files, so
+#                        untracked scratch directories like .seedtree/ never
+#                        fail lint);
 #   4. inlining        — the typed accessors that wrap core's one out-of-line
 #                        load/store, the functions every simulated load and
 #                        store inlines inside it, and the run queue's
