@@ -97,32 +97,43 @@ func TestTable3ProcsRule(t *testing.T) {
 	}
 }
 
+// micro executes microbenchmark specs and returns each one's measurement,
+// read from the result set as Table1Render reads it.
+func micro(t *testing.T, specs ...runner.RunSpec) []float64 {
+	t.Helper()
+	rs, err := execute(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, len(specs))
+	for i, s := range specs {
+		if out[i], err = microCheck(rs, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 func TestMicrobenchmarksRun(t *testing.T) {
-	if v, err := measureLock("csm_poll", variants.Options{}); err != nil || v <= 0 {
-		t.Errorf("lock microbench: %v %v", v, err)
-	}
-	if v, err := measureBarrier("tmk_mc_poll", 2, variants.Options{}); err != nil || v <= 0 {
-		t.Errorf("barrier microbench: %v %v", v, err)
-	}
-	if v, err := measurePageTransfer("csm_poll", variants.Options{}); err != nil || v <= 0 {
-		t.Errorf("page microbench: %v %v", v, err)
+	vo := variants.Options{}
+	for i, v := range micro(t,
+		microSpec(microLock, "csm_poll", 2, vo),
+		microSpec(microBarrier, "tmk_mc_poll", 2, vo),
+		microSpec(microPage, "csm_poll", 2, vo)) {
+		if v <= 0 {
+			t.Errorf("microbenchmark %d measured %v us", i, v)
+		}
 	}
 }
 
 // TestTable1Shape checks the paper's qualitative Table 1 relationships.
 func TestTable1Shape(t *testing.T) {
-	csmLock, err := measureLock("csm_poll", variants.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkIntLock, err := measureLock("tmk_mc_int", variants.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkPollLock, err := measureLock("tmk_mc_poll", variants.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	vo := variants.Options{}
+	us := micro(t,
+		microSpec(microLock, "csm_poll", 2, vo),
+		microSpec(microLock, "tmk_mc_int", 2, vo),
+		microSpec(microLock, "tmk_mc_poll", 2, vo))
+	csmLock, tmkIntLock, tmkPollLock := us[0], us[1], us[2]
 	// Cashmere locks are MC-word operations (~tens of us); interrupt-based
 	// TreadMarks locks pay ~1 ms signal latency; polling TMK locks are
 	// message round trips (tens of us).

@@ -9,10 +9,12 @@ package bench
 //	testdata/equiv_small_full.sha256  sha256 of -all -size small -json
 //
 // They were generated before the interconnect API existed and held through
-// every refactor since; they were regenerated once, with the goldens of
-// golden_test.go, when the TreadMarks wait-window fix deliberately moved
-// TreadMarks cells (EXPERIMENTS.md lists each). perfbench reads the subset
-// file too, so it stays a full document.
+// every refactor since. They have been regenerated twice: once, with the
+// goldens of golden_test.go, when the TreadMarks wait-window fix deliberately
+// moved TreadMarks cells (EXPERIMENTS.md lists each); and once when TreadMarks'
+// metadata GC was deleted, which removed its three always-zero counters from
+// every TreadMarks cell and moved no number or golden. perfbench reads the subset file too, so it stays
+// a full document.
 import (
 	"bytes"
 	"crypto/sha256"

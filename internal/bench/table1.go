@@ -208,28 +208,3 @@ func microCheck(rs *runner.ResultSet, s runner.RunSpec) (float64, error) {
 	}
 	return v, nil
 }
-
-// runMicro executes one microbenchmark spec on its own (used by the
-// measure* helpers and tests).
-func runMicro(s runner.RunSpec) (float64, error) {
-	rs, err := execute([]runner.RunSpec{s})
-	if err != nil {
-		return 0, err
-	}
-	return microCheck(rs, s)
-}
-
-// measureLock times the remote lock-acquire path under one variant.
-func measureLock(variant string, vo variants.Options) (float64, error) {
-	return runMicro(microSpec(microLock, variant, 2, vo))
-}
-
-// measureBarrier times a barrier crossed by all processors.
-func measureBarrier(variant string, procs int, vo variants.Options) (float64, error) {
-	return runMicro(microSpec(microBarrier, variant, procs, vo))
-}
-
-// measurePageTransfer times the first remote read of a dirty page.
-func measurePageTransfer(variant string, vo variants.Options) (float64, error) {
-	return runMicro(microSpec(microPage, variant, 2, vo))
-}

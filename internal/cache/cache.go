@@ -44,7 +44,6 @@ func (c Config) Lines() int { return c.SizeBytes / c.LineBytes }
 // L1 is a direct-mapped cache model. It tracks only tags (the simulator keeps
 // data elsewhere); Access reports hit or miss and updates the tag array.
 type L1 struct {
-	cfg       Config
 	lineShift uint
 	indexMask uint64
 	tagShift  uint     // bits of line number consumed by the index
@@ -59,7 +58,7 @@ func New(cfg Config) (*L1, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &L1{cfg: cfg, tags: make([]uint64, cfg.Lines())}
+	c := &L1{tags: make([]uint64, cfg.Lines())}
 	for 1<<c.lineShift < cfg.LineBytes {
 		c.lineShift++
 	}
@@ -67,19 +66,6 @@ func New(cfg Config) (*L1, error) {
 	c.tagShift = uint(len64(c.indexMask))
 	return c, nil
 }
-
-// MustNew is New but panics on a bad geometry; for use with the package-level
-// preset configurations.
-func MustNew(cfg Config) *L1 {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Config returns the cache geometry.
-func (c *L1) Config() Config { return c.cfg }
 
 // Access touches the line containing addr and reports whether it hit. On a
 // miss the line is filled (previous occupant evicted).
@@ -96,33 +82,11 @@ func (c *L1) Access(addr uint64) bool {
 	return false
 }
 
-// Invalidate drops the line containing addr if present, modelling the Memory
-// Channel's receive-side invalidation ("When a write appears in a receive
-// region it invalidates any locally cached copies of its line", §3.1).
-func (c *L1) Invalidate(addr uint64) {
-	line := addr >> c.lineShift
-	idx := line & c.indexMask
-	tag := line>>c.tagShift + 1
-	if c.tags[idx] == tag {
-		c.tags[idx] = 0
-	}
-}
-
-// InvalidateAll empties the cache.
-func (c *L1) InvalidateAll() {
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-}
-
 // Hits returns the number of hits so far.
 func (c *L1) Hits() uint64 { return c.hits }
 
 // Misses returns the number of misses so far.
 func (c *L1) Misses() uint64 { return c.misses }
-
-// ResetStats zeroes the hit/miss counters without touching cache contents.
-func (c *L1) ResetStats() { c.hits, c.misses = 0, 0 }
 
 // len64 returns the number of significant bits in mask: k for a mask of the
 // form 2^k-1.

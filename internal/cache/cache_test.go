@@ -5,6 +5,16 @@ import (
 	"testing/quick"
 )
 
+// newL1 returns a cold model of the paper's L1.
+func newL1(tb testing.TB) *L1 {
+	tb.Helper()
+	c, err := New(Alpha21064A)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
 func TestValidate(t *testing.T) {
 	cases := []struct {
 		cfg Config
@@ -32,7 +42,7 @@ func TestGeometry(t *testing.T) {
 }
 
 func TestHitMissBasics(t *testing.T) {
-	c := MustNew(Alpha21064A)
+	c := newL1(t)
 	if c.Access(0x1000) {
 		t.Error("cold access hit")
 	}
@@ -51,7 +61,7 @@ func TestHitMissBasics(t *testing.T) {
 }
 
 func TestConflictEviction(t *testing.T) {
-	c := MustNew(Alpha21064A)
+	c := newL1(t)
 	a := uint64(0x0000)
 	b := a + uint64(Alpha21064A.SizeBytes) // same index, different tag
 	c.Access(a)
@@ -69,8 +79,8 @@ func TestConflictEviction(t *testing.T) {
 // conflict-missing once every write also touches a doubled address with a
 // flipped index bit.
 func TestWriteDoublingPressure(t *testing.T) {
-	undoubled := MustNew(Alpha21064A)
-	doubled := MustNew(Alpha21064A)
+	undoubled := newL1(t)
+	doubled := newL1(t)
 	// The doubled write lands in the Memory Channel region: a distinct
 	// address region (different tag) whose index differs from the local copy
 	// by the flipped low offset bit (paper §3.3.1).
@@ -79,7 +89,6 @@ func TestWriteDoublingPressure(t *testing.T) {
 
 	// Working set: 16 KB touched repeatedly.
 	misses := func(c *L1, double bool) uint64 {
-		c.ResetStats()
 		for pass := 0; pass < 8; pass++ {
 			for off := uint64(0); off < 16*1024; off += 8 {
 				c.Access(off)
@@ -101,39 +110,11 @@ func TestWriteDoublingPressure(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := MustNew(Alpha21064A)
-	c.Access(0x40)
-	c.Invalidate(0x40)
-	if c.Access(0x40) {
-		t.Error("invalidated line hit")
-	}
-	c.Invalidate(0x9999999) // absent line: no-op
-	c.Access(0x80)
-	c.InvalidateAll()
-	if c.Access(0x80) {
-		t.Error("line survived InvalidateAll")
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	c := MustNew(Alpha21064A)
-	c.Access(0)
-	c.Access(0)
-	c.ResetStats()
-	if c.Hits() != 0 || c.Misses() != 0 {
-		t.Error("stats not reset")
-	}
-	if !c.Access(0) {
-		t.Error("ResetStats must not drop contents")
-	}
-}
-
 // TestTagDisambiguation: two addresses mapping to the same index must never
 // be confused, for arbitrary addresses.
 func TestTagDisambiguation(t *testing.T) {
 	f := func(a, b uint32) bool {
-		c := MustNew(Alpha21064A)
+		c := newL1(t)
 		aa := uint64(a) &^ 0x3F // align to line
 		bb := uint64(b) &^ 0x3F
 		c.Access(aa)
@@ -146,19 +127,15 @@ func TestTagDisambiguation(t *testing.T) {
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
-	if _, err := New(Config{SizeBytes: 7, LineBytes: 3}); err == nil {
-		t.Fatal("New accepted bad config")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew did not panic")
+	for _, bad := range []Config{{SizeBytes: 7, LineBytes: 3}, {}} {
+		if _, err := New(bad); err == nil {
+			t.Fatalf("New accepted %+v", bad)
 		}
-	}()
-	MustNew(Config{})
+	}
 }
 
 func BenchmarkAccess(b *testing.B) {
-	c := MustNew(Alpha21064A)
+	c := newL1(b)
 	for i := 0; i < b.N; i++ {
 		c.Access(uint64(i) * 8)
 	}

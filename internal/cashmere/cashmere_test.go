@@ -33,7 +33,7 @@ func testConfig(nodes, ppn int, variant string, ccfg Config) core.Config {
 }
 
 func TestNoticeList(t *testing.T) {
-	nl := newNoticeList(0, 200)
+	nl := newNoticeList(200)
 	if !nl.add(5) {
 		t.Error("first add rejected")
 	}
@@ -43,15 +43,14 @@ func TestNoticeList(t *testing.T) {
 	if !nl.add(130) {
 		t.Error("second page rejected")
 	}
-	if !nl.has(5) || !nl.has(130) || nl.has(6) {
-		t.Error("has() wrong")
-	}
 	got := nl.drain()
 	if len(got) != 2 || got[0] != 5 || got[1] != 130 {
 		t.Errorf("drain = %v", got)
 	}
-	if nl.has(5) {
-		t.Error("drain kept bitmap bit")
+	for _, w := range nl.bitmap {
+		if w != 0 {
+			t.Fatalf("drain kept bitmap bits %v", nl.bitmap)
+		}
 	}
 	if !nl.add(5) {
 		t.Error("re-add after drain rejected")

@@ -42,13 +42,12 @@ type entry struct {
 // to suppress duplicates, protected by a cluster-wide lock (the write notice
 // and NLE lists of §2.1).
 type noticeList struct {
-	lockID int
 	pages  []int32
 	bitmap []uint64
 }
 
-func newNoticeList(lockID, numPages int) *noticeList {
-	return &noticeList{lockID: lockID, bitmap: make([]uint64, (numPages+63)/64)}
+func newNoticeList(numPages int) *noticeList {
+	return &noticeList{bitmap: make([]uint64, (numPages+63)/64)}
 }
 
 // add appends page if not already present; reports whether it was added.
@@ -61,11 +60,6 @@ func (nl *noticeList) add(page int) bool {
 	nl.bitmap[w] |= 1 << b
 	nl.pages = append(nl.pages, int32(page))
 	return true
-}
-
-// has reports whether page is present.
-func (nl *noticeList) has(page int) bool {
-	return nl.bitmap[page/64]&(1<<uint(page%64)) != 0
 }
 
 // drain returns the pages and clears the list. Callers must hold the lock.

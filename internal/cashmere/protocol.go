@@ -125,8 +125,8 @@ func (c *Protocol) Setup(rt *core.Runtime) {
 	c.locks = newLockSpace(rt, total)
 	c.barrier = newTreeBarrier(rt, maxInt(prog.Barriers, 1))
 	for r := 0; r < c.nprocs; r++ {
-		c.wn = append(c.wn, newNoticeList(c.wnLock(r), numPages))
-		c.nle = append(c.nle, newNoticeList(c.nleLock(r), numPages))
+		c.wn = append(c.wn, newNoticeList(numPages))
+		c.nle = append(c.nle, newNoticeList(numPages))
 	}
 	c.dirty = make([][]int32, c.nprocs)
 	if c.cfg.RoundRobinHomes {
@@ -431,11 +431,11 @@ func (c *Protocol) Finalize(p *core.Proc) {}
 
 // MaxCostJitter implements core.SchedulePerturbable: any cost inflation up
 // to 100% per operation is legal. Cashmere takes no timing-dependent
-// decisions — every wait is condition-based (directory spin-waits, lock and
-// barrier words probed via SpinWait until they flip; message replies block
-// until they arrive) and the only time bound anywhere is SpinWait's 120 s
-// livelock backstop, six orders of magnitude above any jittered operation
-// cost. Stretching an operation therefore moves *when* events occur, never
+// decisions — every wait is condition-based (barrier words probed via
+// SpinWait until they flip, the lock acquire a PollWait step function probing
+// its lock words; message replies block until they arrive) and the only time
+// bound anywhere is the 120 s livelock backstop both kinds of spin share
+// (core.Spin), six orders of magnitude above any jittered operation cost. Stretching an operation therefore moves *when* events occur, never
 // *which* events occur, so a jittered run is one of the protocol's legal
 // executions.
 func (c *Protocol) MaxCostJitter() float64 { return 1.0 }

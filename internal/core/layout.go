@@ -46,22 +46,9 @@ func (l *Layout) AllocPageAligned(size int) Addr { return l.Alloc(size, vm.PageS
 // Size returns the total bytes allocated so far.
 func (l *Layout) Size() int { return int(l.next) }
 
-// Pages returns the number of pages needed to cover the layout.
-func (l *Layout) Pages() int { return (l.Size() + vm.PageSize - 1) / vm.PageSize }
-
-// F64 allocates an n-element float64 array (8-byte aligned, contiguous).
-func (l *Layout) F64(n int) F64Array {
-	return F64Array{Base: l.Alloc(8*n, 8), N: n}
-}
-
 // F64Pages allocates an n-element float64 array starting on a page boundary.
 func (l *Layout) F64Pages(n int) F64Array {
 	return F64Array{Base: l.AllocPageAligned(8 * n), N: n}
-}
-
-// I64 allocates an n-element int64 array (8-byte aligned, contiguous).
-func (l *Layout) I64(n int) I64Array {
-	return I64Array{Base: l.Alloc(8*n, 8), N: n}
 }
 
 // I64Pages allocates an n-element int64 array starting on a page boundary.

@@ -256,17 +256,6 @@ func (w *ImageWriter) WriteI64(a Addr, v int64) {
 	binary.LittleEndian.PutUint64(w.page(a)[vm.Offset(a):], uint64(v))
 }
 
-// ReadF64 reads back from the initial image (useful in Init phases that
-// build data incrementally).
-func (w *ImageWriter) ReadF64(a Addr) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(w.page(a)[vm.Offset(a):]))
-}
-
-// ReadI64 reads back from the initial image.
-func (w *ImageWriter) ReadI64(a Addr) int64 {
-	return int64(binary.LittleEndian.Uint64(w.page(a)[vm.Offset(a):]))
-}
-
 // Run executes the program under the configuration and returns the result.
 // Panics during protocol setup and program initialization are converted to
 // errors (panics inside processor bodies are already captured by the engine).
@@ -344,8 +333,6 @@ func Run(cfg Config, prog *Program) (res *Result, err error) {
 	if cfg.Schedule.Enabled() {
 		// A perturbed schedule stretches protocol operation costs; that is
 		// only legal inside the range the protocol itself declares tolerable.
-		// The engine then pins the slow path for the run (see
-		// sim.Engine.SetSchedule).
 		sp, ok := rt.proto.(SchedulePerturbable)
 		if !ok {
 			return nil, fmt.Errorf("core: %s on %s: protocol declares no schedule-perturbation tolerance; cannot run perturbed",

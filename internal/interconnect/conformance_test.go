@@ -76,7 +76,7 @@ func TestConformanceVisibilityMonotonic(t *testing.T) {
 		eng.Go(eng.Proc(0), func(p *sim.Proc) {
 			for v := int64(1); v <= 3; v++ {
 				p.Advance(20 * sim.Microsecond)
-				w.Write(p, 0, v)
+				w.WriteLoopback(p, 0, v)
 			}
 		})
 		eng.Go(eng.Proc(1), func(p *sim.Proc) {
@@ -110,7 +110,7 @@ func TestConformanceVisibilityWindow(t *testing.T) {
 	forEachBackend(t, 2, 1, func(t *testing.T, eng *sim.Engine, net Interconnect) {
 		w := net.NewWordArray(1, TrafficMeta)
 		eng.Go(eng.Proc(0), func(p *sim.Proc) {
-			w.Write(p, 0, 7)
+			w.WriteLoopback(p, 0, 7)
 		})
 		eng.Go(eng.Proc(1), func(p *sim.Proc) {
 			p.Advance(100 * sim.Nanosecond)
@@ -138,11 +138,11 @@ func TestConformanceTotalWriteOrder(t *testing.T) {
 		w := net.NewWordArray(1, TrafficMeta)
 		eng.Go(eng.Proc(0), func(p *sim.Proc) {
 			p.Advance(10 * sim.Microsecond)
-			w.Write(p, 0, 1)
+			w.WriteLoopback(p, 0, 1)
 		})
 		eng.Go(eng.Proc(1), func(p *sim.Proc) {
 			p.Advance(40 * sim.Microsecond)
-			w.Write(p, 0, 2)
+			w.WriteLoopback(p, 0, 2)
 		})
 		observed := make([][]int64, 2)
 		for r := 0; r < 2; r++ {

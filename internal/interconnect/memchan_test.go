@@ -169,31 +169,29 @@ func TestFenceIdleIsJustLatency(t *testing.T) {
 	}
 }
 
+// TestWordVisibilityWindow: a word write is visible on no node, the
+// writer's included, inside the Memory Channel's 5.2 us latency and on every
+// node after it.
 func TestWordVisibilityWindow(t *testing.T) {
 	eng, net := testCluster(t, 2, 2)
 	w := net.NewWordArray(4, TrafficMeta)
 	// Writer: proc 0 (node 0). Same-node reader: proc 1. Remote: proc 2.
 	eng.Go(eng.Proc(0), func(p *sim.Proc) {
-		w.Write(p, 0, 42)
+		w.WriteLoopback(p, 0, 42)
 	})
-	eng.Go(eng.Proc(1), func(p *sim.Proc) {
-		p.Advance(1 * sim.Microsecond)
-		p.Yield()
-		if v := w.Read(p, 0); v != 42 {
-			t.Errorf("same-node read inside window = %d, want 42 (local receive region)", v)
-		}
-	})
-	eng.Go(eng.Proc(2), func(p *sim.Proc) {
-		p.Advance(1 * sim.Microsecond)
-		p.Yield()
-		if v := w.Read(p, 0); v != 0 {
-			t.Errorf("remote read inside window = %d, want 0", v)
-		}
-		p.Advance(10 * sim.Microsecond) // past 5.2us latency
-		if v := w.Read(p, 0); v != 42 {
-			t.Errorf("remote read after window = %d, want 42", v)
-		}
-	})
+	for _, id := range []int{1, 2} {
+		eng.Go(eng.Proc(id), func(p *sim.Proc) {
+			p.Advance(1 * sim.Microsecond)
+			p.Yield()
+			if v := w.Read(p, 0); v != 0 {
+				t.Errorf("proc %d read inside window = %d, want 0", p.ID, v)
+			}
+			p.Advance(10 * sim.Microsecond) // past 5.2us latency
+			if v := w.Read(p, 0); v != 42 {
+				t.Errorf("proc %d read after window = %d, want 42", p.ID, v)
+			}
+		})
+	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,9 +267,9 @@ func TestWordVisibilityTwoWritesWindow(t *testing.T) {
 	eng, net := testCluster(t, 2, 1)
 	w := net.NewWordArray(1, TrafficSync)
 	eng.Go(eng.Proc(0), func(p *sim.Proc) {
-		w.Write(p, 0, 1)
+		w.WriteLoopback(p, 0, 1)
 		p.Advance(20 * sim.Microsecond) // first write fully visible
-		w.Write(p, 0, 2)
+		w.WriteLoopback(p, 0, 2)
 	})
 	eng.Go(eng.Proc(1), func(p *sim.Proc) {
 		p.SleepUntil(22 * sim.Microsecond) // inside the second write's window

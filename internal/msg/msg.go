@@ -156,17 +156,11 @@ func NewEndpoint(p *sim.Proc, net interconnect.Interconnect, params Params) (*En
 // any request can arrive.
 func (ep *Endpoint) SetHandler(h Handler) { ep.handler = h }
 
-// Proc returns the endpoint's processor.
-func (ep *Endpoint) Proc() *sim.Proc { return ep.p }
-
 // MessagesSent returns the number of messages this endpoint has sent.
 func (ep *Endpoint) MessagesSent() int64 { return ep.messagesSent }
 
 // BytesSent returns the payload bytes this endpoint has sent.
 func (ep *Endpoint) BytesSent() int64 { return ep.bytesSent }
-
-// ShutdownRequested reports whether a KindShutdown message has been serviced.
-func (ep *Endpoint) ShutdownRequested() bool { return ep.shutdown }
 
 // send transmits a message of the given wire size to the target processor
 // and returns the data arrival time. Sender-side costs are charged here.

@@ -85,7 +85,7 @@ func callRTT(t *testing.T, mode Mode) (sim.Time, *harness) {
 	client, server := h.eps[0], h.eps[1]
 	echoServer(server)
 	var rtt sim.Time
-	h.eng.Go(client.Proc(), func(p *sim.Proc) {
+	h.eng.Go(client.p, func(p *sim.Proc) {
 		start := p.Now()
 		got := client.Call(server, kindEcho, 41, 64)
 		rtt = p.Now() - start
@@ -94,7 +94,7 @@ func callRTT(t *testing.T, mode Mode) (sim.Time, *harness) {
 		}
 		client.Shutdown(server)
 	})
-	h.eng.Go(server.Proc(), func(p *sim.Proc) { server.ServeUntilShutdown() })
+	h.eng.Go(server.p, func(p *sim.Proc) { server.ServeUntilShutdown() })
 	if err := h.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +137,13 @@ func TestSameNodeCheaperThanCrossNode(t *testing.T) {
 		h := newHarness(t, 1, 2, ModeInterrupt)
 		c, s := h.eps[0], h.eps[1]
 		echoServer(s)
-		h.eng.Go(c.Proc(), func(p *sim.Proc) {
+		h.eng.Go(c.p, func(p *sim.Proc) {
 			start := p.Now()
 			c.Call(s, kindEcho, 1, 64)
 			same = p.Now() - start
 			c.Shutdown(s)
 		})
-		h.eng.Go(s.Proc(), func(p *sim.Proc) { s.ServeUntilShutdown() })
+		h.eng.Go(s.p, func(p *sim.Proc) { s.ServeUntilShutdown() })
 		if err := h.eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -152,13 +152,13 @@ func TestSameNodeCheaperThanCrossNode(t *testing.T) {
 		h := newHarness(t, 2, 1, ModeInterrupt)
 		c, s := h.eps[0], h.eps[1]
 		echoServer(s)
-		h.eng.Go(c.Proc(), func(p *sim.Proc) {
+		h.eng.Go(c.p, func(p *sim.Proc) {
 			start := p.Now()
 			c.Call(s, kindEcho, 1, 64)
 			cross = p.Now() - start
 			c.Shutdown(s)
 		})
-		h.eng.Go(s.Proc(), func(p *sim.Proc) { s.ServeUntilShutdown() })
+		h.eng.Go(s.p, func(p *sim.Proc) { s.ServeUntilShutdown() })
 		if err := h.eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -181,10 +181,10 @@ func TestReentrantWait(t *testing.T) {
 		_ = peer
 	}
 	results := make([]int, 2)
-	h.eng.Go(a.Proc(), func(p *sim.Proc) {
+	h.eng.Go(a.p, func(p *sim.Proc) {
 		results[0] = a.Call(b, kindEcho, 10, 8).(int)
 	})
-	h.eng.Go(b.Proc(), func(p *sim.Proc) {
+	h.eng.Go(b.p, func(p *sim.Proc) {
 		results[1] = b.Call(a, kindEcho, 20, 8).(int)
 	})
 	if err := h.eng.Run(); err != nil {
@@ -202,11 +202,11 @@ func TestSendOneWayAndPollVisible(t *testing.T) {
 	dst.SetHandler(func(m sim.Msg, req Request) {
 		got = append(got, req.Data.(int))
 	})
-	h.eng.Go(src.Proc(), func(p *sim.Proc) {
+	h.eng.Go(src.p, func(p *sim.Proc) {
 		src.Send(dst, kindOneWay, 1, 8)
 		src.Send(dst, kindOneWay, 2, 8)
 	})
-	h.eng.Go(dst.Proc(), func(p *sim.Proc) {
+	h.eng.Go(dst.p, func(p *sim.Proc) {
 		p.SleepUntil(1 * sim.Millisecond)
 		dst.PollVisible()
 	})
@@ -220,7 +220,7 @@ func TestSendOneWayAndPollVisible(t *testing.T) {
 
 func TestNegativeKindPanics(t *testing.T) {
 	h := newHarness(t, 2, 1, ModePoll)
-	h.eng.Go(h.eps[0].Proc(), func(p *sim.Proc) {
+	h.eng.Go(h.eps[0].p, func(p *sim.Proc) {
 		h.eps[0].Send(h.eps[1], -5, nil, 8)
 	})
 	if err := h.eng.Run(); err == nil {
@@ -230,10 +230,10 @@ func TestNegativeKindPanics(t *testing.T) {
 
 func TestMissingHandlerPanics(t *testing.T) {
 	h := newHarness(t, 2, 1, ModePoll)
-	h.eng.Go(h.eps[0].Proc(), func(p *sim.Proc) {
+	h.eng.Go(h.eps[0].p, func(p *sim.Proc) {
 		h.eps[0].Send(h.eps[1], kindOneWay, nil, 8)
 	})
-	h.eng.Go(h.eps[1].Proc(), func(p *sim.Proc) {
+	h.eng.Go(h.eps[1].p, func(p *sim.Proc) {
 		p.SleepUntil(sim.Millisecond)
 		h.eps[1].PollVisible()
 	})
@@ -246,11 +246,11 @@ func TestBytesAccounting(t *testing.T) {
 	h := newHarness(t, 2, 1, ModePoll)
 	c, s := h.eps[0], h.eps[1]
 	echoServer(s)
-	h.eng.Go(c.Proc(), func(p *sim.Proc) {
+	h.eng.Go(c.p, func(p *sim.Proc) {
 		c.Call(s, kindEcho, 1, 1000)
 		c.Shutdown(s)
 	})
-	h.eng.Go(s.Proc(), func(p *sim.Proc) { s.ServeUntilShutdown() })
+	h.eng.Go(s.p, func(p *sim.Proc) { s.ServeUntilShutdown() })
 	if err := h.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestBytesAccounting(t *testing.T) {
 	if h.net.TrafficBytes(interconnect.TrafficMessage) != 1064 {
 		t.Errorf("MC message traffic = %d", h.net.TrafficBytes(interconnect.TrafficMessage))
 	}
-	if !s.ShutdownRequested() {
+	if !s.shutdown {
 		t.Error("shutdown flag not set")
 	}
 }
@@ -278,10 +278,10 @@ func TestParallelCallsOutOfOrder(t *testing.T) {
 		fast.Reply(req.From, req, "fast", 8)
 	})
 	slow.SetHandler(func(m sim.Msg, req Request) {
-		slow.Proc().Sleep(2 * sim.Millisecond)
+		slow.p.Sleep(2 * sim.Millisecond)
 		slow.Reply(req.From, req, "slow", 8)
 	})
-	h.eng.Go(client.Proc(), func(p *sim.Proc) {
+	h.eng.Go(client.p, func(p *sim.Proc) {
 		tokSlow := client.CallStart(slow, kindEcho, nil, 8)
 		tokFast := client.CallStart(fast, kindEcho, nil, 8)
 		// Wait for the slow one first: the fast reply must be stashed.
@@ -294,8 +294,8 @@ func TestParallelCallsOutOfOrder(t *testing.T) {
 		client.Shutdown(fast)
 		client.Shutdown(slow)
 	})
-	h.eng.Go(fast.Proc(), func(p *sim.Proc) { fast.ServeUntilShutdown() })
-	h.eng.Go(slow.Proc(), func(p *sim.Proc) { slow.ServeUntilShutdown() })
+	h.eng.Go(fast.p, func(p *sim.Proc) { fast.ServeUntilShutdown() })
+	h.eng.Go(slow.p, func(p *sim.Proc) { slow.ServeUntilShutdown() })
 	if err := h.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestWaitReplyStashFirst(t *testing.T) {
 	h := newHarness(t, 2, 1, ModePoll)
 	c, s := h.eps[0], h.eps[1]
 	echoServer(s)
-	h.eng.Go(c.Proc(), func(p *sim.Proc) {
+	h.eng.Go(c.p, func(p *sim.Proc) {
 		t1 := c.CallStart(s, kindEcho, 1, 8)
 		t2 := c.CallStart(s, kindEcho, 2, 8)
 		// Both replies arrive while waiting for t2; t1 lands in the stash.
@@ -318,7 +318,7 @@ func TestWaitReplyStashFirst(t *testing.T) {
 		}
 		c.Shutdown(s)
 	})
-	h.eng.Go(s.Proc(), func(p *sim.Proc) { s.ServeUntilShutdown() })
+	h.eng.Go(s.p, func(p *sim.Proc) { s.ServeUntilShutdown() })
 	if err := h.eng.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,11 @@ import (
 // simulated number — that is, whenever internal/bench/testdata is re-pinned —
 // so that a cache directory kept across the change misses instead of serving
 // the old numbers. 1: TreadMarks' wait-window fix (23 small-sweep cells had
-// computed wrong answers, and most TreadMarks times moved).
-const modelRevision = 1
+// computed wrong answers, and most TreadMarks times moved). 2: TreadMarks'
+// metadata GC was deleted, and with it its three always-zero counters; an
+// entry written before it would still carry them, so its serialized result
+// would differ from a fresh run's.
+const modelRevision = 2
 
 // diskEntry is the on-disk format of one cached result.
 type diskEntry struct {

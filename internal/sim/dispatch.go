@@ -40,13 +40,16 @@ func (e *Engine) enqueue(target *Proc, t Time) {
 // processor, or maxTime with none — is strictly after t the dispatch loop
 // would pop the yielder's own entry and hand the baton straight back. Ties are
 // not elidable: FIFO order among equal times would run the already queued
-// processor first.
+// processor first. An elided yield still takes its push stamp, so the counter
+// reads the same with elision on and off: FIFO order only compares stamps,
+// but a tie-flipping schedule hashes them (runQueue.key).
 func (e *Engine) yieldAt(q *Proc, t Time) (elided bool) {
 	q.lastYield = q.now
 	if !e.fastYield || t >= e.runq.headTime() {
 		e.stamp(q, t)
 		return false
 	}
+	e.pushCount++
 	e.elided++
 	if t > q.now {
 		q.now = t

@@ -8,13 +8,14 @@ import (
 )
 
 // irregularWorkload drives yields, quantum yields, message traffic, and
-// block/wake pairs and a contended spin across eight processors and returns
-// the final clocks. Used to compare the fast scheduling paths against the
-// plain enqueue-and-dispatch of every yield.
-func irregularWorkload(t *testing.T, fast bool) ([]Time, *Engine) {
+// block/wake pairs and a contended spin across eight processors under
+// schedule s and returns the final clocks. Used to compare the fast
+// scheduling paths against the plain enqueue-and-dispatch of every yield.
+func irregularWorkload(t *testing.T, fast bool, s Schedule) ([]Time, *Engine) {
 	t.Helper()
 	e := mustEngine(t, 2, 4)
 	e.SetFastYield(fast)
+	e.SetSchedule(s)
 	n := e.NumProcs()
 	raised := false
 	for i, p := range e.Procs() {
@@ -77,10 +78,13 @@ func irregularWorkload(t *testing.T, fast bool) ([]Time, *Engine) {
 // Off means no yield is elided and no poll runs on a dispatcher; baton passes
 // are the same coroutine switch either way, so both runs count handoffs, and
 // the slow one must count more (every elided yield and inline probe of the
-// fast run is a real pass in it).
+// fast run is a real pass in it). Perturbed schedules take the fast paths
+// too, so the same must hold under tie flips, staggered starts and the full
+// perturbation: there the salted tie keys hash every push stamp, including
+// the ones elided yields take.
 func TestFastYieldEquivalence(t *testing.T) {
-	slow, se := irregularWorkload(t, false)
-	fast, fe := irregularWorkload(t, true)
+	slow, se := irregularWorkload(t, false, Schedule{})
+	fast, fe := irregularWorkload(t, true, Schedule{})
 	if se.ElidedYields() != 0 || se.InlinePolls() != 0 {
 		t.Fatalf("slow path took fast paths: elided=%d inline polls=%d", se.ElidedYields(), se.InlinePolls())
 	}
@@ -94,6 +98,29 @@ func TestFastYieldEquivalence(t *testing.T) {
 		if slow[i] != fast[i] {
 			t.Fatalf("proc %d clock differs: slow=%d fast=%d", i, slow[i], fast[i])
 		}
+	}
+
+	var elided, polls uint64
+	for seed := uint64(1); seed <= 40; seed++ {
+		for _, s := range []Schedule{
+			{Seed: seed, FlipTies: true},
+			{Seed: seed, FlipTies: true, Stagger: 2 * Microsecond},
+			fullSchedule(seed),
+		} {
+			slow, _ := irregularWorkload(t, false, s)
+			fast, fe := irregularWorkload(t, true, s)
+			elided += fe.ElidedYields()
+			polls += fe.InlinePolls()
+			for i := range slow {
+				if slow[i] != fast[i] {
+					t.Errorf("schedule %+v: proc %d clock differs: slow=%d fast=%d", s, i, slow[i], fast[i])
+					break
+				}
+			}
+		}
+	}
+	if elided == 0 || polls == 0 {
+		t.Errorf("perturbed runs took no fast path: elided=%d inline polls=%d", elided, polls)
 	}
 }
 

@@ -113,10 +113,11 @@ func (q *runQueue) pop() *Proc {
 // only on the set of entries, never on the heap's layout.
 //
 // With yield elision on, a re-queue reaches here only when it was not elided,
-// i.e. at >= headTime, and the old head wins: on time, or on the tie with its
-// smaller push stamp. p comes straight back only without elision
-// (SIM_NO_FASTPATH, or a perturbed schedule, which pins it off): when it is
-// due strictly first, when the heap is empty, or on a salted tie.
+// i.e. at >= headTime, and the old head wins on time, or on the tie with its
+// smaller push stamp — unless a tie-flipping schedule salts the keys, when p
+// may win the tie and come straight back. Without elision (SIM_NO_FASTPATH) p
+// also comes straight back when it is due strictly first or the heap is
+// empty.
 func (q *runQueue) pushPop(p *Proc, at Time, order uint64) *Proc {
 	e := entry{at: at, key: q.key(order), p: p}
 	if len(q.h) == 0 || e.before(&q.h[0]) {

@@ -26,15 +26,17 @@ import "fmt"
 //     that sync-order races are actually explored.
 //
 // The zero value (and any value with Seed == 0) leaves the canonical
-// schedule untouched. Perturbed runs pin the canonical slow path (see
-// Engine.applySchedule for why).
+// schedule untouched. Perturbed runs take the same scheduling path as
+// canonical ones, yield elision and inline polls included: an elided yield
+// takes the push stamp its slow-path twin would (Engine.yieldAt), so the
+// salted tie keys match too.
 type Schedule struct {
 	// Seed selects the perturbation. Zero disables the schedule entirely so
 	// that a zero Schedule value means "canonical order".
 	Seed uint64
 	// CostJitter is the maximum fractional inflation of each Advance, in
-	// [0, MaxCostJitter]. The protocol layer bounds it further via its
-	// declared tolerance.
+	// [0, MaxCostJitter]; NaN is rejected. The protocol layer bounds it
+	// further via its declared tolerance.
 	CostJitter float64
 	// FlipTies perturbs the ordering of equal-virtual-time run-queue entries.
 	FlipTies bool
@@ -56,7 +58,7 @@ func (s Schedule) Enabled() bool {
 
 // Validate reports whether the schedule's parameters are in range.
 func (s Schedule) Validate() error {
-	if s.CostJitter < 0 || s.CostJitter > MaxCostJitter {
+	if !(s.CostJitter >= 0 && s.CostJitter <= MaxCostJitter) { // negated so NaN fails
 		return fmt.Errorf("sim: schedule cost jitter %v outside [0, %v]", s.CostJitter, MaxCostJitter)
 	}
 	if s.Stagger < 0 {
@@ -117,21 +119,11 @@ func (e *Engine) SetSchedule(s Schedule) {
 	}
 }
 
-// Schedule returns the perturbation the engine was committed to (zero value
-// if none).
-func (e *Engine) Schedule() Schedule { return e.sched }
-
-// applySchedule arms a committed schedule perturbation at Run. Perturbed runs
-// pin the canonical slow path: yield elision skips run-queue pushes entirely,
-// so the push counter — the tie-break input — would advance on a different
-// schedule than the slow path's. Pinning it keeps "one (program seed, schedule
-// seed) pair = one ordering" exact under any host configuration;
-// SIM_NO_FASTPATH and SetFastYield are deliberately trumped here.
+// applySchedule arms a committed schedule perturbation at Run.
 func (e *Engine) applySchedule() {
 	if !e.sched.Enabled() {
 		return
 	}
-	e.fastYield = false
 	base := mix64(e.sched.Seed ^ jitterStream)
 	for _, p := range e.procs {
 		p.jstate = mix64(base ^ (uint64(p.ID) + 1))

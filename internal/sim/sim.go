@@ -89,9 +89,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// TotalProcs returns the number of processors in the cluster.
-func (c Config) TotalProcs() int { return c.Nodes * c.ProcsPerNode }
-
 type procState uint8
 
 const (

@@ -34,9 +34,6 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = %v, want ok=%v", c.cfg, err, c.ok)
 		}
 	}
-	if got := (Config{Nodes: 8, ProcsPerNode: 4}).TotalProcs(); got != 32 {
-		t.Errorf("TotalProcs = %d, want 32", got)
-	}
 }
 
 func TestProcIdentity(t *testing.T) {

@@ -2,7 +2,6 @@ package treadmarks
 
 import (
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -21,9 +20,7 @@ func (r *testRand) next() uint64 {
 // causal history of the given writers, and returns it with every writer's
 // full history. At each step a random writer first (half the time) joins
 // another writer's vector time, as at an acquire, then closes an interval.
-// With gc, a random prefix of each writer's records is dropped as gcDrop
-// drops it, raising logBase.
-func randomLog(r *testRand, writers, steps int, gc bool) (*pstate, [][]Interval) {
+func randomLog(r *testRand, writers, steps int) (*pstate, [][]Interval) {
 	vts := make([]VT, writers)
 	for i := range vts {
 		vts[i] = NewVT(writers)
@@ -37,35 +34,30 @@ func randomLog(r *testRand, writers, steps int, gc bool) (*pstate, [][]Interval)
 		vts[p][p]++
 		all[p] = append(all[p], Interval{Proc: int32(p), ID: vts[p][p], VT: vts[p].Clone()})
 	}
-	st := &pstate{vt: NewVT(writers), log: make([][]Interval, writers), logBase: make([]int32, writers)}
+	st := &pstate{vt: NewVT(writers), log: all}
 	for q, recs := range all {
 		st.vt[q] = int32(len(recs))
-		if gc {
-			st.logBase[q] = int32(r.next() % uint64(len(recs)+1))
-		}
-		st.log[q] = recs[st.logBase[q]:]
 	}
 	return st, all
 }
 
 // TestIntervalsSinceMatchesSort: the merge ships exactly the records the
 // requester lacks, in the order a sort by (VT.Sum, Proc, ID) gives, on random
-// logs of 1–32 writers — with and without a GC'd prefix, for requests that
-// lack nothing, everything, or a random suffix of each writer (including
-// horizons past the owner's own). A request below the GC base must panic.
+// logs of 1–32 writers, for requests that lack nothing, everything, or a
+// random suffix of each writer (including horizons past the owner's own).
 func TestIntervalsSinceMatchesSort(t *testing.T) {
 	for seed := uint64(1); seed <= 400; seed++ {
 		r := testRand(seed)
 		writers := 1 + int(r.next()%32)
-		st, all := randomLog(&r, writers, int(r.next()%uint64(8*writers+1)), seed%2 == 0)
+		st, all := randomLog(&r, writers, int(r.next()%uint64(8*writers+1)))
 		have := NewVT(writers)
 		switch seed % 4 {
-		case 0: // have == vt, after a GC
+		case 0: // have == vt
 			copy(have, st.vt)
-		case 1: // all-zero, no GC
+		case 1: // all-zero
 		default:
 			for q := range have {
-				have[q] = st.logBase[q] + int32(r.next()%uint64(st.vt[q]-st.logBase[q]+2))
+				have[q] = int32(r.next() % uint64(st.vt[q]+2))
 			}
 		}
 		var want []Interval
@@ -86,7 +78,7 @@ func TestIntervalsSinceMatchesSort(t *testing.T) {
 			}
 			return a.ID < b.ID
 		})
-		got := st.intervalsSince(0, have)
+		got := st.intervalsSince(have)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d records, want %d", seed, len(got), len(want))
 		}
@@ -97,28 +89,13 @@ func TestIntervalsSinceMatchesSort(t *testing.T) {
 			}
 		}
 	}
-
-	r := testRand(7)
-	st, _ := randomLog(&r, 4, 40, false)
-	st.logBase[2] = 3
-	st.log[2] = st.log[2][3:]
-	have := st.vt.Clone()
-	have[2] = 2
-	defer func() {
-		// Not any panic: a negative log index would panic too, without
-		// saying why.
-		if msg, _ := recover().(string); !strings.Contains(msg, "asked for GC'd intervals of 2 below 3") {
-			t.Errorf("request below the GC base: got panic %q", msg)
-		}
-	}()
-	st.intervalsSince(0, have)
 }
 
 // BenchmarkIntervalsSince is one call at the shape measured on sync_storm's
 // TreadMarks jobs: 32 writers, 56 unseen records over 8 of them.
 func BenchmarkIntervalsSince(b *testing.B) {
 	r := testRand(1)
-	st, _ := randomLog(&r, 32, 32*20, false)
+	st, _ := randomLog(&r, 32, 32*20)
 	have := st.vt.Clone()
 	for q := 0; q < 32; q += 4 {
 		have[q] = max(0, have[q]-7)
@@ -126,7 +103,7 @@ func BenchmarkIntervalsSince(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shipped = st.intervalsSince(0, have)
+		shipped = st.intervalsSince(have)
 	}
 }
 

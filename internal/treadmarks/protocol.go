@@ -31,15 +31,6 @@ const (
 
 // Config holds TreadMarks-specific knobs.
 type Config struct {
-	// GCBarrierInterval triggers consistency-metadata garbage collection
-	// every N barrier episodes (0 disables). At a GC barrier every
-	// processor first brings each page it has a copy of fully up to date
-	// (applying all known diffs), a second barrier round confirms global
-	// completion, and then stored diffs and foreign interval records below
-	// the common horizon are discarded — TreadMarks' mechanism for bounding
-	// twin/diff/interval memory.
-	GCBarrierInterval int
-
 	// TestDropDiffRuns, when N > 0, deliberately corrupts every Nth diff
 	// served by serveDiff: the reply's copy of that diff loses its last run.
 	// This is the dsmcheck harness's injected diff-loss bug — a fault the
@@ -73,10 +64,9 @@ type pstate struct {
 	pending []int32
 	// twins maps page -> pristine copy made at the first write fault.
 	twins map[int][]byte
-	// log[q] holds interval records of processor q, contiguous from id
-	// logBase[q]+1 (records at or below the base were garbage-collected).
-	log     [][]Interval
-	logBase []int32
+	// log[q] holds every interval record of processor q this processor has
+	// incorporated: log[q][i] is interval i+1.
+	log [][]Interval
 	// heads is intervalsSince's merge scratch, kept for its capacity.
 	heads []runHead
 	// known[page][w], allocated lazily, is the highest interval of writer w
@@ -108,10 +98,6 @@ type pstate struct {
 
 	// barrier client state
 	managerVTGuess VT // conservative guess of the barrier manager's VT
-	// gcHorizon is the vector time captured when a GC round begins; only
-	// metadata at or below it is dropped (diffs created by flushes during
-	// the GC phase itself must survive).
-	gcHorizon VT
 
 	// serviceDepth counts the request handlers active on this processor
 	// (Service sets it; handlers nest when a reply waits for buffer space).
@@ -166,10 +152,6 @@ type barrierArriveMsg struct {
 type barrierRelease struct {
 	VT        VT
 	Intervals []Interval
-	// GC asks arrivers to run the garbage-collection round: validate every
-	// page they hold, confirm with a second arrival, then drop consistency
-	// metadata below the common horizon.
-	GC bool
 }
 
 // Protocol is the TreadMarks protocol state for all processors. All fields
@@ -196,12 +178,6 @@ type Protocol struct {
 	// barrier episode in flight (arrivers block until released, so there is
 	// never a second), in arrival order.
 	arrived []msg.Request
-
-	// GC state
-	barrierEpisodes int64
-	gcRuns          int64
-	diffsDropped    int64
-	recordsDropped  int64
 
 	// counters
 	intervalsClosed int64
@@ -237,7 +213,6 @@ func (t *Protocol) Setup(rt *core.Runtime) {
 			vt:              NewVT(t.nprocs),
 			twins:           make(map[int][]byte),
 			log:             make([][]Interval, t.nprocs),
-			logBase:         make([]int32, t.nprocs),
 			known:           make([][]int32, numPages),
 			applied:         make([][]int32, numPages),
 			lastClosedDirty: make([]int32, numPages),
@@ -272,12 +247,12 @@ func (t *Protocol) pageManagerRank(page int) int { return page % t.nprocs }
 
 // rec returns processor q's interval record with the given id from p's log.
 func (st *pstate) rec(q, id int32) Interval {
-	return st.log[q][id-1-st.logBase[q]]
+	return st.log[q][id-1]
 }
 
 // logTop returns the highest interval id of q present in the log.
 func (st *pstate) logTop(q int32) int32 {
-	return st.logBase[q] + int32(len(st.log[q]))
+	return int32(len(st.log[q]))
 }
 
 func (t *Protocol) slot(arr [][]int32, page int) []int32 {
@@ -340,16 +315,12 @@ func (t *Protocol) closeInterval(p *core.Proc) {
 // written straight into the slice that is shipped: a min-heap of run heads
 // keyed (sum, writer) picks the next record, and the last run left is copied
 // whole.
-func (st *pstate) intervalsSince(rank int, have VT) []Interval {
+func (st *pstate) intervalsSince(have VT) []Interval {
 	heads := st.heads[:0]
 	n := 0
 	for q := range st.vt {
-		base := st.logBase[q]
-		if have[q] < base {
-			panic(fmt.Sprintf("treadmarks: rank %d asked for GC'd intervals of %d below %d", rank, q, base))
-		}
 		if st.vt[q] > have[q] {
-			i, end := have[q]-base, st.vt[q]-base
+			i, end := have[q], st.vt[q]
 			heads = append(heads, runHead{sum: st.log[q][i].VT.Sum(), q: int32(q), i: i, end: end})
 			n += int(end - i)
 		}
@@ -770,7 +741,7 @@ func (t *Protocol) Unlock(p *core.Proc, id int) {
 func (t *Protocol) grantLock(p *core.Proc, lock int, h handoffReq) {
 	t.state(p).hasBaton[lock] = false
 	st := t.state(p)
-	recs := st.intervalsSince(p.Rank(), h.vt)
+	recs := st.intervalsSince(h.vt)
 	p.ChargeProtocol(p.Costs().HandlerWork)
 	p.EP().Reply(h.req.From, h.req, lockGrant{VT: st.vt.Clone(), Intervals: recs},
 		16+wireBytes(recs))
@@ -793,50 +764,22 @@ func (t *Protocol) Barrier(p *core.Proc, id int) {
 	}
 	// Send our VT plus the intervals the manager may lack, per our
 	// conservative guess of its vector timestamp.
-	recs := st.intervalsSince(p.Rank(), st.managerVTGuess)
+	recs := st.intervalsSince(st.managerVTGuess)
 	reply := p.EP().Call(t.rt.ProcByRank(0).EP(), kindBarrierArrive,
 		barrierArriveMsg{Barrier: id, VT: st.vt.Clone(), Intervals: recs},
 		16+int64(4*t.nprocs)+wireBytes(recs))
 	rel := reply.(barrierRelease)
 	t.incorporate(p, rel.Intervals, rel.VT)
 	st.managerVTGuess = rel.VT.Clone()
-	if rel.GC {
-		st.gcHorizon = st.vt.Clone()
-		t.gcValidate(p)
-		reply2 := p.EP().Call(t.rt.ProcByRank(0).EP(), kindBarrierArrive,
-			barrierArriveMsg{Barrier: id, VT: st.vt.Clone()}, 16+int64(4*t.nprocs))
-		rel2 := reply2.(barrierRelease)
-		t.incorporate(p, rel2.Intervals, rel2.VT)
-		st.managerVTGuess = rel2.VT.Clone()
-		t.gcDrop(p)
-	}
 }
 
-// barrierManager collects all arrivals (servicing other requests meanwhile),
-// merges their knowledge, and releases everyone with what they lack.
-func (t *Protocol) barrierManager(p *core.Proc, id int) {
-	st := t.state(p)
-	t.barrierEpisodes++
-	gc := t.cfg.GCBarrierInterval > 0 && t.barrierEpisodes%int64(t.cfg.GCBarrierInterval) == 0
-	t.barrierRound(p, id, gc, false)
-	st.managerVTGuess = st.vt.Clone()
-	if gc {
-		t.gcRuns++
-		st.gcHorizon = st.vt.Clone()
-		t.gcValidate(p)
-		t.barrierRound(p, id, false, true) // confirmation round
-		t.gcDrop(p)
-	}
-}
-
-// barrierRound gathers all arrivals for barrier id (servicing other requests
-// meanwhile), incorporates their intervals — here, at the manager's own
-// barrier, never in the handler that queued them (see Protocol), which is
+// barrierManager gathers all arrivals for barrier id (servicing other
+// requests meanwhile), incorporates their intervals — here, at the manager's
+// own barrier, never in the handler that queued them (see Protocol), which is
 // also when TreadMarks' manager merges; the per-record work is therefore
 // charged at barrier time — and releases everyone with the intervals they
-// lack. confirm marks GC's second round, whose arrivals must carry none:
-// gcDrop assumes nothing was learned after gcValidate.
-func (t *Protocol) barrierRound(p *core.Proc, id int, gc, confirm bool) {
+// lack.
+func (t *Protocol) barrierManager(p *core.Proc, id int) {
 	st := t.state(p)
 	for len(t.arrived) < t.nprocs-1 {
 		m := p.Sim().Recv("barrier manager awaiting arrivals")
@@ -849,76 +792,15 @@ func (t *Protocol) barrierRound(p *core.Proc, id int, gc, confirm bool) {
 		if ba.Barrier != id {
 			panic(fmt.Sprintf("treadmarks: arrival for barrier %d during barrier %d", ba.Barrier, id))
 		}
-		if confirm && len(ba.Intervals) > 0 {
-			panic(fmt.Sprintf("treadmarks: GC confirmation arrival from %d carries %d intervals", req.From, len(ba.Intervals)))
-		}
 		t.incorporate(p, ba.Intervals, ba.VT)
 	}
 	p.ChargeProtocol(sim.Time(t.nprocs) * p.Costs().HandlerWork)
 	for _, req := range arrived {
-		recs := st.intervalsSince(p.Rank(), req.Data.(barrierArriveMsg).VT)
-		p.EP().Reply(req.From, req, barrierRelease{VT: st.vt.Clone(), Intervals: recs, GC: gc},
+		recs := st.intervalsSince(req.Data.(barrierArriveMsg).VT)
+		p.EP().Reply(req.From, req, barrierRelease{VT: st.vt.Clone(), Intervals: recs},
 			16+int64(4*t.nprocs)+wireBytes(recs))
 	}
-}
-
-// gcValidate brings every page this processor holds a copy of fully up to
-// date, so that stored diffs become globally redundant.
-func (t *Protocol) gcValidate(p *core.Proc) {
-	st := t.state(p)
-	rank := p.Rank()
-	for pg := 0; pg < t.rt.NumPages(); pg++ {
-		if p.Space().Frame(pg) == nil {
-			continue
-		}
-		known := st.known[pg]
-		if known == nil {
-			continue
-		}
-		applied := t.slot(st.applied, pg)
-		need := false
-		for w := 0; w < t.nprocs; w++ {
-			if w != rank && known[w] > applied[w] {
-				need = true
-				break
-			}
-		}
-		if need {
-			t.validate(p, pg)
-		}
-	}
-}
-
-// gcDrop discards stored diffs and foreign interval records below the
-// post-barrier horizon. Own records are kept (diff birth stamps may still
-// refer to them).
-func (t *Protocol) gcDrop(p *core.Proc) {
-	st := t.state(p)
-	rank := int32(p.Rank())
-	horizon := st.gcHorizon
-	kept := make(map[int][]Diff)
-	for pg, ds := range st.diffs {
-		for _, d := range ds {
-			if d.Tag > horizon[rank] {
-				kept[pg] = append(kept[pg], d)
-			} else {
-				t.diffsDropped++
-			}
-		}
-	}
-	st.diffs = kept
-	for q := int32(0); q < int32(t.nprocs); q++ {
-		if q == rank || horizon[q] <= st.logBase[q] {
-			continue
-		}
-		drop := horizon[q] - st.logBase[q]
-		if drop > int32(len(st.log[q])) {
-			drop = int32(len(st.log[q]))
-		}
-		t.recordsDropped += int64(drop)
-		st.log[q] = append([]Interval(nil), st.log[q][drop:]...)
-		st.logBase[q] += drop
-	}
+	st.managerVTGuess = st.vt.Clone()
 }
 
 // dispatchAt routes one raw inbox message through the endpoint's handler
@@ -993,7 +875,7 @@ func (t *Protocol) serve(p *core.Proc, m sim.Msg, req msg.Request) {
 	case kindPageRequest:
 		t.servePage(p, req)
 	case kindBarrierArrive:
-		// Only queued: barrierRound incorporates the intervals.
+		// Only queued: barrierManager incorporates the intervals.
 		t.arrived = append(t.arrived, req)
 	default:
 		panic(fmt.Sprintf("treadmarks: unknown request kind %d", m.Kind))
@@ -1109,14 +991,11 @@ func (t *Protocol) MaxCostJitter() float64 { return 1.0 }
 // Counters implements core.Protocol.
 func (t *Protocol) Counters() map[string]int64 {
 	m := map[string]int64{
-		"gc_runs":         t.gcRuns,
-		"diffs_dropped":   t.diffsDropped,
-		"records_dropped": t.recordsDropped,
-		"intervals":       t.intervalsClosed,
-		"lock_forwards":   t.lockForwards,
-		"diff_requests":   t.diffRequests,
-		"page_requests":   t.pageRequests,
-		"invalidations":   t.invalidations,
+		"intervals":     t.intervalsClosed,
+		"lock_forwards": t.lockForwards,
+		"diff_requests": t.diffRequests,
+		"page_requests": t.pageRequests,
+		"invalidations": t.invalidations,
 	}
 	if t.cfg.TestDropDiffRuns > 0 {
 		// Only present when the injected bug is armed, so ordinary runs'

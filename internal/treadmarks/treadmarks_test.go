@@ -105,11 +105,10 @@ func TestSortIntervalsCausal(t *testing.T) {
 			{{Proc: 1, ID: 1, VT: VT{0, 1, 0}}, {Proc: 1, ID: 2, VT: VT{0, 2, 1}}},
 			{{Proc: 2, ID: 1, VT: VT{0, 1, 1}}},
 		},
-		logBase: make([]int32, 3),
 	}
 	check := func(st *pstate, have VT) {
 		t.Helper()
-		recs := st.intervalsSince(0, have)
+		recs := st.intervalsSince(have)
 		for i := 0; i < len(recs); i++ {
 			for j := i + 1; j < len(recs); j++ {
 				// recs[j] must not happen-before recs[i].
@@ -128,12 +127,12 @@ func TestSortIntervalsCausal(t *testing.T) {
 		}
 	}
 	check(st, NewVT(3))
-	if recs := st.intervalsSince(0, NewVT(3)); len(recs) != 4 {
+	if recs := st.intervalsSince(NewVT(3)); len(recs) != 4 {
 		t.Errorf("shipped %d of 4 records", len(recs))
 	}
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := testRand(seed)
-		st, _ := randomLog(&r, 1+int(r.next()%12), 60, false)
+		st, _ := randomLog(&r, 1+int(r.next()%12), 60)
 		check(st, NewVT(len(st.vt)))
 	}
 }
@@ -536,22 +535,4 @@ func TestDiffBirthStamps(t *testing.T) {
 	if d.VT[0] < 1 {
 		t.Errorf("birth stamp %v missing", d.VT)
 	}
-}
-
-// TestLogBaseGapPanics: asking for garbage-collected intervals must fail
-// loudly rather than fabricate history.
-func TestLogBaseGapPanics(t *testing.T) {
-	st := &pstate{
-		vt:      NewVT(2),
-		log:     make([][]Interval, 2),
-		logBase: []int32{5, 0},
-	}
-	st.vt[0] = 5
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for GC'd interval request")
-		}
-	}()
-	// Directly exercise rec() below the base.
-	_ = st.rec(0, 3)
 }

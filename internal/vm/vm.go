@@ -24,9 +24,6 @@ const PageSize = 1 << PageShift
 // PageOf returns the page number containing byte address addr.
 func PageOf(addr uint64) int { return int(addr >> PageShift) }
 
-// PageBase returns the first byte address of page p.
-func PageBase(page int) uint64 { return uint64(page) << PageShift }
-
 // Offset returns addr's offset within its page.
 func Offset(addr uint64) int { return int(addr & (PageSize - 1)) }
 
@@ -87,9 +84,6 @@ func NewSpace(numPages int) *Space {
 	}
 }
 
-// NumPages returns the number of pages in the space.
-func (s *Space) NumPages() int { return len(s.prot) }
-
 // Prot returns the protection of page p.
 func (s *Space) Prot(page int) Prot { return s.prot[page] }
 
@@ -136,13 +130,6 @@ func (s *Space) EnsureFrame(page int) []byte {
 		s.sync(page)
 	}
 	return s.frames[page][:]
-}
-
-// DropFrame discards page p's local frame (full unmap, e.g. when TreadMarks
-// invalidates a page whose contents will be refetched).
-func (s *Space) DropFrame(page int) {
-	s.frames[page] = nil
-	s.sync(page)
 }
 
 // Superpages: Digital Unix limits the number of distinct Memory Channel
