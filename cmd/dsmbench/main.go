@@ -47,7 +47,6 @@ func main() {
 		fig6       = flag.Bool("fig6", false, "Figure 6: execution-time breakdown")
 		abl        = flag.Bool("ablations", false, "design-choice ablations")
 		netsweep   = flag.Bool("netsweep", false, "interconnect x node-count sweep (8..64 nodes, every interconnect; not part of -all)")
-		nsNodes    = flag.String("netsweep-nodes", "", "comma-separated node-count ladder for -netsweep (default 8,16,32,64)")
 		netF       = flag.String("interconnect", "", "interconnect for the paper tables: memchan (default), rdma, or switched")
 		strict     = flag.Bool("strict", false, "exit nonzero if any planned run errors (infeasible layouts are not errors)")
 		size       = flag.String("size", "default", "dataset size: small or default")
@@ -162,18 +161,6 @@ func main() {
 	// Memory Channel only and the -all output is pinned by golden tests.
 	if *netsweep {
 		any = true
-		if *nsNodes != "" {
-			var ladder []int
-			for _, s := range strings.Split(*nsNodes, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil || n < 1 {
-					fmt.Fprintln(os.Stderr, "dsmbench: bad -netsweep-nodes:", s)
-					os.Exit(1)
-				}
-				ladder = append(ladder, n)
-			}
-			bench.NetSweepNodes = ladder
-		}
 		plan.Add(bench.NetSweepSpecs(opts)...)
 		sections = append(sections, section{true, nil, func(w io.Writer, rs *runner.ResultSet) error {
 			return bench.NetSweepRender(w, opts, rs)

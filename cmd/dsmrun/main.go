@@ -22,6 +22,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -41,7 +42,6 @@ func main() {
 		nodes   = flag.Int("nodes", 1, "nodes (ignored when -procs is set)")
 		ppn     = flag.Int("ppn", 1, "compute processors per node (ignored when -procs is set)")
 		size    = flag.String("size", "default", "dataset size: small or default")
-		seq     = flag.Bool("seq-baseline", true, "also run the sequential baseline and report speedup")
 		jobs    = flag.Int("jobs", runtime.NumCPU(), "concurrent simulations (host workers)")
 		netF    = flag.String("interconnect", "", "interconnect: memchan (default), rdma, or switched")
 	)
@@ -61,7 +61,7 @@ func main() {
 			opts.Net = &interconnect.Spec{Kind: kind}
 		}
 	}
-	if err := run(os.Stdout, *app, vs, *procs, *nodes, *ppn, apps.Size(*size), *seq, *jobs, opts); err != nil {
+	if err := run(os.Stdout, *app, vs, *procs, *nodes, *ppn, apps.Size(*size), *jobs, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "dsmrun:", err)
 		os.Exit(1)
 	}
@@ -81,7 +81,7 @@ func specFor(app, variant string, procs, nodes, ppn int, size apps.Size, opts va
 // run executes the variants (and the sequential baseline) and writes the
 // report to w. An unknown size or a negative shape is rejected before
 // anything runs.
-func run(w io.Writer, app string, vs []string, procs, nodes, ppn int, size apps.Size, seqBaseline bool, jobs int, opts variants.Options) error {
+func run(w io.Writer, app string, vs []string, procs, nodes, ppn int, size apps.Size, jobs int, opts variants.Options) error {
 	if size != apps.SizeSmall && size != apps.SizeDefault {
 		return fmt.Errorf("unknown -size %q (want small or default)", size)
 	}
@@ -99,13 +99,9 @@ func run(w io.Writer, app string, vs []string, procs, nodes, ppn int, size apps.
 		specs[i] = specFor(app, v, procs, nodes, ppn, size, opts)
 		plan.Add(specs[i])
 	}
-	needSeq := false
+	// The sequential baseline is the oracle every other variant is checked against.
+	needSeq := slices.ContainsFunc(vs, func(v string) bool { return v != variants.Sequential })
 	seqSpec := runner.RunSpec{App: app, Variant: variants.Sequential, Procs: 1, Size: size}
-	for _, v := range vs {
-		if seqBaseline && v != variants.Sequential {
-			needSeq = true
-		}
-	}
 	if needSeq {
 		plan.Add(seqSpec)
 	}

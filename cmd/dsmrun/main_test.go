@@ -41,7 +41,7 @@ func TestGoldenOutput(t *testing.T) {
 		{"csm_poll,tmk_mc_poll", "comparison.txt"},
 	} {
 		var buf bytes.Buffer
-		if err := run(&buf, "SOR", strings.Split(c.variant, ","), 8, 1, 1, apps.SizeSmall, true, 0, variants.Options{}); err != nil {
+		if err := run(&buf, "SOR", strings.Split(c.variant, ","), 8, 1, 1, apps.SizeSmall, 0, variants.Options{}); err != nil {
 			t.Fatalf("%s: %v", c.variant, err)
 		}
 		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
@@ -59,7 +59,7 @@ func TestGoldenOutput(t *testing.T) {
 func TestUnknownSizeRejected(t *testing.T) {
 	before := runner.Executions()
 	var buf bytes.Buffer
-	err := run(&buf, "SOR", []string{variants.Sequential}, 0, 1, 1, apps.Size("smal"), true, 0, variants.Options{})
+	err := run(&buf, "SOR", []string{variants.Sequential}, 0, 1, 1, apps.Size("smal"), 0, variants.Options{})
 	if err == nil || !strings.Contains(err.Error(), `"smal"`) {
 		t.Fatalf("-size smal: err = %v, want an error naming the size", err)
 	}
@@ -75,7 +75,7 @@ func TestNegativeShapeRejected(t *testing.T) {
 	for _, shape := range [][3]int{{-3, 1, 1}, {0, 2, -1}, {0, -2, 1}} {
 		before := runner.Executions()
 		var buf bytes.Buffer
-		err := run(&buf, "SOR", []string{"csm_poll"}, shape[0], shape[1], shape[2], apps.SizeSmall, true, 0, variants.Options{})
+		err := run(&buf, "SOR", []string{"csm_poll"}, shape[0], shape[1], shape[2], apps.SizeSmall, 0, variants.Options{})
 		if err == nil || !strings.Contains(err.Error(), "negative") {
 			t.Errorf("procs, nodes, ppn %v: err = %v, want a negative-shape error", shape, err)
 		}

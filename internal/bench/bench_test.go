@@ -3,10 +3,14 @@ package bench
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/interconnect"
+	"repro/internal/msg"
 	"repro/internal/runner"
 	"repro/internal/variants"
 )
@@ -24,12 +28,45 @@ func section(t *testing.T, w io.Writer, opts Options, specs func(Options) []runn
 	}
 }
 
-func TestCostsPrints(t *testing.T) {
+// TestCostTableCoversModel: the cost table has a row for every field of the
+// three cost structs (msg.Params' Mode is a mechanism, not a cost) and no
+// other, and every row carries a provenance tag and the paper's wording, so a
+// new constant cannot land without saying where its number came from. A map
+// cannot hold two rows for one field.
+func TestCostTableCoversModel(t *testing.T) {
+	fields := map[string]bool{}
+	for prefix, typ := range map[string]reflect.Type{
+		"":     reflect.TypeOf(core.CostModel{}),
+		"MC.":  reflect.TypeOf(interconnect.MCParams{}),
+		"msg.": reflect.TypeOf(msg.Params{}),
+	} {
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.Type != reflect.TypeOf(msg.Mode(0)) {
+				fields[prefix+f.Name] = true
+			}
+		}
+	}
 	var buf bytes.Buffer
 	Costs(&buf)
-	for _, want := range []string{"5.2 us", "62 us", "30 MB/s", "362 us"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("costs output missing %q", want)
+	for name := range fields {
+		if _, ok := costRows[name]; !ok {
+			t.Errorf("%s has no row in the cost table", name)
+		}
+	}
+	for name, r := range costRows {
+		if !fields[name] {
+			t.Errorf("row %s names no field of a cost struct", name)
+		}
+		switch r.prov {
+		case "measured", "reconstructed", "calibrated", "assumed":
+		default:
+			t.Errorf("row %s: provenance %q is not one of the four tags", name, r.prov)
+		}
+		if r.paper == "" {
+			t.Errorf("row %s has no paper wording (\"—\" where the paper gives none)", name)
+		}
+		if !strings.Contains(buf.String(), "\n  "+name+" ") {
+			t.Errorf("Costs printed no row for %s:\n%s", name, buf.String())
 		}
 	}
 }

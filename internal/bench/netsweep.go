@@ -16,9 +16,9 @@ import (
 // -all: the paper's evaluation is Memory Channel only, and the -all output
 // is pinned by golden tests.
 
-// NetSweepNodes is the node-count ladder: one compute processor per node
+// netSweepNodes is the node-count ladder: one compute processor per node
 // keeps Cashmere inside its 64-processor sharing-set bitmask at the top end.
-var NetSweepNodes = []int{8, 16, 32, 64}
+var netSweepNodes = []int{8, 16, 32, 64}
 
 // NetSweepVariants are the protocols the sweep contrasts: one Cashmere
 // configuration (which uses one-sided remote page reads where the fabric
@@ -54,7 +54,7 @@ func NetSweepSpecs(opts Options) []runner.RunSpec {
 	var specs []runner.RunSpec
 	for _, app := range sweepApps {
 		for _, v := range NetSweepVariants {
-			for _, nodes := range NetSweepNodes {
+			for _, nodes := range netSweepNodes {
 				for _, kind := range interconnect.Kinds {
 					specs = append(specs, netSweepSpec(app, v, nodes, kind, opts))
 				}
@@ -77,7 +77,7 @@ func NetSweepRender(w io.Writer, opts Options, rs *runner.ResultSet) error {
 				fmt.Fprintf(w, "%12s", string(kind))
 			}
 			fmt.Fprintln(w)
-			for _, nodes := range NetSweepNodes {
+			for _, nodes := range netSweepNodes {
 				fmt.Fprintf(w, "%-8d", nodes)
 				for _, kind := range interconnect.Kinds {
 					res, err := rs.Get(netSweepSpec(app, v, nodes, kind, opts))

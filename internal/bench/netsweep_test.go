@@ -11,18 +11,14 @@ import (
 	"repro/internal/variants"
 )
 
-// TestNetSweep16NodeSmoke runs the 16-node slice of the interconnect sweep
-// end to end (CI runs this under -race): every backend completes, the
-// rendered table names every interconnect, and the RDMA run actually took
-// the one-sided page-read path instead of the message protocol.
+// TestNetSweep16NodeSmoke runs the small interconnect sweep end to end (CI
+// runs this under -race) and reads its 16-node cells: every backend
+// completes, the rendered table names every interconnect, and the RDMA run
+// actually took the one-sided page-read path instead of the message protocol.
 func TestNetSweep16NodeSmoke(t *testing.T) {
-	saved := NetSweepNodes
-	NetSweepNodes = []int{16}
-	t.Cleanup(func() { NetSweepNodes = saved })
-
 	opts := Options{Size: apps.SizeSmall, Apps: []string{"SOR"}}
 	specs := NetSweepSpecs(opts)
-	if want := len(NetSweepVariants) * len(interconnect.Kinds); len(specs) != want {
+	if want := len(NetSweepVariants) * len(netSweepNodes) * len(interconnect.Kinds); len(specs) != want {
 		t.Fatalf("sweep enumerates %d specs, want %d", len(specs), want)
 	}
 	rs, err := execute(specs)
@@ -77,7 +73,7 @@ func TestNetSweep16NodeSmoke(t *testing.T) {
 // defaults() before choosing the app list).
 func TestNetSweepDefaultsToSOROnly(t *testing.T) {
 	specs := NetSweepSpecs(Options{Size: apps.SizeSmall})
-	want := len(NetSweepVariants) * len(NetSweepNodes) * len(interconnect.Kinds)
+	want := len(NetSweepVariants) * len(netSweepNodes) * len(interconnect.Kinds)
 	if len(specs) != want {
 		t.Fatalf("default sweep enumerates %d specs, want %d (SOR only)", len(specs), want)
 	}

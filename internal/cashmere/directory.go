@@ -23,8 +23,8 @@ package cashmere
 // presence bits for the node's four processors, the 5-bit home node id, a bit
 // saying whether the home was set by first touch, and per-processor exclusive
 // read/write bits. The simulator keeps only the decoded form and charges the
-// paper's directory modification costs (5 µs unlocked, 16 µs when the entry
-// lock is needed) plus broadcast traffic on every update.
+// paper's directory modification costs (DirectoryMod, or DirectoryModLocked
+// when the entry lock is needed) plus broadcast traffic on every update.
 type entry struct {
 	// sharers is a bitmask over compute ranks.
 	sharers uint64

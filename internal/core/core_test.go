@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,12 +31,17 @@ func TestCostModel(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("default costs invalid: %v", err)
 	}
-	bad := c
-	bad.PageFault = 0
-	if bad.Validate() == nil {
-		t.Error("zero PageFault accepted")
+	// Validate lists the fields by hand: zeroing any one of them must fail
+	// with an error that names it.
+	for i := 0; i < reflect.TypeOf(c).NumField(); i++ {
+		name := reflect.TypeOf(c).Field(i).Name
+		bad := c
+		reflect.ValueOf(&bad).Elem().Field(i).SetInt(0)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), " "+name+" ") {
+			t.Errorf("zero %s: Validate() = %v, want an error naming it", name, err)
+		}
 	}
-	bad = c
+	bad := c
 	bad.DiffCreateMax = c.DiffCreateMin - 1
 	if bad.Validate() == nil {
 		t.Error("inverted diff range accepted")

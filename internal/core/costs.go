@@ -12,16 +12,16 @@ import (
 	"repro/internal/sim"
 )
 
-// CostModel collects the per-operation virtual-time costs. Defaults come
-// from the paper's §4.1 measurements on the AlphaServer 2100 4/233 cluster;
-// where the source text is ambiguous the value and its reconstruction are
-// noted in DESIGN.md.
+// CostModel collects the per-operation virtual-time costs. DefaultCosts
+// follows the paper's §4.1 measurements on the AlphaServer 2100 4/233 cluster
+// where it gives one. Each field's paper wording and provenance (measured,
+// reconstructed from OCR, calibrated or assumed) is one row of the cost table
+// that `dsmbench -costs` prints (internal/bench/costs.go).
 type CostModel struct {
 	// PageFault is the cost of taking a page fault and delivering it to the
-	// user-level handler (hardware fault ~9 µs plus local signal delivery
-	// ~69 µs).
+	// user-level handler.
 	PageFault sim.Time
-	// ProtChange is one memory-protection (mprotect) operation: 62 µs.
+	// ProtChange is one memory-protection (mprotect) operation.
 	ProtChange sim.Time
 	// MemAccess is one shared-memory access that hits the first-level cache.
 	MemAccess sim.Time
@@ -33,11 +33,10 @@ type CostModel struct {
 	// WriteDouble is the instruction overhead of one doubled write (address
 	// arithmetic plus the extra store; Figure 4).
 	WriteDouble sim.Time
-	// TwinCopy is creating a twin of an 8 KB page (TreadMarks): 362 µs.
+	// TwinCopy is creating a twin of an 8 KB page (TreadMarks).
 	TwinCopy sim.Time
-	// DiffCreateMin/Max bound diff creation cost per page: "29 to 53 µs
-	// per page, depending on the size of the diff" — charged proportionally
-	// to the dirty fraction.
+	// DiffCreateMin/Max bound diff creation cost per page, which depends on
+	// the size of the diff: charged proportionally to the dirty fraction.
 	DiffCreateMin, DiffCreateMax sim.Time
 	// DiffApplyBase is the fixed cost of merging one diff into a page;
 	// the per-byte copy cost is added on top.
@@ -46,9 +45,9 @@ type CostModel struct {
 	// diff application payloads).
 	CopyPerByte sim.Time
 	// DirectoryModLocked is a directory entry modification that must take
-	// the entry lock (home-node relocation): 16 µs.
+	// the entry lock (home-node relocation).
 	DirectoryModLocked sim.Time
-	// DirectoryMod is a directory entry modification without locking: 5 µs.
+	// DirectoryMod is a directory entry modification without locking.
 	DirectoryMod sim.Time
 	// LLSC is an intra-node load-linked/store-conditional acquisition of a
 	// directory word or per-node lock flag.
@@ -61,7 +60,7 @@ type CostModel struct {
 // DefaultCosts returns the paper-calibrated cost model.
 func DefaultCosts() CostModel {
 	return CostModel{
-		PageFault:          78 * sim.Microsecond, // 9 µs fault + 69 µs signal
+		PageFault:          78 * sim.Microsecond, // hardware fault + local signal
 		ProtChange:         62 * sim.Microsecond,
 		MemAccess:          10 * sim.Nanosecond, // ~2 cycles at 233 MHz
 		CacheMiss:          80 * sim.Nanosecond,
@@ -71,7 +70,7 @@ func DefaultCosts() CostModel {
 		DiffCreateMin:      29 * sim.Microsecond,
 		DiffCreateMax:      53 * sim.Microsecond,
 		DiffApplyBase:      15 * sim.Microsecond,
-		CopyPerByte:        4 * sim.Nanosecond, // ~250 MB/s local copy
+		CopyPerByte:        4 * sim.Nanosecond, // local copy bandwidth
 		DirectoryModLocked: 16 * sim.Microsecond,
 		DirectoryMod:       5 * sim.Microsecond,
 		LLSC:               1 * sim.Microsecond,
@@ -105,7 +104,7 @@ func (c CostModel) Validate() error {
 }
 
 // DiffCreate returns the diff-creation cost for a page with the given number
-// of dirty bytes, interpolating the paper's 29–53 µs range.
+// of dirty bytes, interpolating linearly from DiffCreateMin to DiffCreateMax.
 func (c CostModel) DiffCreate(dirtyBytes, pageBytes int) sim.Time {
 	if dirtyBytes < 0 {
 		dirtyBytes = 0

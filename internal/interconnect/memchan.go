@@ -8,19 +8,19 @@
 //     local; data becomes locally readable only after it has been written to a
 //     receive-mapped region on the reader's node.
 //   - Latency: a process-to-process write becomes visible at remote receive
-//     regions 5.2 µs after it is issued.
+//     regions a fixed latency after it is issued.
 //   - Total write ordering: two writes to the same region appear in the same
 //     order in every receive region. In the simulator this falls out of the
 //     baton-passing scheduler: writes are executed one at a time in virtual
 //     time order, and a per-word visibility horizon hides a write from remote
 //     readers until it has "arrived".
-//   - Bandwidth: per-link transfer bandwidth (~30 MB/s, limited by the 32-bit
-//     PCI bus) and aggregate bandwidth (~32 MB/s with the first-generation
-//     driver) are modelled as occupancy horizons; bulk transfers and the
-//     write-through pipe queue behind them.
-//   - Inter-node interrupts (imc_kill): cheap for the sender (~5 µs), but
-//     with an end-to-end delivery cost of ~1 ms because the signal is only
-//     filtered up when the receiving process enters the kernel (§3.2).
+//   - Bandwidth: per-link transfer bandwidth (limited by the 32-bit PCI bus)
+//     and aggregate bandwidth (limited by the first-generation driver) are
+//     modelled as occupancy horizons; bulk transfers and the write-through
+//     pipe queue behind them.
+//   - Inter-node interrupts (imc_kill): cheap for the sender, but expensive
+//     end to end, because the signal is only filtered up when the receiving
+//     process enters the kernel (§3.2).
 //
 // Approximations (documented in DESIGN.md): word values keep one previous
 // version for remote readers inside the visibility window rather than a full
@@ -38,21 +38,21 @@ import (
 // values are invalid; use the MCFirstGeneration preset (as measured in the
 // paper) or MCSecondGeneration for the paper's projection.
 type MCParams struct {
-	// Latency is the process-to-process write latency (paper: 5.2 µs).
+	// Latency is the process-to-process write latency.
 	Latency sim.Time
 	// WriteCost is the processor-side cost of issuing one PIO write to a
 	// transmit region (store to I/O space over PCI).
 	WriteCost sim.Time
-	// LinkBandwidth is the per-link transfer bandwidth in bytes per second
-	// (paper: ~30 MB/s, limited by the 32-bit PCI bus).
+	// LinkBandwidth is the per-link transfer bandwidth in bytes per second,
+	// limited by the 32-bit PCI bus.
 	LinkBandwidth int64
-	// AggregateBandwidth is the cluster-wide bandwidth in bytes per second
-	// (paper: ~32 MB/s with the early driver).
+	// AggregateBandwidth is the cluster-wide bandwidth in bytes per second,
+	// limited by the early driver.
 	AggregateBandwidth int64
-	// InterruptSendCost is the sender-side cost of imc_kill (paper: 5 µs).
+	// InterruptSendCost is the sender-side cost of imc_kill.
 	InterruptSendCost sim.Time
-	// InterruptLatency is the end-to-end inter-node signal latency
-	// (paper: ~1 ms, dominated by kernel filtering on the receiver).
+	// InterruptLatency is the end-to-end inter-node signal latency, dominated
+	// by kernel filtering on the receiver.
 	InterruptLatency sim.Time
 	// WriteBufferBytes is the depth of the processor's write buffer feeding
 	// the MC adapter; the write-through pipe stalls the writer when more
@@ -64,8 +64,8 @@ type MCParams struct {
 // the paper.
 func MCFirstGeneration() MCParams {
 	return MCParams{
-		Latency:            5200, // 5.2 µs
-		WriteCost:          250,  // PIO store over 32-bit PCI
+		Latency:            5200,
+		WriteCost:          250, // PIO store over 32-bit PCI
 		LinkBandwidth:      30e6,
 		AggregateBandwidth: 32e6,
 		InterruptSendCost:  5 * sim.Microsecond,

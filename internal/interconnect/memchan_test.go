@@ -1,6 +1,8 @@
 package interconnect
 
 import (
+	"reflect"
+	"regexp"
 	"testing"
 
 	"repro/internal/sim"
@@ -27,12 +29,17 @@ func TestParamsValidate(t *testing.T) {
 	if err := MCSecondGeneration().Validate(); err != nil {
 		t.Errorf("MCSecondGeneration invalid: %v", err)
 	}
-	bad := MCFirstGeneration()
-	bad.Latency = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero latency accepted")
+	// Zeroing any one field must fail, with an error that shows the zero.
+	def := MCFirstGeneration()
+	for i := 0; i < reflect.TypeOf(def).NumField(); i++ {
+		name := reflect.TypeOf(def).Field(i).Name
+		bad := def
+		reflect.ValueOf(&bad).Elem().Field(i).SetInt(0)
+		if err := bad.Validate(); err == nil || !regexp.MustCompile(`\b`+name+`:0\b`).MatchString(err.Error()) {
+			t.Errorf("zero %s: Validate() = %v, want an error naming it", name, err)
+		}
 	}
-	bad = MCFirstGeneration()
+	bad := MCFirstGeneration()
 	bad.LinkBandwidth = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("negative bandwidth accepted")

@@ -7,8 +7,8 @@
 //     involvement of any processor there (Caps.RemoteReads). Cashmere uses
 //     it to replace the page-fetch request/reply with a single one-sided
 //     read when the backend allows it.
-//   - Much lower latency: ~1.3 µs one-sided write visibility versus the
-//     Memory Channel's 5.2 µs, and interrupt (completion-event) delivery in
+//   - Much lower latency: ~1.3 µs one-sided write visibility, a quarter of
+//     the Memory Channel's, and interrupt (completion-event) delivery in
 //     tens of microseconds rather than a millisecond.
 //   - Per-queue-pair occupancy: each (src, dst) node pair serializes on its
 //     own queue pair, and each node's NIC has its own link bandwidth —

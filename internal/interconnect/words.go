@@ -10,7 +10,7 @@ import "repro/internal/sim"
 //
 // Visibility model: a write performed at virtual time t becomes visible to
 // remote nodes at t+latency, where latency is the backend's remote-write
-// visibility horizon (the Memory Channel's 5.2 µs; a switched fabric's
+// visibility horizon (the Memory Channel's write latency; a switched fabric's
 // worst-case hop count, so that the broadcast keeps total write ordering).
 // Writes are loop-back writes (paper §3.3.2): every node, the writer's
 // included, sees the new value at t+latency. One previous value is retained

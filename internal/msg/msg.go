@@ -6,8 +6,8 @@
 //
 //   - Polling: eligible as soon as the data arrives; T services it at its
 //     next poll point (applications are instrumented at the tops of loops).
-//   - Interrupt (imc_kill): eligible one inter-node signal latency (~1 ms on
-//     Digital Unix) after arrival; same-node signals cost ~69 µs.
+//   - Interrupt (imc_kill): eligible one inter-node signal latency (long on
+//     Digital Unix) after arrival; a same-node signal costs LocalSignalCost.
 //   - Kernel UDP with SIGIO: like interrupt, plus kernel protocol-stack
 //     overhead on both sides.
 //
@@ -68,7 +68,7 @@ type Params struct {
 	// from a poll point.
 	DispatchCost sim.Time
 	// LocalSignalCost is the cost of delivering a signal to a process on the
-	// same node (paper §4.1: 69 µs).
+	// same node (paper §4.1).
 	LocalSignalCost sim.Time
 }
 

@@ -803,8 +803,11 @@ func (t *Protocol) barrierManager(p *core.Proc, id int) {
 	st.managerVTGuess = st.vt.Clone()
 }
 
-// dispatchAt routes one raw inbox message through the endpoint's handler
-// path (used by the barrier manager's wait loop).
+// dispatchAt services one raw inbox message the barrier manager's wait loop
+// received. It calls Service directly, not through msg.Endpoint's dispatch,
+// so unlike every other request service it charges no msg.DispatchCost: a
+// request pays it or not depending on whether it arrives before or after
+// rank 0 enters barrierManager (DESIGN §9).
 func (t *Protocol) dispatchAt(p *core.Proc, m sim.Msg) {
 	switch m.Kind {
 	case msg.KindReply:
