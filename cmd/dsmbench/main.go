@@ -34,6 +34,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/interconnect"
 	"repro/internal/runner"
+	"repro/internal/variants"
 )
 
 func main() {
@@ -104,21 +105,18 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dsmbench:", err)
 			os.Exit(1)
 		}
-		if kind != interconnect.MemoryChannel {
-			opts.VariantOpts.Net = &interconnect.Spec{Kind: kind}
-		}
+		opts.VariantOpts.Net = &interconnect.Spec{Kind: kind}
 	}
 	if *appsF != "" {
-		opts.Apps = strings.Split(*appsF, ",")
+		if opts.Apps, err = parseApps(*appsF); err != nil {
+			fmt.Fprintln(os.Stderr, "dsmbench:", err)
+			os.Exit(1)
+		}
 	}
 	if *procsF != "" {
-		for _, s := range strings.Split(*procsF, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dsmbench: bad -procs:", err)
-				os.Exit(1)
-			}
-			opts.Procs = append(opts.Procs, n)
+		if opts.Procs, err = parseProcs(*procsF); err != nil {
+			fmt.Fprintln(os.Stderr, "dsmbench:", err)
+			os.Exit(1)
 		}
 	}
 
@@ -245,6 +243,36 @@ func parseSize(s string) (apps.Size, error) {
 		return size, nil
 	}
 	return "", fmt.Errorf("unknown -size %q (want small or default)", s)
+}
+
+// parseApps splits -apps, trimming each name, and rejects an unknown
+// application before a single run starts.
+func parseApps(s string) ([]string, error) {
+	names := strings.Split(s, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+		if _, err := apps.Get(names[i]); err != nil {
+			return nil, fmt.Errorf("bad -apps: %w", err)
+		}
+	}
+	return names, nil
+}
+
+// parseProcs parses -procs and rejects a count with no paper layout before a
+// single run starts.
+func parseProcs(s string) ([]int, error) {
+	var procs []int
+	for _, f := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err == nil {
+			_, err = variants.LayoutFor(n)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bad -procs: %w", err)
+		}
+		procs = append(procs, n)
+	}
+	return procs, nil
 }
 
 func writeJSON(path string, rs *runner.ResultSet) error {

@@ -57,9 +57,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dsmrun:", err)
 			os.Exit(1)
 		}
-		if kind != interconnect.MemoryChannel {
-			opts.Net = &interconnect.Spec{Kind: kind}
-		}
+		opts.Net = &interconnect.Spec{Kind: kind}
 	}
 	if err := run(os.Stdout, *app, vs, *procs, *nodes, *ppn, apps.Size(*size), *jobs, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "dsmrun:", err)

@@ -184,3 +184,19 @@ func TestTable1Shape(t *testing.T) {
 		t.Errorf("tmk_mc_poll lock acquire %v us, want well below interrupts", tmkPollLock)
 	}
 }
+
+// TestPaperSpecsKeyBare: every run of the paper's tables and figures is on
+// the paper's platform, so its key names the shape and size and no model
+// value (MC, cost, cache, protocol or schedule).
+func TestPaperSpecsKeyBare(t *testing.T) {
+	opts := Options{Size: apps.SizeSmall}
+	specs := Table1Specs(opts.VariantOpts)
+	for _, f := range []func(Options) []runner.RunSpec{Table2Specs, Fig5Specs, Fig6Specs, Table3Specs} {
+		specs = append(specs, f(opts)...)
+	}
+	for _, s := range specs {
+		if n := strings.Count(s.Key(), "|"); n != 4 {
+			t.Errorf("paper-platform key %s has %d segments, want 5", s.Key(), n+1)
+		}
+	}
+}

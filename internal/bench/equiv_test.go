@@ -1,17 +1,17 @@
 package bench
 
-// Interconnect-equivalence tests: the results JSON of the small sweep is
-// pinned byte for byte, so a refactor (the pluggable Interconnect interface
-// was the first) cannot move a simulated number unnoticed. Both artifacts are
-// dsmbench output:
+// Equivalence tests: the results JSON of the small sweep is pinned byte for
+// byte, so a refactor cannot move a simulated number unnoticed. Both
+// artifacts are dsmbench output:
 //
 //	testdata/equiv_small_subset.json  -fig5 -fig6 -size small -apps SOR,Water -procs 1,4,8 -json
 //	testdata/equiv_small_full.sha256  sha256 of -all -size small -json
 //
-// They were generated before the interconnect API existed and held through
-// every refactor since; a deliberate model change regenerates both, with every
-// other pin, by running scripts/repin.sh. perfbench reads the subset file too,
-// so it stays a full document.
+// A change that moves no simulated number and keeps the results-JSON layout
+// leaves both byte-identical. A deliberate model change, or a new layout (a
+// new SchemaVersion), regenerates both, with every other pin, by running
+// scripts/repin.sh. perfbench reads the subset file too, so it stays a full
+// document.
 import (
 	"bytes"
 	"crypto/sha256"

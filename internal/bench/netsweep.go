@@ -37,13 +37,11 @@ func netSweepApps(opts Options) []string {
 }
 
 // netSweepSpec pins the explicit nodes x 1 shape and selects the
-// interconnect; the Memory Channel stays the zero spec so its runs share
+// interconnect. A Memory Channel cell keys as the plain run, so it shares
 // cache entries with every other Memory Channel table.
 func netSweepSpec(app, variant string, nodes int, kind interconnect.Kind, opts Options) runner.RunSpec {
 	s := runner.RunSpec{App: app, Variant: variant, Nodes: nodes, PPN: 1, Size: opts.Size, Opts: opts.VariantOpts}
-	if kind != interconnect.MemoryChannel {
-		s.Opts.Net = &interconnect.Spec{Kind: kind}
-	}
+	s.Opts.Net = &interconnect.Spec{Kind: kind}
 	return s
 }
 

@@ -84,9 +84,9 @@ func TestNetSweepDefaultsToSOROnly(t *testing.T) {
 	}
 }
 
-// TestNetSweepMCSharesCache: the sweep's Memory Channel cells use the zero
-// interconnect spec, so they key — and cache — identically to a plain
-// explicit-shape run of the same configuration.
+// TestNetSweepMCSharesCache: the sweep's Memory Channel cells name the
+// paper's interconnect explicitly, so they key — and cache — identically to a
+// plain explicit-shape run of the same configuration.
 func TestNetSweepMCSharesCache(t *testing.T) {
 	opts := Options{Size: apps.SizeSmall}
 	sweep := netSweepSpec("SOR", "csm_poll", 8, interconnect.MemoryChannel, opts)

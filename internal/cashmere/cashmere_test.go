@@ -1,6 +1,7 @@
 package cashmere
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -326,13 +327,6 @@ func TestFirstTouchVsRoundRobinHomes(t *testing.T) {
 	}
 }
 
-func TestSuperpageGrouping(t *testing.T) {
-	res := producerConsumer(t, testConfig(2, 1, "csm_poll", Config{PagesPerSuperpage: 4}), 3000)
-	if res.Total.PageTransfers == 0 {
-		t.Error("superpage run lost page transfers")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	r1 := producerConsumer(t, testConfig(2, 2, "csm_poll", Config{}), 2000)
 	r2 := producerConsumer(t, testConfig(2, 2, "csm_poll", Config{}), 2000)
@@ -389,22 +383,21 @@ func TestDirectorySpaceOverhead(t *testing.T) {
 	}
 }
 
-// TestSuperpageSharedHome: pages grouped into one superpage must share a
-// home node (§3.3's Digital Unix region-count constraint).
-func TestSuperpageSharedHome(t *testing.T) {
+// TestFirstTouchHomePerPage: every page gets its own home, the node of its
+// first toucher, even when a neighbouring page is homed elsewhere.
+func TestFirstTouchHomePerPage(t *testing.T) {
 	var proto *Protocol
-	cfg := testConfig(2, 1, "csm_poll", Config{PagesPerSuperpage: 4})
+	cfg := testConfig(2, 1, "csm_poll", Config{})
 	inner := cfg.NewProtocol
 	cfg.NewProtocol = func(rt *core.Runtime) core.Protocol {
-		p := inner(rt).(*Protocol)
-		proto = p
-		return p
+		proto = inner(rt).(*Protocol)
+		return proto
 	}
 	l := core.NewLayout()
 	a := l.F64Pages(1024) // page 0
-	b := l.F64Pages(1024) // page 1: same superpage as page 0
+	b := l.F64Pages(1024) // page 1
 	prog := &core.Program{
-		Name:        "super",
+		Name:        "homes",
 		SharedBytes: l.Size(),
 		Barriers:    1,
 		Body: func(p *core.Proc) {
@@ -413,7 +406,7 @@ func TestSuperpageSharedHome(t *testing.T) {
 			}
 			p.Barrier(0)
 			if p.Rank() == 1 {
-				b.Set(p, 0, 2) // rank 1 (node 1) touches page 1 second
+				b.Set(p, 0, 2) // rank 1 (node 1) first-touches page 1
 			}
 			p.Finish()
 		},
@@ -421,16 +414,8 @@ func TestSuperpageSharedHome(t *testing.T) {
 	if _, err := core.Run(cfg, prog); err != nil {
 		t.Fatal(err)
 	}
-	// Both pages are in superpage 0, whose home was claimed by node 0.
-	if got := proto.superHome[0]; got != 0 {
-		t.Errorf("superpage home = %d, want 0 (first toucher's node)", got)
-	}
-	if len(proto.superHome) < 2 || proto.superHome[1] != -1 {
-		// Pages 2+ were never touched: superpage 1 unassigned... the layout
-		// has 2 pages only, so there is exactly one superpage.
-		if len(proto.superHome) != 1 {
-			t.Errorf("superHome = %v", proto.superHome)
-		}
+	if want := []int32{0, 1}; !slices.Equal(proto.home, want) {
+		t.Errorf("page homes = %v, want %v", proto.home, want)
 	}
 }
 

@@ -32,9 +32,6 @@ func DoubledAddr(a uint64) uint64 { return (a | mcRegionBase) ^ doubleFlip }
 
 // Config holds Cashmere-specific knobs.
 type Config struct {
-	// PagesPerSuperpage groups pages into superpages that share a home node
-	// (Digital Unix limits MC region counts, §3.3). 1 disables grouping.
-	PagesPerSuperpage int
 	// DisableExclusive turns off the exclusive-mode optimization (ablation:
 	// the paper replaced the simulated protocol's "weak state" with
 	// exclusive mode and explicit write notices).
@@ -50,9 +47,6 @@ type Config struct {
 
 // New returns a core.Config protocol factory for Cashmere.
 func New(cfg Config) func(rt *core.Runtime) core.Protocol {
-	if cfg.PagesPerSuperpage <= 0 {
-		cfg.PagesPerSuperpage = 1
-	}
 	return func(rt *core.Runtime) core.Protocol {
 		return &Protocol{rt: rt, cfg: cfg}
 	}
@@ -63,8 +57,8 @@ type Protocol struct {
 	rt  *core.Runtime
 	cfg Config
 
-	dir       []entry
-	superHome []int32 // home node per superpage, -1 until first touch
+	dir  []entry
+	home []int32 // home node per page, -1 until first touch
 
 	locks    *lockSpace
 	appLocks int
@@ -109,19 +103,15 @@ func (c *Protocol) Setup(rt *core.Runtime) {
 	for i := range c.dir {
 		c.dir[i].excl = -1
 	}
-	numSuper := (numPages + c.cfg.PagesPerSuperpage - 1) / c.cfg.PagesPerSuperpage
-	if numSuper == 0 {
-		numSuper = 1
-	}
-	c.superHome = make([]int32, numSuper)
-	for i := range c.superHome {
-		c.superHome[i] = -1
+	c.home = make([]int32, numPages)
+	for i := range c.home {
+		c.home[i] = -1
 	}
 	prog := rt.Program()
 	c.appLocks = prog.Locks
 	// Cluster-lock id layout: app locks, write-notice list locks, NLE list
-	// locks, directory-entry (superpage home) locks.
-	total := c.appLocks + 2*c.nprocs + numSuper
+	// locks, directory-entry (page home) locks.
+	total := c.appLocks + 2*c.nprocs + numPages
 	c.locks = newLockSpace(rt, total)
 	c.barrier = newTreeBarrier(rt, maxInt(prog.Barriers, 1))
 	for r := 0; r < c.nprocs; r++ {
@@ -131,19 +121,15 @@ func (c *Protocol) Setup(rt *core.Runtime) {
 	c.dirty = make([][]int32, c.nprocs)
 	if c.cfg.RoundRobinHomes {
 		nodes := rt.Engine().Config().Nodes
-		for s := range c.superHome {
-			c.superHome[s] = int32(s % nodes)
+		for pg := range c.home {
+			c.home[pg] = int32(pg % nodes)
 		}
 	}
 }
 
-func (c *Protocol) wnLock(rank int) int  { return c.appLocks + rank }
-func (c *Protocol) nleLock(rank int) int { return c.appLocks + c.nprocs + rank }
-func (c *Protocol) superLock(sp int) int { return c.appLocks + 2*c.nprocs + sp }
-
-func (c *Protocol) super(page int) int {
-	return vm.SuperpageOf(page, c.cfg.PagesPerSuperpage)
-}
+func (c *Protocol) wnLock(rank int) int   { return c.appLocks + rank }
+func (c *Protocol) nleLock(rank int) int  { return c.appLocks + c.nprocs + rank }
+func (c *Protocol) homeLock(page int) int { return c.appLocks + 2*c.nprocs + page }
 
 // dirUpdate charges one unlocked directory modification: an intra-node ll/sc
 // on the node's word plus the broadcast of the new word.
@@ -156,19 +142,18 @@ func (c *Protocol) dirUpdate(p *core.Proc) {
 // ensureHome returns the page's home node, running first-touch assignment
 // if it has none (§2.1: set once, under the directory entry lock).
 func (c *Protocol) ensureHome(p *core.Proc, page int) int {
-	sp := c.super(page)
-	if h := c.superHome[sp]; h >= 0 {
+	if h := c.home[page]; h >= 0 {
 		return int(h)
 	}
-	lid := c.superLock(sp)
+	lid := c.homeLock(page)
 	c.locks.acquire(p, lid)
-	if c.superHome[sp] < 0 {
-		c.superHome[sp] = int32(p.Node())
+	if c.home[page] < 0 {
+		c.home[page] = int32(p.Node())
 		c.homeAssignments++
 		c.dirUpdate(p)
 	}
 	c.locks.release(p, lid)
-	return int(c.superHome[sp])
+	return int(c.home[page])
 }
 
 // homeFrame returns the page's unique main-memory copy, creating it from the
@@ -301,7 +286,7 @@ func (c *Protocol) OnSharedWrite(p *core.Proc, addr core.Addr, size int) {
 		p.Charge(core.CatDoubling, p.Costs().CacheMiss)
 	}
 	page := vm.PageOf(addr)
-	home := int(c.superHome[c.super(page)])
+	home := int(c.home[page])
 	off := vm.Offset(addr)
 	copy(c.homeFrame(page)[off:off+size], p.Space().Frame(page)[off:off+size])
 	c.rt.Net().WriteThrough(p.Sim(), home, int64(size))

@@ -34,11 +34,10 @@
 //     check the capability first.
 //
 // Construction goes through ClusterSpec (spec.go), which validates the
-// cluster shape and parameters in one place; the per-backend parameter
-// structs are built by the preset constructors (MCFirstGeneration,
-// MCSecondGeneration, DefaultRDMA, DefaultSwitched). Direct parameter
-// literals outside presets are deprecated — tests aside, every call site
-// should take a preset and override individual fields.
+// cluster shape and parameters in one place. Only the Memory Channel takes
+// parameters (MCFirstGeneration, or the MCSecondGeneration projection); the
+// RDMA and switched fabrics always run their presets (DefaultRDMA,
+// DefaultSwitched).
 package interconnect
 
 import "repro/internal/sim"

@@ -6,27 +6,14 @@ import (
 	"repro/internal/sim"
 )
 
-// Spec selects an interconnect model and its parameters in configuration
-// (core.Config, variants.Options, dsmrun/dsmbench flags, results JSON). The
-// zero value selects the Memory Channel — the reference model — so every
-// legacy configuration keeps meaning exactly what it meant before the
-// interconnect became pluggable.
-//
-// Memory Channel parameters deliberately do NOT live here: they flow through
-// the existing MC channel (core.Config.MC / variants.Options.MC), keeping
-// one home per knob and keeping legacy cache keys and serialized options
-// byte-identical. The non-default kinds carry their parameters as optional
-// pointers; nil means the kind's preset, so "rdma" and "rdma with explicit
-// default parameters" normalize to the same canonical identity.
+// Spec selects an interconnect model in configuration (core.Config,
+// variants.Options, the dsmrun/dsmbench -interconnect flag). The zero value
+// selects the Memory Channel, the paper's network. Memory Channel parameters
+// live in core.Config.MC / variants.Options.MC; the other kinds run their
+// presets (DefaultRDMA, DefaultSwitched).
 type Spec struct {
 	// Kind selects the model; empty means MemoryChannel.
-	Kind Kind `json:"kind"`
-	// RDMA overrides the RDMA parameters (nil: the DefaultRDMA preset).
-	// Only meaningful when Kind is RDMA.
-	RDMA *RDMAParams `json:"rdma,omitempty"`
-	// Switched overrides the switched-fabric parameters (nil: the
-	// DefaultSwitched preset). Only meaningful when Kind is Switched.
-	Switched *SwitchedParams `json:"switched,omitempty"`
+	Kind Kind
 }
 
 // ParseKind maps a flag value to a Kind ("" and "mc" mean the Memory
@@ -43,66 +30,17 @@ func ParseKind(s string) (Kind, error) {
 	return "", fmt.Errorf("interconnect: unknown kind %q (have memchan, rdma, switched)", s)
 }
 
-// IsMemoryChannel reports whether the spec (after normalization) selects
-// the reference Memory Channel model.
+// IsMemoryChannel reports whether the spec selects the Memory Channel.
 func (s Spec) IsMemoryChannel() bool {
 	return s.Kind == "" || s.Kind == MemoryChannel
 }
 
-// Normalized returns the spec in canonical form: the kind is named
-// explicitly, the selected kind's parameters are materialized from their
-// preset when absent, and parameters of unselected kinds are dropped. Two
-// specs that normalize equally select the same model.
-func (s Spec) Normalized() Spec {
-	out := Spec{Kind: s.Kind}
-	if s.IsMemoryChannel() {
-		out.Kind = MemoryChannel
-		return out
-	}
-	switch s.Kind {
-	case RDMA:
-		p := DefaultRDMA()
-		if s.RDMA != nil {
-			p = *s.RDMA
-		}
-		out.RDMA = &p
-	case Switched:
-		p := DefaultSwitched()
-		if s.Switched != nil {
-			p = *s.Switched
-		}
-		out.Switched = &p
-	}
-	return out
-}
-
-// Validate reports whether the spec names a known kind with usable
-// parameters. Memory Channel parameter validation happens where those
-// parameters live (ClusterSpec / core.Config).
+// Validate reports whether the spec names a known kind.
 func (s Spec) Validate() error {
-	n := s.Normalized()
-	switch n.Kind {
-	case MemoryChannel:
+	if s.IsMemoryChannel() || s.Kind == RDMA || s.Kind == Switched {
 		return nil
-	case RDMA:
-		return n.RDMA.Validate()
-	case Switched:
-		return n.Switched.Validate()
 	}
 	return fmt.Errorf("interconnect: unknown kind %q", s.Kind)
-}
-
-// String renders the normalized spec for canonical run keys: stable,
-// parameter-complete, and free of pointer addresses.
-func (s Spec) String() string {
-	n := s.Normalized()
-	switch n.Kind {
-	case RDMA:
-		return fmt.Sprintf("%s:%+v", n.Kind, *n.RDMA)
-	case Switched:
-		return fmt.Sprintf("%s:%+v", n.Kind, *n.Switched)
-	}
-	return string(n.Kind)
 }
 
 // ClusterSpec is the single validated description of a simulated cluster:
@@ -137,7 +75,7 @@ func (cs ClusterSpec) Validate() error {
 	if cs.Nodes <= 0 || cs.ProcsPerNode <= 0 {
 		return fmt.Errorf("interconnect: bad cluster shape %dx%d", cs.Nodes, cs.ProcsPerNode)
 	}
-	if cs.Net.Normalized().IsMemoryChannel() {
+	if cs.Net.IsMemoryChannel() {
 		return cs.mcParams().Validate()
 	}
 	return cs.Net.Validate()
@@ -154,14 +92,11 @@ func (cs ClusterSpec) Build(eng *sim.Engine) (Interconnect, error) {
 	if err := cs.Validate(); err != nil {
 		return nil, err
 	}
-	n := cs.Net.Normalized()
-	switch n.Kind {
-	case MemoryChannel:
-		return newMemoryChannel(eng, cs.mcParams())
+	switch cs.Net.Kind {
 	case RDMA:
-		return newRDMA(eng, *n.RDMA)
+		return newRDMA(eng, DefaultRDMA())
 	case Switched:
-		return newSwitched(eng, *n.Switched)
+		return newSwitched(eng, DefaultSwitched())
 	}
-	return nil, fmt.Errorf("interconnect: unknown kind %q", cs.Net.Kind)
+	return newMemoryChannel(eng, cs.mcParams())
 }

@@ -1,8 +1,10 @@
 package interconnect
 
 import (
-	"encoding/json"
 	"fmt"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -23,83 +25,40 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
-func TestSpecNormalized(t *testing.T) {
-	// Zero value and explicit MC kind normalize identically.
-	if got := (Spec{}).Normalized(); got.Kind != MemoryChannel || got.RDMA != nil || got.Switched != nil {
-		t.Errorf("zero spec normalized to %+v", got)
-	}
-	if a, b := (Spec{}).Normalized(), (Spec{Kind: MemoryChannel}).Normalized(); a != b {
-		t.Errorf("zero and explicit MC specs normalize differently: %+v vs %+v", a, b)
-	}
-	// Selecting a kind materializes its preset and drops foreign params.
-	rp := DefaultRDMA()
-	n := Spec{Kind: RDMA, Switched: &SwitchedParams{}}.Normalized()
-	if n.RDMA == nil || *n.RDMA != rp {
-		t.Errorf("rdma normalization did not materialize the preset: %+v", n)
-	}
-	if n.Switched != nil {
-		t.Error("normalization kept unselected switched params")
-	}
-	// Explicit defaults and nil params normalize to the same identity.
-	a := Spec{Kind: RDMA}.String()
-	b := Spec{Kind: RDMA, RDMA: &rp}.String()
-	if a != b {
-		t.Errorf("nil and explicit-default rdma keys differ: %q vs %q", a, b)
-	}
-}
-
-func TestSpecStringStable(t *testing.T) {
-	// The canonical key must be parameter-complete and free of pointer
-	// addresses: two separately allocated equal specs render identically.
-	p1, p2 := DefaultSwitched(), DefaultSwitched()
-	a := Spec{Kind: Switched, Switched: &p1}.String()
-	b := Spec{Kind: Switched, Switched: &p2}.String()
-	if a != b {
-		t.Errorf("equal specs render differently: %q vs %q", a, b)
-	}
-	if (Spec{}).String() != "memchan" {
-		t.Errorf("MC spec renders %q", (Spec{}).String())
-	}
-	// A parameter change must change the key.
-	p2.HopLatency++
-	if c := (Spec{Kind: Switched, Switched: &p2}).String(); c == a {
-		t.Error("parameter change did not change the canonical key")
-	}
-}
-
 func TestSpecValidate(t *testing.T) {
-	for _, s := range []Spec{{}, {Kind: RDMA}, {Kind: Switched}} {
+	for _, s := range []Spec{{}, {Kind: MemoryChannel}, {Kind: RDMA}, {Kind: Switched}} {
 		if err := s.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v", s, err)
 		}
 	}
-	if (Spec{Kind: "ethernet"}).Validate() == nil {
-		t.Error("unknown kind validated")
-	}
-	bad := DefaultRDMA()
-	bad.Latency = -1
-	if (Spec{Kind: RDMA, RDMA: &bad}).Validate() == nil {
-		t.Error("negative rdma latency validated")
-	}
-	badSw := DefaultSwitched()
-	badSw.SwitchRadix = 0
-	if (Spec{Kind: Switched, Switched: &badSw}).Validate() == nil {
-		t.Error("zero switch radix validated")
+	if err := (Spec{Kind: "ethernet"}).Validate(); err == nil || !strings.Contains(err.Error(), `"ethernet"`) {
+		t.Errorf("unknown kind: Validate() = %v, want an error naming it", err)
 	}
 }
 
-func TestSpecJSONRoundTrip(t *testing.T) {
-	orig := Spec{Kind: RDMA}.Normalized()
-	data, err := json.Marshal(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Spec
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.String() != orig.String() {
-		t.Errorf("round trip changed identity: %q -> %q", orig.String(), back.String())
+// TestPresetParamsValidate: the RDMA and switched presets are valid, and
+// zeroing any one of their fields fails Validate with an error that shows
+// the zero.
+func TestPresetParamsValidate(t *testing.T) {
+	for _, preset := range []interface{ Validate() error }{DefaultRDMA(), DefaultSwitched()} {
+		if err := preset.Validate(); err != nil {
+			t.Errorf("%T preset invalid: %v", preset, err)
+		}
+		typ := reflect.TypeOf(preset)
+		for i := 0; i < typ.NumField(); i++ {
+			bad := reflect.New(typ).Elem()
+			bad.Set(reflect.ValueOf(preset))
+			bad.Field(i).SetInt(0)
+			name := typ.Field(i).Name
+			show := `\b` + name + `:0\b`
+			if name == "SwitchRadix" {
+				show = `switch radix 0\b`
+			}
+			err := bad.Interface().(interface{ Validate() error }).Validate()
+			if err == nil || !regexp.MustCompile(show).MatchString(err.Error()) {
+				t.Errorf("%T with zero %s: Validate() = %v, want an error showing it", preset, name, err)
+			}
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 // moves a small-sweep number cannot keep serving old cache entries. The
 // residual risk: a model change that moves only default-size cells leaves
 // that sha, and therefore this salt, unchanged.
-const modelDigest = "55937dfa00c456b25ed86e0e19ad200b34323a7ae65143f3df299475b414a8c9"
+const modelDigest = "1cee92d0cf613b3abceafbd2cf1319f518f3c8b424c8a0bf0a08abce2e567421"
 
 // diskEntry is the on-disk format of one cached result.
 type diskEntry struct {

@@ -5,32 +5,85 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/cache"
+	"repro/internal/cashmere"
 	"repro/internal/core"
 	"repro/internal/interconnect"
+	"repro/internal/sim"
 	"repro/internal/treadmarks"
 )
 
 // SchemaVersion identifies the JSON layout emitted by WriteJSON. Bump it on
 // any incompatible change; consumers check it before trusting field names.
-const SchemaVersion = "dsmbench-results/v1"
+const SchemaVersion = "dsmbench-results/v2"
 
-// JSONSpec is the serialized form of a RunSpec with options resolved to
-// their effective values (no pointers, no nils). Interconnect is present
-// only for non-Memory-Channel runs and TreadMarks only for non-zero
-// TreadMarks options, so documents produced by the paper's configurations
-// serialize exactly as they did before either became part of the spec.
+// JSONSpec is the serialized form of a normalized RunSpec: its shape and
+// size, then one field per option that differs from the paper's platform
+// (absent otherwise), so a paper-platform record names no option at all. The
+// spec's key is rendered from this form, so the two cannot disagree.
 type JSONSpec struct {
-	App          string             `json:"app"`
-	Variant      string             `json:"variant"`
-	Procs        int                `json:"procs"`
-	Nodes        int                `json:"nodes,omitempty"`
-	PPN          int                `json:"ppn,omitempty"`
-	Size         apps.Size          `json:"size"`
-	Options      resolvedOpts       `json:"options"`
-	Interconnect *interconnect.Spec `json:"interconnect,omitempty"`
-	TreadMarks   *treadmarks.Config `json:"treadmarks,omitempty"`
+	App          string                 `json:"app"`
+	Variant      string                 `json:"variant"`
+	Procs        int                    `json:"procs"`
+	Nodes        int                    `json:"nodes,omitempty"`
+	PPN          int                    `json:"ppn,omitempty"`
+	Size         apps.Size              `json:"size"`
+	MC           *interconnect.MCParams `json:"mc,omitempty"`
+	Interconnect interconnect.Kind      `json:"interconnect,omitempty"`
+	Cache        *cache.Config          `json:"cache,omitempty"`
+	Cashmere     *cashmere.Config       `json:"cashmere,omitempty"`
+	TreadMarks   *treadmarks.Config     `json:"treadmarks,omitempty"`
+	Schedule     *sim.Schedule          `json:"schedule,omitempty"`
+}
+
+// jsonSpec returns the serialized form of the normalized spec.
+func jsonSpec(s RunSpec) JSONSpec {
+	s = s.Normalize()
+	j := JSONSpec{
+		App: s.App, Variant: s.Variant, Procs: s.Procs, Nodes: s.Nodes, PPN: s.PPN, Size: s.Size,
+		MC: s.Opts.MC, Cache: s.Opts.Cache,
+		Cashmere: unlessZero(s.Opts.Cashmere), TreadMarks: unlessZero(s.Opts.TreadMarks), Schedule: unlessZero(s.Opts.Schedule),
+	}
+	if s.Opts.Net != nil {
+		j.Interconnect = s.Opts.Net.Kind
+	}
+	return j
+}
+
+// unlessZero returns a copy of v, or nil for the zero value (the paper's
+// setting of every option that has no pointer).
+func unlessZero[T comparable](v T) *T {
+	if v == *new(T) {
+		return nil
+	}
+	p := new(T)
+	*p = v
+	return p
+}
+
+// key renders the canonical run key: App|Variant|Procs|NxP|Size, then
+// "|name=value" for each option present, in field order.
+func (j JSONSpec) key() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s|%s|%d|%dx%d|%s", j.App, j.Variant, j.Procs, j.Nodes, j.PPN, j.Size)
+	segment(&b, "mc", j.MC)
+	if j.Interconnect != "" {
+		b.WriteString("|net=" + string(j.Interconnect))
+	}
+	segment(&b, "cache", j.Cache)
+	segment(&b, "csm", j.Cashmere)
+	segment(&b, "tmk", j.TreadMarks)
+	segment(&b, "sched", j.Schedule)
+	return b.String()
+}
+
+func segment[T any](b *strings.Builder, name string, v *T) {
+	if v != nil {
+		fmt.Fprintf(b, "|%s=%+v", name, *v)
+	}
 }
 
 // JSONResult is one executed spec with its outcome. Exactly one of
@@ -56,21 +109,8 @@ func (rs *ResultSet) Document() JSONDocument {
 	SortSpecs(specs)
 	doc := JSONDocument{Schema: SchemaVersion}
 	for _, s := range specs {
-		s = s.Normalize()
-		jr := JSONResult{
-			Spec: JSONSpec{
-				App:          s.App,
-				Variant:      s.Variant,
-				Procs:        s.Procs,
-				Nodes:        s.Nodes,
-				PPN:          s.PPN,
-				Size:         s.Size,
-				Options:      resolve(s.Opts),
-				Interconnect: netSpec(s.Opts),
-				TreadMarks:   tmkConfig(s.Opts),
-			},
-			Key: s.Key(),
-		}
+		spec := jsonSpec(s)
+		jr := JSONResult{Spec: spec, Key: spec.key()}
 		res, err := rs.Get(s)
 		switch {
 		case errors.Is(err, ErrInfeasible):

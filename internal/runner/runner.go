@@ -21,11 +21,8 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cache"
-	"repro/internal/cashmere"
 	"repro/internal/core"
 	"repro/internal/interconnect"
-	"repro/internal/sim"
-	"repro/internal/treadmarks"
 	"repro/internal/variants"
 )
 
@@ -53,10 +50,12 @@ type RunSpec struct {
 }
 
 // Normalize returns the spec in canonical form: sequential runs always use
-// one processor, a zero PPN beside Nodes means one processor per node, and an
-// empty size means the default scale. Two specs that normalize equally
-// describe the same simulation. A negative shape stays negative, so that run
-// rejects it instead of running a substitute.
+// one processor, a zero PPN beside Nodes means one processor per node, an
+// empty size means the default scale, and every option equal to the paper's
+// platform is cleared (canonical). Two specs that normalize equally describe
+// the same simulation, and the plan runs the normalized spec, so the run is
+// the one its key names. A negative shape stays negative, so that run rejects
+// it instead of running a substitute.
 func (s RunSpec) Normalize() RunSpec {
 	if s.Variant == variants.Sequential {
 		s.Procs = 1
@@ -71,87 +70,33 @@ func (s RunSpec) Normalize() RunSpec {
 	if s.Size == "" {
 		s.Size = apps.SizeDefault
 	}
+	s.Opts = canonical(s.Opts)
 	return s
 }
 
-// resolvedOpts is variants.Options with every pointer dereferenced to its
-// effective value, so that "nil" and "explicit default" key identically.
-type resolvedOpts struct {
-	MC      interconnect.MCParams
-	Cache   cache.Config
-	NoCache bool
-	Csm     cashmere.Config
-	Costs   core.CostModel
-	// Schedule is part of the canonical identity: a schedule-perturbed run
-	// is a different simulation than the canonical-order run of the same
-	// spec, so the two must never share a memo entry or a disk-cache file.
-	Schedule sim.Schedule
+// canonical clears every option that names the paper's platform explicitly:
+// first-generation Memory Channel parameters, a Memory Channel interconnect
+// and the 21064A's L1. The zero values of the Cashmere, TreadMarks and
+// schedule options are already the paper's.
+func canonical(o variants.Options) variants.Options {
+	if o.MC != nil && *o.MC == interconnect.MCFirstGeneration() {
+		o.MC = nil
+	}
+	if o.Net != nil && o.Net.IsMemoryChannel() {
+		o.Net = nil
+	}
+	if o.Cache != nil && *o.Cache == cache.Alpha21064A {
+		o.Cache = nil
+	}
+	return o
 }
 
-func resolve(o variants.Options) resolvedOpts {
-	r := resolvedOpts{
-		MC:       interconnect.MCFirstGeneration(),
-		Cache:    cache.Alpha21064A,
-		NoCache:  o.NoCache,
-		Csm:      o.Cashmere,
-		Costs:    core.DefaultCosts(),
-		Schedule: o.Schedule,
-	}
-	if o.MC != nil {
-		r.MC = *o.MC
-	}
-	if o.Cache != nil {
-		r.Cache = *o.Cache
-	}
-	if o.Costs != nil {
-		r.Costs = *o.Costs
-	}
-	return r
-}
-
-// Key returns the spec's canonical identity. Specs with equal keys describe
-// the same deterministic simulation and share one cached result.
-//
-// Interconnect handling is asymmetric on purpose: a nil Opts.Net and any
-// spec that normalizes to the Memory Channel contribute nothing to the key,
-// so every pre-pluggable-interconnect key (and its disk-cache entry) remains
-// byte-identical; only a genuinely different interconnect appends a
-// "|net=..." segment and therefore a different cache identity. Non-zero
-// TreadMarks options append a "|tmk=..." segment the same way.
+// Key returns the spec's canonical identity: App|Variant|Procs|NxP|Size, then
+// one segment per option that differs from the paper's platform, in the
+// order of JSONSpec's fields. Specs with equal keys describe the same
+// deterministic simulation and share one cached result.
 func (s RunSpec) Key() string {
-	s = s.Normalize()
-	key := fmt.Sprintf("%s|%s|%d|%dx%d|%s|%+v", s.App, s.Variant, s.Procs, s.Nodes, s.PPN, s.Size, resolve(s.Opts))
-	if net := netSpec(s.Opts); net != nil {
-		key += "|net=" + net.String()
-	}
-	if tmk := tmkConfig(s.Opts); tmk != nil {
-		key += fmt.Sprintf("|tmk=%+v", *tmk)
-	}
-	return key
-}
-
-// tmkConfig returns the TreadMarks options, or nil for the paper's
-// configuration (the zero value), which keys as it did before the options
-// were part of the key.
-func tmkConfig(o variants.Options) *treadmarks.Config {
-	if o.TreadMarks == (treadmarks.Config{}) {
-		return nil
-	}
-	return &o.TreadMarks
-}
-
-// netSpec returns the normalized non-Memory-Channel interconnect spec, or
-// nil when the options select the reference Memory Channel (explicitly or by
-// default).
-func netSpec(o variants.Options) *interconnect.Spec {
-	if o.Net == nil {
-		return nil
-	}
-	n := o.Net.Normalized()
-	if n.IsMemoryChannel() {
-		return nil
-	}
-	return &n
+	return jsonSpec(s).key()
 }
 
 // Plan is an ordered, deduplicated collection of run specs.

@@ -62,7 +62,7 @@ func TestKeyDistinguishesOptions(t *testing.T) {
 // TestTreadMarksOptionsKeyed: non-zero TreadMarks options are part of a
 // spec's identity, so a run with the injected diff-loss fault armed never
 // shares a plan slot, a memo entry or a disk-cache file with the healthy run.
-// Zero options add nothing to the key (TestLegacySpecKeyUnchanged).
+// Zero options add nothing to the key (TestPaperPlatformKeyIsBare).
 func TestTreadMarksOptionsKeyed(t *testing.T) {
 	healthy := smallSpec("tmk_mc_poll", 8)
 	armed := healthy

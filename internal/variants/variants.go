@@ -26,29 +26,25 @@ func IsCashmere(name string) bool {
 	return name == "csm_pp" || name == "csm_int" || name == "csm_poll"
 }
 
-// Options adjust the model (defaults reproduce the paper's platform).
+// Options adjust the model. The zero value is the paper's platform, and a
+// run's key and results record name only the options that differ from it.
 type Options struct {
-	// MC overrides the Memory Channel parameters (zero value: first
-	// generation, interconnect.MCFirstGeneration). Only meaningful when Net
-	// selects the Memory Channel.
+	// MC overrides the Memory Channel parameters (nil: first generation,
+	// interconnect.MCFirstGeneration). Only meaningful when Net selects the
+	// Memory Channel.
 	MC *interconnect.MCParams
 	// Net selects the interconnect model (nil or a Memory Channel spec: the
-	// reference Memory Channel, exactly as before the interconnect became
-	// pluggable).
+	// paper's Memory Channel). Other kinds run their preset parameters.
 	Net *interconnect.Spec
 	// Cache overrides the L1 geometry (nil: the 21064A's 16 KB
 	// direct-mapped).
 	Cache *cache.Config
-	// NoCache disables the L1 model entirely.
-	NoCache bool
 	// Cashmere carries protocol-specific ablation knobs.
 	Cashmere cashmere.Config
 	// TreadMarks carries protocol-specific knobs (the zero value is the
 	// paper's configuration). Includes the test-only fault-injection switch
 	// dsmcheck's self-test uses to prove the harness catches protocol bugs.
 	TreadMarks treadmarks.Config
-	// Costs overrides the cost model (zero value: core.DefaultCosts).
-	Costs *core.CostModel
 	// Schedule perturbs the simulated event schedule (schedule-space
 	// exploration; internal/check, cmd/dsmcheck). The zero value runs the
 	// canonical order. Perturbed runs carry the schedule in their canonical
@@ -76,16 +72,11 @@ func Config(name string, nodes, procsPerNode int, opts Options) (core.Config, er
 		}
 		cfg.Net = *opts.Net
 	}
-	if opts.Costs != nil {
-		cfg.Costs = *opts.Costs
+	c := cache.Alpha21064A
+	if opts.Cache != nil {
+		c = *opts.Cache
 	}
-	if !opts.NoCache {
-		c := cache.Alpha21064A
-		if opts.Cache != nil {
-			c = *opts.Cache
-		}
-		cfg.Cache = &c
-	}
+	cfg.Cache = &c
 	switch name {
 	case "csm_pp":
 		cfg.NewProtocol = cashmere.New(opts.Cashmere)

@@ -96,11 +96,11 @@ func TestOptionsOverride(t *testing.T) {
 	if cfg.Cache.SizeBytes != c.SizeBytes {
 		t.Error("cache override ignored")
 	}
-	cfg, err = Config("csm_poll", 2, 2, Options{NoCache: true})
+	cfg, err = Config("csm_poll", 2, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Cache != nil {
-		t.Error("NoCache ignored")
+	if cfg.Cache == nil || *cfg.Cache != cache.Alpha21064A {
+		t.Errorf("default cache %+v, want the 21064A's", cfg.Cache)
 	}
 }

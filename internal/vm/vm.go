@@ -131,14 +131,3 @@ func (s *Space) EnsureFrame(page int) []byte {
 	}
 	return s.frames[page][:]
 }
-
-// Superpages: Digital Unix limits the number of distinct Memory Channel
-// regions, so Cashmere groups pages into fixed-size superpages that must
-// share a home node (§3.3). SuperpageOf maps a page to its superpage given
-// the grouping factor.
-func SuperpageOf(page, pagesPerSuper int) int {
-	if pagesPerSuper <= 0 {
-		panic(fmt.Sprintf("vm: pagesPerSuper %d", pagesPerSuper))
-	}
-	return page / pagesPerSuper
-}

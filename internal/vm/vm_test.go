@@ -82,18 +82,6 @@ func TestSpaceLifecycle(t *testing.T) {
 	}
 }
 
-func TestSuperpageOf(t *testing.T) {
-	if SuperpageOf(0, 4) != 0 || SuperpageOf(3, 4) != 0 || SuperpageOf(4, 4) != 1 || SuperpageOf(11, 4) != 2 {
-		t.Error("SuperpageOf wrong grouping")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SuperpageOf(_, 0) did not panic")
-		}
-	}()
-	SuperpageOf(1, 0)
-}
-
 func TestNewSpaceNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
