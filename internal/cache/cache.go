@@ -42,15 +42,15 @@ func (c Config) Validate() error {
 func (c Config) Lines() int { return c.SizeBytes / c.LineBytes }
 
 // L1 is a direct-mapped cache model. It tracks only tags (the simulator keeps
-// data elsewhere); Access reports hit or miss and updates the tag array.
+// data elsewhere); Miss reports a miss as 1 and updates the tag array.
 type L1 struct {
 	lineShift uint
 	indexMask uint64
 	tagShift  uint     // bits of line number consumed by the index
 	tags      []uint64 // tag+1; 0 means invalid
 
-	hits   uint64
-	misses uint64
+	accesses uint64
+	misses   uint64
 }
 
 // New creates an L1 model with the given geometry.
@@ -67,23 +67,32 @@ func New(cfg Config) (*L1, error) {
 	return c, nil
 }
 
-// Access touches the line containing addr and reports whether it hit. On a
-// miss the line is filled (previous occupant evicted).
-func (c *L1) Access(addr uint64) bool {
-	line := addr >> c.lineShift
-	idx := line & c.indexMask
-	tag := line>>c.tagShift + 1
-	if c.tags[idx] == tag {
-		c.hits++
-		return true
+// Miss touches the line containing addr and returns 1 if it missed, 0 if it
+// hit; on a miss the line is filled (previous occupant evicted). The outcome
+// is a compare-and-set, not a branch, so a shared access charges
+// Miss(a)*CacheMiss without a mispredict on an unpredictable hit/miss
+// stream; the shift counts are masked so the compiler drops its
+// oversized-shift guards. Every access stores the tag, which on a hit is the
+// value already there.
+func (c *L1) Miss(addr uint64) uint64 {
+	line := addr >> (c.lineShift & 63)
+	tag := line>>(c.tagShift&63) + 1
+	t := &c.tags[line&c.indexMask]
+	var m uint64
+	if *t != tag {
+		m = 1
 	}
-	c.tags[idx] = tag
-	c.misses++
-	return false
+	*t = tag
+	c.accesses++
+	c.misses += m
+	return m
 }
 
+// Access is Miss as a hit report: true on a hit.
+func (c *L1) Access(addr uint64) bool { return c.Miss(addr) == 0 }
+
 // Hits returns the number of hits so far.
-func (c *L1) Hits() uint64 { return c.hits }
+func (c *L1) Hits() uint64 { return c.accesses - c.misses }
 
 // Misses returns the number of misses so far.
 func (c *L1) Misses() uint64 { return c.misses }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -123,6 +124,57 @@ func TestTagDisambiguation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMissMatchesReference runs a seeded random address stream through Miss
+// and Access and through a map-based direct-mapped reference: line = addr /
+// LineBytes lives in set line mod Lines, and a set holds one line. Half the
+// addresses fall in four times the cache size, so both hits and conflict
+// misses are common, and the rest are arbitrary 64-bit addresses, so every
+// tag bit is exercised.
+func TestMissMatchesReference(t *testing.T) {
+	for _, cfg := range []Config{Alpha21064A, Alpha21264} {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := uint64(cfg.Lines())
+		ref := make(map[uint64]uint64) // set -> resident line
+		var refMisses, n uint64
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 200000; i++ {
+			addr := rng.Uint64()
+			if i%2 == 0 {
+				addr %= 4 * uint64(cfg.SizeBytes)
+			}
+			line := addr / uint64(cfg.LineBytes)
+			resident, ok := ref[line%lines]
+			hit := ok && resident == line
+			ref[line%lines] = line
+			if !hit {
+				refMisses++
+			}
+			n++
+			var got uint64
+			if i%3 != 0 {
+				got = c.Miss(addr)
+			} else if !c.Access(addr) { // Access is Miss == 0 and fills alike
+				got = 1
+			}
+			if got > 1 {
+				t.Fatalf("%+v: Miss(%#x) = %d, want 0 or 1", cfg, addr, got)
+			}
+			if (got == 0) != hit {
+				t.Fatalf("%+v: access %d to %#x: miss=%d, reference hit=%v", cfg, i, addr, got, hit)
+			}
+		}
+		if c.Hits()+c.Misses() != n {
+			t.Errorf("%+v: Hits %d + Misses %d != %d accesses", cfg, c.Hits(), c.Misses(), n)
+		}
+		if c.Misses() != refMisses || c.Hits() != n-refMisses {
+			t.Errorf("%+v: hits/misses %d/%d, reference %d/%d", cfg, c.Hits(), c.Misses(), n-refMisses, refMisses)
+		}
 	}
 }
 

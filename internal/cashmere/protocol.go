@@ -1,6 +1,7 @@
 package cashmere
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
@@ -55,6 +56,7 @@ func New(cfg Config) func(rt *core.Runtime) core.Protocol {
 // Protocol is the Cashmere coherence protocol state.
 type Protocol struct {
 	rt  *core.Runtime
+	net interconnect.Interconnect // rt.Net(), fetched once at Setup
 	cfg Config
 
 	dir  []entry
@@ -86,7 +88,8 @@ func (c *Protocol) WantsWriteHook() bool { return true }
 
 // Setup implements core.Protocol.
 func (c *Protocol) Setup(rt *core.Runtime) {
-	if !rt.Net().Caps().RemoteWrites {
+	c.net = rt.Net()
+	if !c.net.Caps().RemoteWrites {
 		// Write doubling is the protocol's foundation (§3.3.1): without
 		// one-sided remote writes every OnSharedWrite would mismodel traffic.
 		panic("cashmere: backend does not provide remote writes (Caps().RemoteWrites)")
@@ -135,7 +138,7 @@ func (c *Protocol) homeLock(page int) int { return c.appLocks + 2*c.nprocs + pag
 // on the node's word plus the broadcast of the new word.
 func (c *Protocol) dirUpdate(p *core.Proc) {
 	p.ChargeProtocol(p.Costs().LLSC + p.Costs().DirectoryMod)
-	c.rt.Net().AccountTraffic(interconnect.TrafficMeta, 8)
+	c.net.AccountTraffic(interconnect.TrafficMeta, 8)
 	c.dirUpdates++
 }
 
@@ -193,7 +196,7 @@ func (c *Protocol) readMiss(p *core.Proc, page int) {
 		c.dirUpdate(p)
 		c.locks.acquire(p, c.nleLock(former))
 		if c.nle[former].add(page) {
-			c.rt.Net().AccountTraffic(interconnect.TrafficMeta, 8)
+			c.net.AccountTraffic(interconnect.TrafficMeta, 8)
 		}
 		c.locks.release(p, c.nleLock(former))
 	}
@@ -215,10 +218,10 @@ func (c *Protocol) fetchPage(p *core.Proc, page, home int) {
 		p.Stats().PageCopies++
 		return
 	}
-	if c.rt.Net().Caps().RemoteReads {
+	if c.net.Caps().RemoteReads {
 		c.remoteReads++
 		p.Sim().Yield() // scheduling point before a globally visible action
-		arrival := c.rt.Net().RemoteRead(p.Sim(), home, vm.PageSize, interconnect.TrafficPage)
+		arrival := c.net.RemoteRead(p.Sim(), home, vm.PageSize, interconnect.TrafficPage)
 		p.Sim().AdvanceTo(arrival)
 		p.ChargeProtocol(p.Costs().Copy(vm.PageSize))
 		copy(frame, hf)
@@ -268,28 +271,35 @@ func (c *Protocol) OnWriteFault(p *core.Proc, page int) {
 // instruction overhead, the doubled address's cache pressure, the
 // write-through pipe occupancy, and the functional update of the home copy
 // all happen here. Setup has already refused a backend without
-// Caps().RemoteWrites.
+// Caps().RemoteWrites. Every core store doubles one 8-byte word, which moves
+// as one load and store rather than a copy.
 func (c *Protocol) OnSharedWrite(p *core.Proc, addr core.Addr, size int) {
 	p.Charge(core.CatDoubling, p.Costs().WriteDouble)
+	page := vm.PageOf(addr)
+	off := vm.Offset(addr)
 	if c.cfg.DummyDoubling {
 		// All doubles land on one address: after the first touch it always
 		// hits the cache and combines in the write buffer — no pressure, no
 		// Memory Channel traffic. The home copy is still updated
 		// functionally so single-processor results stay correct.
 		p.CacheTouch(DoubledAddr(0))
-		page := vm.PageOf(addr)
-		off := vm.Offset(addr)
 		copy(c.homeFrame(page)[off:off+size], p.Space().Frame(page)[off:off+size])
 		return
 	}
 	if !p.CacheTouch(DoubledAddr(addr)) {
 		p.Charge(core.CatDoubling, p.Costs().CacheMiss)
 	}
-	page := vm.PageOf(addr)
-	home := int(c.home[page])
-	off := vm.Offset(addr)
-	copy(c.homeFrame(page)[off:off+size], p.Space().Frame(page)[off:off+size])
-	c.rt.Net().WriteThrough(p.Sim(), home, int64(size))
+	hf := c.dir[page].homeFrame
+	if hf == nil {
+		hf = c.homeFrame(page)
+	}
+	fr := p.Space().Frame(page)
+	if size == 8 {
+		binary.LittleEndian.PutUint64(hf[off:], binary.LittleEndian.Uint64(fr[off:]))
+	} else {
+		copy(hf[off:off+size], fr[off:off+size])
+	}
+	c.net.WriteThrough(p.Sim(), int(c.home[page]), int64(size))
 }
 
 // Lock implements core.Protocol: cluster lock acquire, then acquire-side
@@ -344,7 +354,7 @@ func (c *Protocol) processAcquire(p *core.Proc) {
 func (c *Protocol) processRelease(p *core.Proc) {
 	// A release cannot complete before all its writes have been applied at
 	// the home nodes.
-	p.Sim().AdvanceTo(c.rt.Net().FenceTime(p.Sim()))
+	p.Sim().AdvanceTo(c.net.FenceTime(p.Sim()))
 
 	rank := p.Rank()
 	for _, pg := range c.dirty[rank] {
@@ -384,7 +394,7 @@ func (c *Protocol) releasePage(p *core.Proc, page int, mayExclusive bool) {
 		if c.wn[q].add(page) {
 			c.wnAppends++
 			p.Stats().WriteNotices++
-			c.rt.Net().AccountTraffic(interconnect.TrafficMeta, 8)
+			c.net.AccountTraffic(interconnect.TrafficMeta, 8)
 		}
 		c.locks.release(p, c.wnLock(q))
 	}

@@ -614,6 +614,35 @@ func BenchmarkSharedRead(b *testing.B) {
 	}
 }
 
+// BenchmarkSharedReadMixed is BenchmarkSharedRead over seeded pseudo-random
+// indices spanning four times the L1 (an LCG's high bits over 8 192
+// elements), so hits and misses come in no order a branch predictor can
+// learn; the sequential benches miss once per line, periodically.
+func BenchmarkSharedReadMixed(b *testing.B) {
+	cfg := seqConfig()
+	c := cache.Alpha21064A
+	cfg.Cache = &c
+	l := NewLayout()
+	arr := l.F64Pages(4 * c.SizeBytes / 8)
+	n := b.N
+	prog := &Program{
+		Name:        "hotpath-mixed",
+		SharedBytes: l.Size(),
+		Body: func(p *Proc) {
+			s, x := 0.0, uint64(1)
+			for i := 0; i < n; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				s += arr.At(p, int(x>>33)%arr.N)
+			}
+			readSink = s
+		},
+	}
+	b.ResetTimer()
+	if _, err := Run(cfg, prog); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSharedAccessScattered is BenchmarkSharedAccess with consecutive
 // accesses 16 pages apart, wrapping over 64 pages: the pattern of the
 // applications' column and neighbour-list walks, where no protection lookup

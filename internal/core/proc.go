@@ -11,11 +11,6 @@ import (
 	"repro/internal/vm"
 )
 
-// Quantum bounds how far a processor's clock may run ahead between
-// scheduling points; it also slices Compute so interrupt-mode requests are
-// noticed with bounded delay (the real interrupt latency dominates it).
-const Quantum = 5 * sim.Microsecond
-
 // Proc is one simulated processor's DSM context: the simulation processor,
 // its page table and frames, its L1 model, its messaging endpoint, and its
 // statistics. Application bodies receive a *Proc and perform all shared
@@ -32,11 +27,6 @@ type Proc struct {
 
 	proto     Protocol
 	writeHook bool
-
-	// noFastPath (SIM_NO_FASTPATH) disables the CheckpointQuiet guard so
-	// every checkpoint polls and tests the quantum, letting tests assert that
-	// skipping quiet checkpoints leaves results byte-identical.
-	noFastPath bool
 
 	stats    Stats
 	snap     Stats // frozen copy taken at Finish
@@ -108,14 +98,15 @@ func (p *Proc) ChargeProtocol(d sim.Time) { p.Charge(CatProtocol, d) }
 
 // pollAndYield is a checkpoint: it services eligible incoming requests and
 // yields if the clock has run a quantum ahead. Compute slices, poll points and
-// every shared access call it only when the quiet guard `p.noFastPath ||
-// !p.sp.CheckpointQuiet(Quantum)` holds, written out at each site because no
-// helper holding it fits the inliner's budget. The guard is exact —
+// every shared access call it only when `!p.sp.CheckpointQuiet()`, one
+// compare against the processor's deadline. The guard is exact —
 // PollVisible is a no-op when no message is visible and YieldIfQuantum is a
-// no-op under quantum — so skipping cannot change any virtual-time result.
+// no-op under quantum — so skipping cannot change any virtual-time result;
+// with SIM_NO_FASTPATH the deadline is math.MinInt64 and every checkpoint
+// runs.
 func (p *Proc) pollAndYield() {
 	p.ep.PollVisible()
-	p.sp.YieldIfQuantum(Quantum)
+	p.sp.YieldIfQuantum()
 }
 
 // Compute charges d nanoseconds of application computation, sliced into
@@ -127,12 +118,12 @@ func (p *Proc) Compute(d sim.Time) {
 	}
 	for d > 0 {
 		step := d
-		if step > Quantum {
-			step = Quantum
+		if step > sim.Quantum {
+			step = sim.Quantum
 		}
 		p.sp.Advance(step)
 		p.stats.Cat[CatUser] += step
-		if p.noFastPath || !p.sp.CheckpointQuiet(Quantum) {
+		if !p.sp.CheckpointQuiet() {
 			p.pollAndYield()
 		}
 		d -= step
@@ -147,7 +138,7 @@ func (p *Proc) PollPoint() {
 		p.sp.Advance(p.costs.PollCheck)
 		p.stats.Cat[CatPolling] += p.costs.PollCheck
 	}
-	if p.noFastPath || !p.sp.CheckpointQuiet(Quantum) {
+	if !p.sp.CheckpointQuiet() {
 		p.pollAndYield()
 	}
 }
@@ -167,12 +158,12 @@ func (p *Proc) load(base Addr, i, n int) uint64 {
 		fr = p.readSlow(a)
 	}
 	c := p.costs.MemAccess
-	if p.l1 != nil && !p.l1.Access(a) {
-		c += p.costs.CacheMiss
+	if p.l1 != nil {
+		c += sim.Time(p.l1.Miss(a)) * p.costs.CacheMiss
 	}
 	p.sp.Advance(c)
 	p.stats.Cat[CatUser] += c
-	if p.noFastPath || !p.sp.CheckpointQuiet(Quantum) {
+	if !p.sp.CheckpointQuiet() {
 		p.pollAndYield()
 	}
 	return binary.LittleEndian.Uint64(fr[vm.Offset(a):])
@@ -192,12 +183,12 @@ func (p *Proc) store(base Addr, i, n int, v uint64) {
 	}
 	binary.LittleEndian.PutUint64(fr[vm.Offset(a):], v)
 	c := p.costs.MemAccess
-	if p.l1 != nil && !p.l1.Access(a) {
-		c += p.costs.CacheMiss
+	if p.l1 != nil {
+		c += sim.Time(p.l1.Miss(a)) * p.costs.CacheMiss
 	}
 	p.sp.Advance(c)
 	p.stats.Cat[CatUser] += c
-	if p.noFastPath || !p.sp.CheckpointQuiet(Quantum) {
+	if !p.sp.CheckpointQuiet() {
 		p.pollAndYield()
 	}
 	if p.writeHook {

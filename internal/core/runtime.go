@@ -295,20 +295,18 @@ func Run(cfg Config, prog *Program) (res *Result, err error) {
 		rt.serverProcs = make([]*Proc, cfg.Nodes)
 	}
 
-	noFastPath := !sim.FastPathEnabled()
 	for _, sp := range eng.Procs() {
 		ep, err := msg.NewEndpoint(sp, net, cfg.Msg)
 		if err != nil {
 			return nil, err
 		}
 		p := &Proc{
-			sp:         sp,
-			ep:         ep,
-			space:      vm.NewSpace(rt.numPages),
-			rt:         rt,
-			costs:      cfg.Costs,
-			rank:       -1,
-			noFastPath: noFastPath,
+			sp:    sp,
+			ep:    ep,
+			space: vm.NewSpace(rt.numPages),
+			rt:    rt,
+			costs: cfg.Costs,
+			rank:  -1,
 		}
 		p.spinPoll = p.stepSpin
 		if cfg.Cache != nil {

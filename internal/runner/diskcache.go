@@ -57,8 +57,10 @@ func diskCachePath(dir, key string) string {
 }
 
 // loadDiskResult returns the cached result for a spec key, or ok=false on
-// any miss: absent file, unreadable JSON, or a schema/model/key mismatch (a
-// digest collision or a file written by an incompatible version).
+// any miss: absent file, unreadable JSON, a schema/model/key mismatch (a
+// digest collision or a file written by an incompatible version), or a
+// result with no processors, which no run produces and Table 3 would divide
+// by (FuzzDiskCacheEntry).
 func loadDiskResult(dir, key string) (*core.Result, bool) {
 	data, err := os.ReadFile(diskCachePath(dir, key))
 	if err != nil {
@@ -68,7 +70,8 @@ func loadDiskResult(dir, key string) (*core.Result, bool) {
 	if err := json.Unmarshal(data, &e); err != nil {
 		return nil, false
 	}
-	if e.Schema != SchemaVersion || e.Model != modelDigest || e.Key != key || e.Result == nil {
+	if e.Schema != SchemaVersion || e.Model != modelDigest || e.Key != key || e.Result == nil ||
+		e.Result.Procs <= 0 {
 		return nil, false
 	}
 	return e.Result, true

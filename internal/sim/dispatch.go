@@ -27,9 +27,10 @@ func (e *Engine) enqueue(target *Proc, t Time) {
 }
 
 // yieldAt performs the scheduling step of "q yields until t" short of the
-// switch: it resets q's quantum origin, then either elides the yield (true: q
-// keeps the baton with its clock advanced to t) or stamps q queued to resume
-// at t (false: the caller must hand q to dispatchNext, which pushes it).
+// switch: it resets q's quantum origin (and with it the quiet deadline), then
+// either elides the yield (true: q keeps the baton with its clock advanced to
+// t) or stamps q queued to resume at t (false: the caller must hand q to
+// dispatchNext, which pushes it).
 // Yield, PollWait and the inline poll loop all take this one step, so each
 // makes the same push-counter updates — FIFO tie-breaking is global, and one
 // extra push would renumber every later tie.
@@ -45,6 +46,7 @@ func (e *Engine) enqueue(target *Proc, t Time) {
 // but a tie-flipping schedule hashes them (runQueue.key).
 func (e *Engine) yieldAt(q *Proc, t Time) (elided bool) {
 	q.lastYield = q.now
+	q.requiet()
 	if !e.fastYield || t >= e.runq.headTime() {
 		e.stamp(q, t)
 		return false

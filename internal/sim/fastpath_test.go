@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,8 +13,11 @@ import (
 // block/wake pairs and a contended spin across eight processors under
 // schedule s and returns the final clocks. Used to compare the fast
 // scheduling paths against the plain enqueue-and-dispatch of every yield.
+// Its durations are in units of Quantum/200, so a step's work is up to two
+// and a half quanta and the quantum yields fire often.
 func irregularWorkload(t *testing.T, fast bool, s Schedule) ([]Time, *Engine) {
 	t.Helper()
+	const u = Quantum / 200
 	e := mustEngine(t, 2, 4)
 	e.SetFastYield(fast)
 	e.SetSchedule(s)
@@ -22,19 +27,19 @@ func irregularWorkload(t *testing.T, fast bool, s Schedule) ([]Time, *Engine) {
 		i := i
 		e.Go(p, func(p *Proc) {
 			for step := 0; step < 30; step++ {
-				p.Advance(Time((i*37+step*101)%500 + 1))
+				p.Advance(Time((i*37+step*101)%500+1) * u)
 				switch step % 4 {
 				case 0:
 					p.Yield()
 				case 1:
-					p.YieldIfQuantum(200)
+					p.YieldIfQuantum()
 				case 2:
-					p.YieldUntil(p.Now() + Time(i*13))
+					p.YieldUntil(p.Now() + Time(i*13)*u)
 				}
 				target := e.Proc((i + step) % n)
 				if target != p {
-					target.Deliver(p.NewMsg(p.Now()+Time(100+i), step, nil))
-					e.WakeAt(target, p.Now()+Time(50+i))
+					target.Deliver(p.NewMsg(p.Now()+Time(100+i)*u, step, nil))
+					e.WakeAt(target, p.Now()+Time(50+i)*u)
 				}
 				for {
 					if _, ok := p.TryRecv(); !ok {
@@ -48,7 +53,7 @@ func irregularWorkload(t *testing.T, fast bool, s Schedule) ([]Time, *Engine) {
 			// A spin on a flag the last processor raises late: inline polls
 			// when the fast paths are on, a sleep-yield loop when they are off.
 			if i == n-1 {
-				p.Advance(5000)
+				p.Advance(5000 * u)
 				p.Yield()
 				raised = true
 				return
@@ -57,7 +62,7 @@ func irregularWorkload(t *testing.T, fast bool, s Schedule) ([]Time, *Engine) {
 				if raised {
 					return true, 0
 				}
-				p.Advance(Time(40 + i))
+				p.Advance(Time(40+i) * u)
 				return false, p.Now()
 			})
 		})
@@ -122,6 +127,94 @@ func TestFastYieldEquivalence(t *testing.T) {
 	if elided == 0 || polls == 0 {
 		t.Errorf("perturbed runs took no fast path: elided=%d inline polls=%d", elided, polls)
 	}
+}
+
+// TestCheckpointQuietMatchesPredicate checks that the one-compare deadline
+// is the predicate it replaced: after every operation that moves a clock, a
+// quantum origin or an inbox head — seeded random Delivers with past and
+// future arrival times, TryRecv, Yield, YieldUntil, Advance, Block and
+// WakeAt on three processors — CheckpointQuiet must equal
+// `(inbox empty || head.At > now) && now-lastYield < Quantum` on every
+// processor, and with the fast paths off it must always be false.
+func TestCheckpointQuietMatchesPredicate(t *testing.T) {
+	for _, fast := range []bool{true, false} {
+		for seed := int64(1); seed <= 200; seed++ {
+			if msg := checkpointQuietRun(t, fast, seed); msg != "" {
+				t.Fatalf("fast=%v seed %d: %s", fast, seed, msg)
+			}
+		}
+	}
+}
+
+// checkpointQuietRun drives one seeded run and returns the first mismatch
+// between CheckpointQuiet and its predicate, or "".
+func checkpointQuietRun(t *testing.T, fast bool, seed int64) (failure string) {
+	e := mustEngine(t, 1, 3)
+	e.SetFastYield(fast)
+	rng := rand.New(rand.NewSource(seed))
+	dur := func() Time { return Time(rng.Intn(int(2 * Quantum))) }
+	alive, blocked := e.NumProcs(), 0
+	check := func(op string) bool {
+		for _, q := range e.Procs() {
+			want := fast && (len(q.inbox.msgs) == 0 || q.inbox.msgs[0].At > q.now) &&
+				q.now-q.lastYield < Quantum
+			if got := q.CheckpointQuiet(); got != want && failure == "" {
+				failure = fmt.Sprintf("after %s: proc %d CheckpointQuiet() = %v, predicate %v (now %d, lastYield %d, inbox %d)",
+					op, q.ID, got, want, q.now, q.lastYield, len(q.inbox.msgs))
+			}
+		}
+		return failure == ""
+	}
+	for _, p := range e.Procs() {
+		e.Go(p, func(p *Proc) {
+			for step := 0; step < 60 && check("start"); step++ {
+				var op string
+				switch rng.Intn(8) {
+				case 0, 1:
+					op = "Deliver"
+					at := p.now + dur() - Quantum // past or future
+					if at < 0 {
+						at = 0
+					}
+					e.Proc(rng.Intn(e.NumProcs())).Deliver(p.NewMsg(at, step, nil))
+				case 2:
+					op = "TryRecv"
+					p.TryRecv()
+				case 3:
+					op = "Yield"
+					p.Yield()
+				case 4:
+					op = "YieldUntil"
+					p.YieldUntil(p.now + dur())
+				case 5:
+					op = "Advance"
+					p.Advance(dur())
+				case 6:
+					op = "WakeAt"
+					e.WakeAt(e.Proc(rng.Intn(e.NumProcs())), p.now+dur())
+				case 7:
+					// Park only while another processor runs on to wake us
+					// (any Deliver to us does, and so does its exit).
+					if alive-blocked < 2 {
+						continue
+					}
+					op = "Block"
+					blocked++
+					p.Block("checkpoint-quiet test")
+					blocked--
+				}
+				check(op)
+			}
+			alive--
+			for _, q := range e.Procs() {
+				e.WakeAt(q, p.now)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	return failure
 }
 
 // TestElisionCountsSoloYields checks that a lone processor's quantum yields

@@ -70,6 +70,11 @@ func (p *Proc) Deliver(m Msg) {
 		m.Seq = p.eng.msgSeq
 	}
 	p.inbox.insert(m)
+	// The insert can only lower the head's At, so the deadline is the
+	// lesser of the two; with the fast paths off it stays math.MinInt64.
+	if m.At < p.quietUntil {
+		p.quietUntil = m.At
+	}
 	p.eng.WakeAt(p, m.At)
 }
 
@@ -87,7 +92,9 @@ func (p *Proc) TryRecv() (Msg, bool) {
 	if len(p.inbox.msgs) == 0 || p.inbox.msgs[0].At > p.now {
 		return Msg{}, false
 	}
-	return p.inbox.pop(), true
+	m := p.inbox.pop()
+	p.requiet()
+	return m, true
 }
 
 // PeekInbox reports whether any message is visible at the current clock

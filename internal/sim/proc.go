@@ -1,6 +1,15 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
+
+// Quantum bounds how far a processor's clock may run ahead between
+// scheduling points (YieldIfQuantum, CheckpointQuiet). Higher layers also
+// slice long computations by it so that interrupt-mode requests are noticed
+// with bounded delay (the real interrupt latency dominates it).
+const Quantum = 5 * Microsecond
 
 // Proc is one simulated processor. All of its methods must be called from the
 // processor's own body function (the coroutine started by Run), except
@@ -53,6 +62,13 @@ type Proc struct {
 	// that YieldIfQuantum can bound how far a processor runs ahead between
 	// interaction points.
 	lastYield Time
+
+	// quietUntil is the clock before which a checkpoint is provably a no-op:
+	// min(lastYield+Quantum, the inbox head's At), or math.MinInt64 with the
+	// fast paths off. requiet re-derives it wherever an input changes — a
+	// yield or block (lastYield), Deliver and TryRecv (the inbox head) and
+	// Run (the fast-path setting) — so CheckpointQuiet is one compare.
+	quietUntil Time
 
 	// jstate is this processor's splitmix64 cost-jitter stream, seeded at Run
 	// from (schedule seed, proc ID) when a jittering schedule is committed.
@@ -244,12 +260,12 @@ func (p *Proc) PollWait(poll func() (done bool, next Time)) {
 	}
 }
 
-// YieldIfQuantum yields only if the processor has run more than quantum
+// YieldIfQuantum yields only if the processor has run at least Quantum
 // nanoseconds since its last scheduling point. Long local computations call
 // this periodically so that their clock does not race arbitrarily far ahead
 // of processors that might want to interact with them.
-func (p *Proc) YieldIfQuantum(quantum Time) {
-	if p.now-p.lastYield >= quantum {
+func (p *Proc) YieldIfQuantum() {
+	if p.now-p.lastYield >= Quantum {
 		p.Yield()
 	}
 }
@@ -258,10 +274,23 @@ func (p *Proc) YieldIfQuantum(quantum Time) {
 // no-op at the current clock: no message is visible in the inbox and the
 // processor is still within its quantum. Hot access paths consult this
 // before paying for the full checkpoint; the answer is exact, not heuristic,
-// so skipping on true cannot change any virtual-time result.
-func (p *Proc) CheckpointQuiet(quantum Time) bool {
-	return (len(p.inbox.msgs) == 0 || p.inbox.msgs[0].At > p.now) &&
-		p.now-p.lastYield < quantum
+// so skipping on true cannot change any virtual-time result. It is
+// `(inbox empty || head.At > now) && now-lastYield < Quantum` — now <
+// quietUntil says exactly that, because head.At > now ⇔ now < head.At — and
+// always false with the fast paths off.
+func (p *Proc) CheckpointQuiet() bool { return p.now < p.quietUntil }
+
+// requiet re-derives quietUntil from lastYield, the inbox head and the
+// engine's fast-path setting.
+func (p *Proc) requiet() {
+	q := p.lastYield + Quantum
+	if len(p.inbox.msgs) > 0 && p.inbox.msgs[0].At < q {
+		q = p.inbox.msgs[0].At
+	}
+	if !p.eng.fastYield {
+		q = math.MinInt64
+	}
+	p.quietUntil = q
 }
 
 // Block parks the processor until another processor calls WakeAt (or until a
@@ -281,6 +310,7 @@ func (p *Proc) Block(reason string) {
 	}
 	p.blockReason = reason
 	p.lastYield = p.now
+	p.requiet()
 	// p must be marked blocked before pass dispatches anything: an inline poll
 	// evaluated there may deliver a message to p, and the resulting wake only
 	// re-queues a processor it observes as parked. If that happens p's own

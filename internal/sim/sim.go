@@ -37,11 +37,13 @@ import (
 )
 
 // NoFastPathEnv is the environment variable that, when set to any non-empty
-// value, disables the simulator's host-time fast paths (yield elision and
-// inline poll evaluation here, the quiet-checkpoint guard in internal/core).
-// The fast paths are bit-exact — they change no virtual-time result — so the
-// toggle exists purely so tests can run both ways and assert identical
-// output. Baton passes are the same coroutine switch either way.
+// value, disables the simulator's host-time fast paths: yield elision, inline
+// poll evaluation and the quiet-checkpoint deadline (CheckpointQuiet is then
+// always false, so internal/core runs every checkpoint in full). NewEngine
+// reads it, and nothing else does. The fast paths are bit-exact — they change
+// no virtual-time result — so the toggle exists purely so tests can run both
+// ways and assert identical output. Baton passes are the same coroutine
+// switch either way.
 const NoFastPathEnv = "SIM_NO_FASTPATH"
 
 // ParallelEnv named the switch of the node-parallel engine, which is gone.
@@ -49,9 +51,9 @@ const NoFastPathEnv = "SIM_NO_FASTPATH"
 // that stops naming it deletes this constant.
 const ParallelEnv = "SIM_PARALLEL"
 
-// FastPathEnabled reports whether the fast paths are enabled for engines and
-// runtimes created from now on (the environment is consulted at creation
-// time, not per operation).
+// FastPathEnabled reports whether the fast paths are enabled for engines
+// created from now on (NewEngine consults the environment at creation time,
+// not per operation).
 //
 // This is the one environment read in the measured packages, and sim.go the
 // one measured file that may import os (internal/analysis TestMeasuredImports):
@@ -131,7 +133,7 @@ type Engine struct {
 	procs   []*Proc
 	started bool
 
-	fastYield bool // elide scheduler round-trips when provably inconsequential
+	fastYield bool // fast paths: yield elision, inline polls, quiet deadlines
 
 	// sched is the committed schedule perturbation (zero value: canonical
 	// order). See schedule.go.
@@ -201,9 +203,10 @@ func (e *Engine) Go(p *Proc, body func(*Proc)) {
 	p.body = body
 }
 
-// SetFastYield enables or disables yield elision on this engine, overriding
-// the SIM_NO_FASTPATH environment default. For tests that want to pin one
-// path explicitly; must be called before Run.
+// SetFastYield enables or disables the fast paths on this engine — yield
+// elision, inline polls and the quiet-checkpoint deadline — overriding the
+// SIM_NO_FASTPATH environment default. For tests that want to pin one path
+// explicitly; must be called before Run.
 func (e *Engine) SetFastYield(on bool) { e.fastYield = on }
 
 // ElidedYields returns the number of yields that were satisfied without a
@@ -234,6 +237,7 @@ func (e *Engine) Run() error {
 	e.applySchedule()
 	e.runq.h = make([]entry, 0, len(e.procs)) // one entry per processor at most
 	for _, p := range e.procs {
+		p.requiet() // SetFastYield and pre-Run Delivers are settled now
 		if p.body == nil {
 			p.state = stateDone
 			continue

@@ -298,21 +298,21 @@ func TestYieldIfQuantum(t *testing.T) {
 	var trace []string
 	e.Go(e.Proc(0), func(p *Proc) {
 		for i := 0; i < 4; i++ {
-			p.Advance(600)
-			p.YieldIfQuantum(1000) // yields on every other iteration
+			p.Advance(Quantum * 3 / 5)
+			p.YieldIfQuantum() // yields on every other iteration
 		}
 		trace = append(trace, "slow-done")
 	})
 	e.Go(e.Proc(1), func(p *Proc) {
-		p.Advance(1500)
+		p.Advance(Quantum * 3 / 2)
 		p.Yield()
 		trace = append(trace, "mid")
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Proc 0 yields at 1200 and 2400; proc 1's action at 1500 must interleave
-	// between them rather than waiting for proc 0 to finish at 2400.
+	// Proc 0 yields at 1.2 and 2.4 quanta; proc 1's action at 1.5 quanta must
+	// interleave between them rather than waiting for proc 0 to finish.
 	if len(trace) != 2 || trace[0] != "mid" {
 		t.Fatalf("trace = %v, want [mid slow-done]", trace)
 	}

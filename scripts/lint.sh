@@ -12,10 +12,12 @@
 #                        fail lint);
 #   4. inlining        — the typed accessors that wrap core's one out-of-line
 #                        load/store, the functions every simulated load and
-#                        store inlines inside it, and the run queue's
-#                        head-time read in the yield-elision test must stay
-#                        within the compiler's inlining budget (DESIGN.md §3a
-#                        items 1 and 3).
+#                        store inlines inside it (the frame-table reads, the
+#                        L1's branch-free Miss and its Access wrapper,
+#                        Advance and the one-compare CheckpointQuiet), and
+#                        the run queue's head-time read in the yield-elision
+#                        test must stay within the compiler's inlining budget
+#                        (DESIGN.md §3a items 1 and 3).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,7 +38,7 @@ fi
 echo "== inlining =="
 inlinable=$(go build -gcflags=-m ./internal/vm ./internal/cache ./internal/sim ./internal/core 2>&1 |
     sed -n 's/.*: can inline //p')
-for fn in '(*Space).ReadFrame' '(*Space).WriteFrame' '(*L1).Access' \
+for fn in '(*Space).ReadFrame' '(*Space).WriteFrame' '(*L1).Miss' '(*L1).Access' \
     '(*Proc).Advance' '(*Proc).CheckpointQuiet' '(*runQueue).headTime' \
     'F64Array.At' 'F64Array.Set' 'I64Array.At' 'I64Array.Set' \
     '(*Proc).ReadF64' '(*Proc).WriteF64' '(*Proc).ReadI64' '(*Proc).WriteI64'; do
