@@ -73,6 +73,17 @@ func TestDoubledAddr(t *testing.T) {
 	}
 }
 
+// TestSharedWriteRejectsNonWordSize: core stores one 8-byte word, so the
+// write hook has a single word-move path and refuses any other size.
+func TestSharedWriteRejectsNonWordSize(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("OnSharedWrite with size 4 did not panic")
+		}
+	}()
+	(&Protocol{}).OnSharedWrite(nil, 0, 4)
+}
+
 // producerConsumer: rank 0 writes a page-aligned array, barrier, others read.
 func producerConsumer(t *testing.T, cfg core.Config, n int) *core.Result {
 	t.Helper()

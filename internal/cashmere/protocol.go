@@ -272,34 +272,31 @@ func (c *Protocol) OnWriteFault(p *core.Proc, page int) {
 // write-through pipe occupancy, and the functional update of the home copy
 // all happen here. Setup has already refused a backend without
 // Caps().RemoteWrites. Every core store doubles one 8-byte word, which moves
-// as one load and store rather than a copy.
+// as one load and store; any other size is a caller bug.
 func (c *Protocol) OnSharedWrite(p *core.Proc, addr core.Addr, size int) {
+	if size != 8 {
+		panic(fmt.Sprintf("cashmere: doubled store of %d bytes; core stores one 8-byte word", size))
+	}
 	p.Charge(core.CatDoubling, p.Costs().WriteDouble)
 	page := vm.PageOf(addr)
 	off := vm.Offset(addr)
+	hf := c.dir[page].homeFrame
+	if hf == nil {
+		hf = c.homeFrame(page)
+	}
+	binary.LittleEndian.PutUint64(hf[off:], binary.LittleEndian.Uint64(p.Space().Frame(page)[off:]))
 	if c.cfg.DummyDoubling {
 		// All doubles land on one address: after the first touch it always
 		// hits the cache and combines in the write buffer — no pressure, no
-		// Memory Channel traffic. The home copy is still updated
+		// Memory Channel traffic. The home copy above is still updated
 		// functionally so single-processor results stay correct.
 		p.CacheTouch(DoubledAddr(0))
-		copy(c.homeFrame(page)[off:off+size], p.Space().Frame(page)[off:off+size])
 		return
 	}
 	if !p.CacheTouch(DoubledAddr(addr)) {
 		p.Charge(core.CatDoubling, p.Costs().CacheMiss)
 	}
-	hf := c.dir[page].homeFrame
-	if hf == nil {
-		hf = c.homeFrame(page)
-	}
-	fr := p.Space().Frame(page)
-	if size == 8 {
-		binary.LittleEndian.PutUint64(hf[off:], binary.LittleEndian.Uint64(fr[off:]))
-	} else {
-		copy(hf[off:off+size], fr[off:off+size])
-	}
-	c.net.WriteThrough(p.Sim(), int(c.home[page]), int64(size))
+	c.net.WriteThrough(p.Sim(), int(c.home[page]), 8)
 }
 
 // Lock implements core.Protocol: cluster lock acquire, then acquire-side

@@ -24,7 +24,8 @@ type Protocol interface {
 	OnWriteFault(p *Proc, page int)
 	// OnSharedWrite runs after every successful shared-memory store
 	// (Cashmere doubles the write to the home node). Only called when
-	// WantsWriteHook reports true.
+	// WantsWriteHook reports true. Every store is one 8-byte word, so size
+	// is always 8.
 	OnSharedWrite(p *Proc, addr Addr, size int)
 	// WantsWriteHook reports whether OnSharedWrite must be invoked; keeps
 	// the store fast path free of an interface call for protocols that do
