@@ -13,12 +13,11 @@ type Diff struct {
 	// notice the diff covers. One diff can cover several write notices when
 	// the page stayed writable across intervals; the tag records the newest.
 	Tag int32
-	// VT is the vector timestamp of the covering interval: diffs are merged
-	// in the causal order these timestamps define (§2.2). For a diff flushed
-	// while its newest writes are still in the open interval, VT is the open
-	// interval's lower-bound timestamp, which is safe for data-race-free
-	// programs (any conflicting later write must synchronize through a point
-	// that dominates it).
+	// VT is the vector timestamp of the twin's birth interval, the first
+	// notice the diff covers: diffs are merged in the causal order these
+	// timestamps define (§2.2). Every covered interval is closed, because a
+	// flush closes the open interval before it makes the diff; VT[creator] is
+	// the birth interval's id.
 	VT   VT
 	Runs []Run
 }

@@ -60,10 +60,10 @@ type pstate struct {
 	vt  VT
 	cur int32 // number of closed intervals
 
-	// pending holds pages with a write notice in the open interval.
-	pending []int32
-	// twins maps page -> pristine copy made at the first write fault.
-	twins map[int][]byte
+	// twins holds the pages this processor has dirty: one record per page,
+	// made at the first write fault and turned into a stored diff by
+	// flushDiff.
+	twins map[int]*twin
 	// log[q] holds every interval record of processor q this processor has
 	// incorporated: log[q][i] is interval i+1.
 	log [][]Interval
@@ -75,14 +75,6 @@ type pstate struct {
 	// applied[page][w], allocated lazily, is the highest interval of writer
 	// w whose writes are reflected in this processor's copy of page.
 	applied [][]int32
-	// lastClosedDirty[page] is the highest closed local interval that
-	// published a write notice for page.
-	lastClosedDirty []int32
-	// twinBirth[page] is the first interval whose notice covers the live
-	// twin: the ordering stamp for the eventual diff. Because twins are
-	// flushed as soon as conflicting knowledge arrives, all of a twin's
-	// writes causally belong to its birth era.
-	twinBirth map[int]int32
 	// diffs[page] holds this processor's stored diffs for page, ascending
 	// by tag.
 	diffs map[int][]Diff
@@ -103,6 +95,19 @@ type pstate struct {
 	// (Service sets it; handlers nest when a reply waits for buffer space).
 	// incorporate refuses to run under it: see Protocol.
 	serviceDepth int
+}
+
+// twin is a writer's dirty state for one page. Every close re-publishes a
+// write notice for every live twin, so a twin born in interval b has been
+// noticed by each of the intervals b..cur once cur >= b.
+type twin struct {
+	// data is the pristine copy made at the first write fault.
+	data []byte
+	// birth is the first local interval whose notice covers the twin (the
+	// interval open when it was made), and the ordering stamp of its diff.
+	// Twins are flushed as soon as conflicting knowledge arrives, so all of
+	// a twin's writes causally belong to its birth era.
+	birth int32
 }
 
 type handoffReq struct {
@@ -210,18 +215,16 @@ func (t *Protocol) Setup(rt *core.Runtime) {
 	locks := rt.Program().Locks
 	for r := 0; r < t.nprocs; r++ {
 		st := &pstate{
-			vt:              NewVT(t.nprocs),
-			twins:           make(map[int][]byte),
-			log:             make([][]Interval, t.nprocs),
-			known:           make([][]int32, numPages),
-			applied:         make([][]int32, numPages),
-			lastClosedDirty: make([]int32, numPages),
-			twinBirth:       make(map[int]int32),
-			diffs:           make(map[int][]Diff),
-			lockSt:          make([]lockState, locks),
-			hasBaton:        make([]bool, locks),
-			pendingHandoff:  make([][]handoffReq, locks),
-			managerVTGuess:  NewVT(t.nprocs),
+			vt:             NewVT(t.nprocs),
+			twins:          make(map[int]*twin),
+			log:            make([][]Interval, t.nprocs),
+			known:          make([][]int32, numPages),
+			applied:        make([][]int32, numPages),
+			diffs:          make(map[int][]Diff),
+			lockSt:         make([]lockState, locks),
+			hasBaton:       make([]bool, locks),
+			pendingHandoff: make([][]handoffReq, locks),
+			managerVTGuess: NewVT(t.nprocs),
 		}
 		t.ps = append(t.ps, st)
 		t.mgrs = append(t.mgrs, make(map[int]*lockMgr))
@@ -266,7 +269,7 @@ func (t *Protocol) slot(arr [][]int32, page int) []int32 {
 // Intervals and incorporation
 
 // closeInterval publishes the open interval if any pages are dirty: a write
-// notice per dirty page, stamped with the new interval id. Every page with a
+// notice per live twin, stamped with the new interval id. Every page with a
 // live twin is conservatively treated as modified during the interval — the
 // protocol cannot know whether a still-writable page was written, so notices
 // for "all logically previous writes" are re-published (§2.2's TreadMarks
@@ -274,37 +277,28 @@ func (t *Protocol) slot(arr [][]int32, page int) []int32 {
 // always dominates the knowledge its writer held at its last close.
 func (t *Protocol) closeInterval(p *core.Proc) {
 	st := t.state(p)
-	if len(st.twins) > 0 {
-		pages := make([]int, 0, len(st.twins))
-		for pg := range st.twins {
-			pages = append(pages, pg)
-		}
-		sort.Ints(pages)
-		for _, pg := range pages {
-			if !pagePending(st, pg) {
-				st.pending = append(st.pending, int32(pg))
-			}
-		}
-	}
-	if len(st.pending) == 0 {
+	if len(st.twins) == 0 {
 		return
+	}
+	keys := make([]int, 0, len(st.twins))
+	for pg := range st.twins {
+		keys = append(keys, pg)
+	}
+	sort.Ints(keys)
+	pages := make([]int32, len(keys))
+	for i, pg := range keys {
+		pages[i] = int32(pg)
 	}
 	rank := int32(p.Rank())
 	id := st.cur + 1
 	st.cur = id
 	st.vt[rank] = id
-	rec := Interval{Proc: rank, ID: id, VT: st.vt.Clone(), Pages: st.pending}
-	st.log[rank] = append(st.log[rank], rec)
-	for _, pg := range st.pending {
-		st.lastClosedDirty[pg] = id
-		if st.twins[int(pg)] != nil && st.twinBirth[int(pg)] == 0 {
-			st.twinBirth[int(pg)] = id
-		}
+	st.log[rank] = append(st.log[rank], Interval{Proc: rank, ID: id, VT: st.vt.Clone(), Pages: pages})
+	for _, pg := range pages {
 		t.slot(st.known, int(pg))[rank] = id
 		t.slot(st.applied, int(pg))[rank] = id
 	}
-	p.ChargeProtocol(sim.Time(len(st.pending)) * p.Costs().MemAccess * 4)
-	st.pending = nil
+	p.ChargeProtocol(sim.Time(len(pages)) * p.Costs().MemAccess * 4)
 	t.intervalsClosed++
 }
 
@@ -468,38 +462,25 @@ func (t *Protocol) incorporate(p *core.Proc, recs []Interval, senderVT VT) {
 
 // flushDiff turns the current twin into a stored diff (write-protecting the
 // page) so that subsequently applied remote diffs do not pollute our own.
-// The diff is tagged with its covering write-notice interval: the open
-// interval (lower-bound timestamp) if the page has unpublished writes, else
-// the latest closed interval that published a notice for the page.
 func (t *Protocol) flushDiff(p *core.Proc, page int) {
 	st := t.state(p)
-	twin := st.twins[page]
-	if twin == nil {
+	tw := st.twins[page]
+	if tw == nil {
 		return
 	}
-	// If the twin covers writes of the still-open interval, close the
-	// interval first so the diff is tagged with a real, published write
+	// A twin no close has published yet covers writes of the open interval:
+	// close it first so the diff is tagged with a real, published write
 	// notice. (Interval boundaries may legally fall anywhere; the notice
 	// only propagates through future synchronization.)
-	if pagePending(st, page) {
+	if tw.birth > st.cur {
 		t.closeInterval(p)
 	}
+	// The diff covers the notices birth..cur, so its tag is cur; its
+	// ordering timestamp is the birth notice's. Later re-notices merely
+	// re-advertise the twin's writes and must not re-stamp them past a chain
+	// successor's newer diff.
 	rank := int32(p.Rank())
-	tag := st.lastClosedDirty[page]
-	birth := st.twinBirth[page]
-	delete(st.twinBirth, page)
-	if tag < 1 || birth < 1 {
-		panic(fmt.Sprintf("treadmarks: rank %d flushing twin for page %d with no covering notice (tag %d birth %d)", p.Rank(), page, tag, birth))
-	}
-	// Coverage is the newest covering notice (tag); the ordering timestamp
-	// is the twin's BIRTH notice. The twin was flushed before any
-	// conflicting notice was incorporated, so all of its writes causally
-	// belong to the birth era; later re-notices merely re-advertise them
-	// and must not re-stamp them past a chain successor's newer diff.
-	dvt := st.rec(rank, birth).VT
-	frame := p.Space().Frame(page)
-	runs := MakeDiff(frame, twin)
-	d := Diff{Tag: tag, VT: dvt, Runs: runs}
+	d := Diff{Tag: st.cur, VT: st.rec(rank, tw.birth).VT, Runs: MakeDiff(p.Space().Frame(page), tw.data)}
 	st.diffs[page] = append(st.diffs[page], d)
 	delete(st.twins, page)
 	if p.Space().Prot(page).CanWrite() {
@@ -574,10 +555,8 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 	})
 	for _, g := range all {
 		ApplyDiff(frame, g.diff.Runs)
-		if g.writer != rank {
-			p.ChargeProtocol(p.Costs().DiffApplyBase + p.Costs().Copy(g.diff.Bytes()))
-			p.Stats().DiffsApplied++
-		}
+		p.ChargeProtocol(p.Costs().DiffApplyBase + p.Costs().Copy(g.diff.Bytes()))
+		p.Stats().DiffsApplied++
 	}
 	// Only now does the frame hold what the replies covered. A servePage
 	// nested in the waits above ships frame and applied together, so raising
@@ -590,17 +569,6 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 	}
 	p.Space().SetProt(page, vm.ProtRead)
 	p.ChargeProtocol(p.Costs().ProtChange)
-}
-
-// pagePending reports whether the page has a write notice in the open
-// interval.
-func pagePending(st *pstate, page int) bool {
-	for _, pg := range st.pending {
-		if int(pg) == page {
-			return true
-		}
-	}
-	return false
 }
 
 // fetchPage obtains a base copy of the page from its static manager, along
@@ -643,7 +611,7 @@ func (t *Protocol) OnReadFault(p *core.Proc, page int) {
 }
 
 // OnWriteFault implements core.Protocol: validate if needed, then twin the
-// page and record the write notice for the open interval.
+// page; the next close publishes its write notice.
 func (t *Protocol) OnWriteFault(p *core.Proc, page int) {
 	st := t.state(p)
 	p.ChargeProtocol(p.Costs().PageFault)
@@ -652,12 +620,9 @@ func (t *Protocol) OnWriteFault(p *core.Proc, page int) {
 	}
 	if st.twins[page] == nil {
 		frame := p.MaterializedFrame(page)
-		st.twins[page] = append([]byte(nil), frame...)
+		st.twins[page] = &twin{data: append([]byte(nil), frame...), birth: st.cur + 1}
 		p.ChargeProtocol(p.Costs().TwinCopy)
 		p.Stats().Twins++
-		if !pagePending(st, page) { // a flush within this interval may have left it pending
-			st.pending = append(st.pending, int32(page))
-		}
 	}
 	p.Space().SetProt(page, vm.ProtReadWrite)
 	p.ChargeProtocol(p.Costs().ProtChange)
@@ -902,23 +867,17 @@ func (t *Protocol) handleHandoff(p *core.Proc, orig msg.Request, reqVT VT, lock 
 	t.grantLock(p, lock, handoffReq{req: orig, vt: reqVT})
 }
 
-// serveDiff answers a diff request: create the twin's diff if a published
-// write notice is not yet covered by a stored diff, then return all stored
-// diffs beyond the requester's horizon.
+// serveDiff answers a diff request: flush the twin if a published write
+// notice covers it, then return all stored diffs beyond the requester's
+// horizon.
 func (t *Protocol) serveDiff(p *core.Proc, req msg.Request) {
 	st := t.state(p)
 	dr := req.Data.(diffReqMsg)
 	page := dr.Page
-	stored := st.diffs[page]
-	highest := int32(0)
-	if len(stored) > 0 {
-		highest = stored[len(stored)-1].Tag
-	}
-	if st.twins[page] != nil && st.lastClosedDirty[page] > highest {
+	if tw := st.twins[page]; tw != nil && tw.birth <= st.cur {
 		t.flushDiff(p, page)
-		stored = st.diffs[page]
-		highest = stored[len(stored)-1].Tag
 	}
+	stored := st.diffs[page]
 	var out []Diff
 	var bytes int64
 	for _, d := range stored {
@@ -936,9 +895,9 @@ func (t *Protocol) serveDiff(p *core.Proc, req msg.Request) {
 			bytes += d.WireBytes()
 		}
 	}
-	covered := st.lastClosedDirty[page]
-	if highest > covered {
-		covered = highest
+	covered := int32(0)
+	if len(stored) > 0 {
+		covered = stored[len(stored)-1].Tag
 	}
 	p.ChargeProtocol(p.Costs().HandlerWork)
 	p.EP().ReplyClass(req.From, req, diffReply{Covered: covered, Diffs: out},
