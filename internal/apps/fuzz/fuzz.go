@@ -1,15 +1,16 @@
 // Package fuzz generates random data-race-free DSM programs for protocol
-// validation. Each generated program interleaves five synchronization
+// validation. Each generated program interleaves six synchronization
 // idioms — barrier-phased band writes, lock-protected shared counters,
-// lock-chained token passing, flag-based producer/consumer publication, and
-// a read-mostly shared table with occasional locked updates — with
-// deterministic pseudo-random parameters, then checks every read against a
-// sequentially-consistent oracle computed from the same parameters. Running
-// the same program under Cashmere, TreadMarks, and the sequential baseline
-// must produce identical results; a protocol bug that loses a diff,
-// misorders a merge, or breaks lock mutual exclusion shows up as a failed
-// oracle check. The dsmcheck harness (internal/check) additionally replays
-// the Corpus configurations under many perturbed schedules.
+// lock-chained token passing, flag-based producer/consumer publication, a
+// read-mostly shared table with occasional locked updates, and a lock storm
+// on one page — with deterministic pseudo-random parameters, then checks
+// every read against a sequentially-consistent oracle computed from the same
+// parameters. Running the same program under Cashmere, TreadMarks, and the
+// sequential baseline must produce identical results; a protocol bug that
+// loses a diff, misorders a merge, or breaks lock mutual exclusion shows up
+// as a failed oracle check. The dsmcheck harness (internal/check)
+// additionally replays the Corpus configurations under many perturbed
+// schedules.
 package fuzz
 
 import (
@@ -44,16 +45,31 @@ func Corpus() []Config {
 		{Seed: 202, Rounds: 3, Elems: 128, Locks: 2},
 		{Seed: 303, Rounds: 4, Elems: 256, Locks: 3},
 		{Seed: 404, Rounds: 3, Elems: 512, Locks: 2},
+		{Seed: 505, Rounds: 3, Elems: 64, Locks: 1},
 	}
 }
 
 // tableSize is the entry count of the read-mostly table (idiom 5).
 const tableSize = 8
 
+// Idiom 6, Water's phase-3 force merge: stormLocks locks guard disjoint
+// stormSlice-element slices of one page, and every processor takes every
+// one of them each round.
+const (
+	stormLocks = 4
+	stormSlice = 16
+)
+
+// Valid reports whether New accepts the configuration: at least one round,
+// lock and page-sized array.
+func (c Config) Valid() bool {
+	return c.Rounds >= 1 && c.Elems >= 64 && c.Locks >= 1
+}
+
 // New builds the generated program. The body's work assignment depends only
 // on (Config, rank, nprocs), so the oracle below can predict every value.
 func New(c Config) *core.Program {
-	if c.Rounds < 1 || c.Elems < 64 || c.Locks < 1 {
+	if !c.Valid() {
 		panic(fmt.Sprintf("fuzz: bad config %+v", c))
 	}
 	l := core.NewLayout()
@@ -62,16 +78,18 @@ func New(c Config) *core.Program {
 	token := l.I64Pages(1)
 	pub := l.I64Pages(2) // [0] published slot, [1] publication flag
 	table := l.I64Pages(tableSize)
+	storm := l.I64Pages(stormSlice * stormLocks) // one page
 
 	// Lock ids beyond the per-counter locks.
 	tokenLock := c.Locks
 	pubLock := c.Locks + 1
 	tblLock := c.Locks + 2
+	stormLock0 := c.Locks + 3
 
 	return &core.Program{
 		Name:        "fuzz",
 		SharedBytes: l.Size(),
-		Locks:       c.Locks + 3, // counters + token + publish + table
+		Locks:       c.Locks + 3 + stormLocks, // counters + token + publish + table + storm
 		Barriers:    2,
 		Init: func(w *core.ImageWriter) {
 			for i := 0; i < c.Elems; i++ {
@@ -86,6 +104,22 @@ func New(c Config) *core.Program {
 			me := p.Rank()
 			rng := apputil.Rng(c.Seed + int64(me)*7919)
 			for round := 0; round < c.Rounds; round++ {
+				// Idiom 6: lock storm, first in the round so that every
+				// processor leaves the previous barrier straight into it, as
+				// in Water's merge. Each takes every storm lock once,
+				// starting at its own rank so the lock chains interleave,
+				// and adds rank+1 to every element of that lock's slice:
+				// each element gains the same sum per round, whatever the
+				// order.
+				for dq := 0; dq < stormLocks; dq++ {
+					q := (me + dq) % stormLocks
+					p.Lock(stormLock0 + q)
+					for m := q * stormSlice; m < (q+1)*stormSlice; m++ {
+						storm.Set(p, m, storm.At(p, m)+int64(me+1))
+					}
+					p.Unlock(stormLock0 + q)
+					p.Compute(5 * sim.Microsecond)
+				}
 				// Idiom 1: barrier-phased band writes. The permutation of
 				// bands rotates per round; every element has exactly one
 				// writer per round.
@@ -159,8 +193,15 @@ func New(c Config) *core.Program {
 						round, me, e, v, lo, hi))
 				}
 				p.Barrier(0)
-				// Validation: every processor checks a pseudo-random sample
-				// of the array against the oracle.
+				// Validation: every processor reads every storm element and
+				// checks a pseudo-random sample of the array against the
+				// oracle.
+				for m := 0; m < stormSlice*stormLocks; m++ {
+					if got, want := storm.At(p, m), stormAt(round+1, np); got != want {
+						panic(fmt.Sprintf("fuzz: round %d rank %d: storm[%d] = %d, want %d",
+							round, me, m, got, want))
+					}
+				}
 				for s := 0; s < 64; s++ {
 					i := int(rng.Int63()) % c.Elems
 					p.PollPoint()
@@ -200,6 +241,11 @@ func New(c Config) *core.Program {
 				p.ReportCheck("pubflag", float64(pub.At(p, 1)))
 				p.ReportCheck("pubslot", float64(pub.At(p, 0)))
 				p.ReportCheck("tablesum", float64(tsum))
+				var ssum int64
+				for m := 0; m < stormSlice*stormLocks; m++ {
+					ssum += storm.At(p, m)
+				}
+				p.ReportCheck("stormsum", float64(ssum))
 			}
 		},
 	}
@@ -230,6 +276,10 @@ func tableAt(c Config, round, i int) int64 {
 	}
 	return v
 }
+
+// stormAt is the oracle for every storm element once rounds rounds of
+// idiom 6 have run on nprocs processors.
+func stormAt(rounds, nprocs int) int64 { return int64(rounds * nprocs * (nprocs + 1) / 2) }
 
 // ExpectedChecks returns the oracle values for the final reported checks on
 // nprocs processors.
@@ -281,5 +331,6 @@ func AllExpectedChecks(c Config, nprocs int) map[string]float64 {
 		"pubflag":    float64(c.Rounds),
 		"pubslot":    float64(pubOracle(c, c.Rounds-1)),
 		"tablesum":   float64(tsum),
+		"stormsum":   float64(stormSlice * stormLocks * stormAt(c.Rounds, nprocs)),
 	}
 }

@@ -93,8 +93,9 @@ func TestFuzzDeterminism(t *testing.T) {
 
 // TestCorpusOracles runs every corpus configuration under both polling
 // variants and the sequential baseline and requires the complete reported
-// check map — including the publish-flag, published-slot, and table-sum
-// checks from the two newer idioms — to match the analytic oracle exactly.
+// check map — including the publish-flag, published-slot, table-sum and
+// storm-sum checks from the newer idioms — to match the analytic oracle
+// exactly.
 func TestCorpusOracles(t *testing.T) {
 	for _, c := range Corpus() {
 		for _, variant := range []string{"csm_poll", "tmk_mc_poll", variants.Sequential} {
@@ -115,9 +116,9 @@ func TestCorpusOracles(t *testing.T) {
 				if len(res.Checks) != len(want) {
 					t.Fatalf("reported %d checks, oracle has %d", len(res.Checks), len(want))
 				}
-				for _, name := range []string{"arraysum", "countersum", "token", "pubflag", "pubslot", "tablesum"} {
-					if got := res.Checks[name]; got != want[name] {
-						t.Errorf("%s = %v, want %v", name, got, want[name])
+				for name, w := range want {
+					if got := res.Checks[name]; got != w {
+						t.Errorf("%s = %v, want %v", name, got, w)
 					}
 				}
 			})

@@ -90,8 +90,8 @@ func TestDifferentialClean(t *testing.T) {
 	for _, f := range report.Failures {
 		t.Errorf("%s on %s %+v schedule seed %d: %s", f.Variant, f.Shape, f.Fuzz, f.Schedule.Seed, f.Reason)
 	}
-	// 4 corpus configs x 2 variants x (2 canonical + 12 perturbed).
-	if want := 4 * 2 * 14; report.Runs != want {
+	// Every corpus config x 2 variants x (2 canonical + 12 perturbed).
+	if want := len(fuzz.Corpus()) * 2 * 14; report.Runs != want {
 		t.Errorf("ran %d simulations, want %d", report.Runs, want)
 	}
 }

@@ -82,7 +82,7 @@ func LoadRepro(path string) (Repro, error) {
 func Replay(r Repro) (string, error) {
 	switch r.Kind {
 	case KindDifferential:
-		if r.Fuzz.Rounds < 1 || r.Fuzz.Elems < 64 || r.Fuzz.Locks < 1 {
+		if !r.Fuzz.Valid() {
 			return "", fmt.Errorf("check: bad fuzz config %+v", r.Fuzz)
 		}
 		return diffReason(r.Fuzz, r.Variant, r.shape(), r.Schedule, r.InjectDropDiffRuns), nil

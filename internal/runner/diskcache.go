@@ -30,7 +30,7 @@ import (
 // moves a small-sweep number cannot keep serving old cache entries. The
 // residual risk: a model change that moves only default-size cells leaves
 // that sha, and therefore this salt, unchanged.
-const modelDigest = "1cee92d0cf613b3abceafbd2cf1319f518f3c8b424c8a0bf0a08abce2e567421"
+const modelDigest = "27c57b73e0243b795bfe71ca5253acdcd5225d8d50954ea1b6dd47d302eec899"
 
 // diskEntry is the on-disk format of one cached result.
 type diskEntry struct {

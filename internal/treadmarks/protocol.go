@@ -19,7 +19,7 @@ const (
 	// current owner (one-way; the owner replies to the requester directly).
 	kindLockHandoff
 	// kindDiffRequest asks a writer for the diffs of one page beyond the
-	// requester's applied horizon.
+	// requester's applied horizon, up to what the requester knows.
 	kindDiffRequest
 	// kindPageRequest asks a page's static manager for a full copy plus the
 	// vector describing which writers' intervals the copy reflects.
@@ -137,10 +137,7 @@ type lockGrant struct {
 type diffReqMsg struct {
 	Page    int
 	Applied int32 // requester's applied horizon for this writer
-}
-type diffReply struct {
-	Covered int32
-	Diffs   []Diff
+	Known   int32 // requester's newest notice of this writer for the page
 }
 type pageReqMsg struct {
 	Page int
@@ -513,9 +510,12 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 		diff   Diff
 	}
 	type inflight struct {
-		writer  int
-		token   uint64
-		covered int32 // the reply's Covered horizon
+		writer int
+		token  uint64
+		// horizon is what the copy covers of the writer once the reply is
+		// merged: every notice the request knew of, and every interval the
+		// newest served diff covers (DESIGN §8 rule 10).
+		horizon int32
 	}
 	var all []gathered
 	var calls []inflight
@@ -526,15 +526,17 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 			}
 			t.diffRequests++
 			tok := p.EP().CallStart(t.rt.ProcByRank(w).EP(), kindDiffRequest,
-				diffReqMsg{Page: page, Applied: applied[w]}, 24)
-			calls = append(calls, inflight{writer: w, token: tok})
+				diffReqMsg{Page: page, Applied: applied[w], Known: known[w]}, 24)
+			calls = append(calls, inflight{writer: w, token: tok, horizon: known[w]})
 		}
 		for i := range calls {
-			dr := p.EP().WaitReply(calls[i].token).(diffReply)
-			for _, d := range dr.Diffs {
+			diffs := p.EP().WaitReply(calls[i].token).([]Diff)
+			for _, d := range diffs {
 				all = append(all, gathered{writer: calls[i].writer, diff: d})
 			}
-			calls[i].covered = dr.Covered
+			if n := len(diffs); n > 0 {
+				calls[i].horizon = max(calls[i].horizon, diffs[n-1].Tag)
+			}
 		}
 	}
 	// Merge in the causal order defined by the diffs' interval timestamps
@@ -563,9 +565,7 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 	// applied as each reply arrived would have it claim diffs the shipped
 	// frame lacks — and the requester would never ask their writer.
 	for _, c := range calls {
-		if c.covered > applied[c.writer] {
-			applied[c.writer] = c.covered
-		}
+		applied[c.writer] = max(applied[c.writer], c.horizon)
 	}
 	p.Space().SetProt(page, vm.ProtRead)
 	p.ChargeProtocol(p.Costs().ProtChange)
@@ -867,20 +867,25 @@ func (t *Protocol) handleHandoff(p *core.Proc, orig msg.Request, reqVT VT, lock 
 	t.grantLock(p, lock, handoffReq{req: orig, vt: reqVT})
 }
 
-// serveDiff answers a diff request: flush the twin if a published write
-// notice covers it, then return all stored diffs beyond the requester's
-// horizon.
+// serveDiff answers a diff request with what the requester's knowledge
+// entitles it to (DESIGN §8 rule 10): flush the twin if a notice the
+// requester knows covers it, then return the stored diffs beyond its applied
+// horizon that were born no later than its newest notice. Births ascend with
+// tags, so the first diff born in the requester's future ends the reply.
 func (t *Protocol) serveDiff(p *core.Proc, req msg.Request) {
 	st := t.state(p)
 	dr := req.Data.(diffReqMsg)
 	page := dr.Page
-	if tw := st.twins[page]; tw != nil && tw.birth <= st.cur {
+	if tw := st.twins[page]; tw != nil && tw.birth <= dr.Known {
 		t.flushDiff(p, page)
 	}
-	stored := st.diffs[page]
+	rank := p.Rank()
 	var out []Diff
 	var bytes int64
-	for _, d := range stored {
+	for _, d := range st.diffs[page] {
+		if d.VT[rank] > dr.Known {
+			break
+		}
 		if d.Tag > dr.Applied {
 			t.diffsServed++
 			if n := t.cfg.TestDropDiffRuns; n > 0 && t.diffsServed%int64(n) == 0 && len(d.Runs) > 0 {
@@ -895,13 +900,8 @@ func (t *Protocol) serveDiff(p *core.Proc, req msg.Request) {
 			bytes += d.WireBytes()
 		}
 	}
-	covered := int32(0)
-	if len(stored) > 0 {
-		covered = stored[len(stored)-1].Tag
-	}
 	p.ChargeProtocol(p.Costs().HandlerWork)
-	p.EP().ReplyClass(req.From, req, diffReply{Covered: covered, Diffs: out},
-		16+bytes, interconnect.TrafficPage)
+	p.EP().ReplyClass(req.From, req, out, 16+bytes, interconnect.TrafficPage)
 }
 
 // servePage answers a page request with our current copy (flushing our twin
