@@ -7,69 +7,60 @@ import (
 	"repro/internal/msg"
 )
 
-// Lock implements core.Protocol (§2.2 lock acquire).
+// Lock implements core.Protocol (§2.2 lock acquire): ask the lock's manager,
+// which forwards the request to the last requester; that processor grants
+// the lock with the intervals the requester lacks once it has left the
+// critical section. The manager itself asks the last requester directly.
 func (t *Protocol) Lock(p *core.Proc, id int) {
 	st := t.state(p)
-	if st.lockSt[id] != lockFree {
+	l := &st.locks[id]
+	if l.held {
 		panic(fmt.Sprintf("treadmarks: rank %d re-acquiring lock %d", p.Rank(), id))
 	}
-	mgrRank := t.lockManagerRank(id)
-	if mgrRank == p.Rank() {
-		mgr := t.mgr(p.Rank(), id)
-		if mgr.owner < 0 || mgr.owner == int32(p.Rank()) {
+	rank := int32(p.Rank())
+	target, kind := t.lockManagerRank(id), kindLockAcquire
+	var data any
+	if target == p.Rank() {
+		prev := t.claim(id, rank)
+		if prev < 0 || prev == rank {
 			// Free, or we were the last owner: local acquire, no messages.
-			mgr.owner = int32(p.Rank())
-			st.lockSt[id] = lockHeld
-			st.hasBaton[id] = true
+			l.held, l.baton = true, true
 			p.ChargeProtocol(p.Costs().HandlerWork)
 			return
 		}
-		// Forward to the current owner and wait for its grant.
-		st.lockSt[id] = lockAcquiring
-		owner := t.rt.ProcByRank(int(mgr.owner))
-		mgr.owner = int32(p.Rank())
+		// We manage the lock: forward to its owner ourselves.
+		target, kind = int(prev), kindLockHandoff
+		data = lockHandoffMsg{Lock: id, VT: st.vt.Clone()}
 		t.lockForwards++
-		reply := p.EP().Call(owner.EP(), kindLockHandoff,
-			lockHandoffMsg{Lock: id, VT: st.vt.Clone()}, 16+int64(4*t.nprocs))
-		t.applyGrant(p, id, reply.(lockGrant))
-		return
+	} else {
+		data = lockAcqMsg{Lock: id, VT: st.vt.Clone()}
 	}
-	st.lockSt[id] = lockAcquiring
-	reply := p.EP().Call(t.rt.ProcByRank(mgrRank).EP(), kindLockAcquire,
-		lockAcqMsg{Lock: id, VT: st.vt.Clone()}, 16+int64(4*t.nprocs))
-	t.applyGrant(p, id, reply.(lockGrant))
-}
-
-func (t *Protocol) applyGrant(p *core.Proc, id int, g lockGrant) {
-	st := t.state(p)
+	g := p.EP().Call(t.rt.ProcByRank(target).EP(), kind, data, 16+int64(4*t.nprocs)).(lockGrant)
 	t.incorporate(p, g.Intervals, g.VT)
-	st.lockSt[id] = lockHeld
-	st.hasBaton[id] = true
 	// A handoff may have queued while the grant was in flight: it waits for
 	// our unlock (we are now in the critical section).
+	l.held, l.baton = true, true
 }
 
-func (t *Protocol) mgr(rank, id int) *lockMgr {
-	m := t.mgrs[rank][id]
-	if m == nil {
-		m = &lockMgr{owner: -1}
-		t.mgrs[rank][id] = m
-	}
-	return m
+// claim is lock id's manager deciding an acquire by requester: requester
+// becomes the lock's owner, and the previous owner (-1 if none) is returned.
+func (t *Protocol) claim(id int, requester int32) (prev int32) {
+	prev, t.owner[id] = t.owner[id], requester
+	return prev
 }
 
 // Unlock implements core.Protocol: close the interval; if another processor
 // is waiting for this lock, hand ownership (and unseen intervals) over.
 func (t *Protocol) Unlock(p *core.Proc, id int) {
-	st := t.state(p)
-	if st.lockSt[id] != lockHeld {
+	l := &t.state(p).locks[id]
+	if !l.held {
 		panic(fmt.Sprintf("treadmarks: rank %d unlocking lock %d it does not hold", p.Rank(), id))
 	}
 	t.closeInterval(p)
-	st.lockSt[id] = lockFree
-	if q := st.pendingHandoff[id]; len(q) > 0 {
-		h := q[0]
-		st.pendingHandoff[id] = q[1:]
+	l.held = false
+	if len(l.waiting) > 0 {
+		h := l.waiting[0]
+		l.waiting = l.waiting[1:]
 		t.grantLock(p, id, h)
 	}
 }
@@ -77,8 +68,8 @@ func (t *Protocol) Unlock(p *core.Proc, id int) {
 // grantLock sends the requester everything it has not seen, completing the
 // ownership transfer (the baton leaves this processor).
 func (t *Protocol) grantLock(p *core.Proc, lock int, h handoffReq) {
-	t.state(p).hasBaton[lock] = false
 	st := t.state(p)
+	st.locks[lock].baton = false
 	recs := st.intervalsSince(h.vt)
 	p.ChargeProtocol(p.Costs().HandlerWork)
 	p.EP().Reply(h.req.From, h.req, lockGrant{VT: st.vt.Clone(), Intervals: recs},
@@ -88,12 +79,12 @@ func (t *Protocol) grantLock(p *core.Proc, lock int, h handoffReq) {
 // handleHandoff grants the lock now if we are not inside (or entering) the
 // critical section, else queues the requester.
 func (t *Protocol) handleHandoff(p *core.Proc, orig msg.Request, reqVT VT, lock int) {
-	st := t.state(p)
-	if !st.hasBaton[lock] || st.lockSt[lock] == lockHeld {
+	l := &t.state(p).locks[lock]
+	if !l.baton || l.held {
 		// Either we are inside the critical section, or our own baton is
 		// still in flight (we are acquiring a later chain position): the
 		// handoff waits for our unlock.
-		st.pendingHandoff[lock] = append(st.pendingHandoff[lock], handoffReq{req: orig, vt: reqVT})
+		l.waiting = append(l.waiting, handoffReq{req: orig, vt: reqVT})
 		return
 	}
 	// We hold the baton but are not in the critical section (idle previous

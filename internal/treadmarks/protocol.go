@@ -44,15 +44,6 @@ func New(cfg Config) func(rt *core.Runtime) core.Protocol {
 	}
 }
 
-// lockState is a processor's local view of one lock.
-type lockState int
-
-const (
-	lockFree lockState = iota
-	lockAcquiring
-	lockHeld
-)
-
 // pstate is one processor's protocol state.
 type pstate struct {
 	vt  VT
@@ -77,14 +68,8 @@ type pstate struct {
 	// by tag.
 	diffs map[int][]Diff
 
-	// lock client state
-	lockSt []lockState
-	// hasBaton[lock] is true while this processor holds the lock's
-	// ownership baton: received with a grant, passed on with a handoff.
-	hasBaton []bool
-	// pendingHandoff queues handoff requests received while the lock is
-	// held or being acquired (FIFO ownership chain).
-	pendingHandoff [][]handoffReq
+	// locks[id] is this processor's view of lock id.
+	locks []lockClient
 
 	// barrier client state
 	managerVTGuess VT // conservative guess of the barrier manager's VT
@@ -108,14 +93,21 @@ type twin struct {
 	birth int32
 }
 
+// lockClient is one processor's view of one lock.
+type lockClient struct {
+	// held is true inside the critical section.
+	held bool
+	// baton is true while this processor holds the lock's ownership baton:
+	// received with a grant, passed on with a handoff.
+	baton bool
+	// waiting queues the handoff requests received while the lock is held or
+	// its baton is still on the way here (FIFO ownership chain).
+	waiting []handoffReq
+}
+
 type handoffReq struct {
 	req msg.Request
 	vt  VT
-}
-
-// lock manager state (lives on the manager's rank slot).
-type lockMgr struct {
-	owner int32 // compute rank of current owner, -1 if never acquired
 }
 
 // Wire payloads.
@@ -172,8 +164,11 @@ type Protocol struct {
 	cfg    Config
 	nprocs int
 
-	ps   []*pstate
-	mgrs []map[int]*lockMgr // lock managers: [rank][lock]
+	ps []*pstate
+	// owner[id] is the rank lock id's manager last granted it to (the last
+	// requester), -1 before the first acquire. Only the manager, rank
+	// lockManagerRank(id), touches it.
+	owner []int32
 	// arrived queues, on rank 0, the barrierArriveMsg requests of the one
 	// barrier episode in flight (arrivers block until released, so there is
 	// never a second), in arrival order.
@@ -216,13 +211,14 @@ func (t *Protocol) Setup(rt *core.Runtime) {
 			known:          make([][]int32, numPages),
 			applied:        make([][]int32, numPages),
 			diffs:          make(map[int][]Diff),
-			lockSt:         make([]lockState, locks),
-			hasBaton:       make([]bool, locks),
-			pendingHandoff: make([][]handoffReq, locks),
+			locks:          make([]lockClient, locks),
 			managerVTGuess: NewVT(t.nprocs),
 		}
 		t.ps = append(t.ps, st)
-		t.mgrs = append(t.mgrs, make(map[int]*lockMgr))
+	}
+	t.owner = make([]int32, locks)
+	for id := range t.owner {
+		t.owner[id] = -1
 	}
 	// Shared memory starts valid everywhere: the initial data distribution
 	// happens at (untimed) startup, so cold accesses do not fault. Faults
@@ -274,33 +270,23 @@ func (t *Protocol) serve(p *core.Proc, m sim.Msg, req msg.Request) {
 	switch m.Kind {
 	case kindLockAcquire:
 		la := req.Data.(lockAcqMsg)
-		mgr := t.mgr(p.Rank(), la.Lock)
-		requester := t.rt.ProcBySimID(req.From).Rank()
-		if mgr.owner < 0 {
-			// First acquire anywhere: grant with no history.
-			mgr.owner = int32(requester)
+		requester := int32(t.rt.ProcBySimID(req.From).Rank())
+		switch prev := t.claim(la.Lock, requester); prev {
+		case -1, requester:
+			// First acquire anywhere, or a repeat acquire by the last owner,
+			// which already has the lock's entire sync history: grant
+			// without interval transfer.
 			p.ChargeProtocol(p.Costs().HandlerWork)
 			p.EP().Reply(req.From, req, lockGrant{}, 16)
-			return
-		}
-		prevOwner := int(mgr.owner)
-		mgr.owner = int32(requester)
-		if prevOwner == requester {
-			// Repeated acquire by the last owner: it already has the lock's
-			// entire sync history, so grant without interval transfer.
-			p.ChargeProtocol(p.Costs().HandlerWork)
-			p.EP().Reply(req.From, req, lockGrant{}, 16)
-			return
-		}
-		if prevOwner == p.Rank() {
+		case int32(p.Rank()):
 			// We are the previous owner: hand off directly.
 			t.handleHandoff(p, req, la.VT, la.Lock)
-			return
+		default:
+			t.lockForwards++
+			p.ChargeProtocol(p.Costs().HandlerWork)
+			p.EP().Send(t.rt.ProcByRank(int(prev)).EP(), kindLockHandoff,
+				lockHandoffMsg{Lock: la.Lock, Orig: req, VT: la.VT}, 16+int64(4*t.nprocs))
 		}
-		t.lockForwards++
-		p.ChargeProtocol(p.Costs().HandlerWork)
-		p.EP().Send(t.rt.ProcByRank(prevOwner).EP(), kindLockHandoff,
-			lockHandoffMsg{Lock: la.Lock, Orig: req, VT: la.VT}, 16+int64(4*t.nprocs))
 	case kindLockHandoff:
 		h := req.Data.(lockHandoffMsg)
 		orig := h.Orig
