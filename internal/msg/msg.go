@@ -278,11 +278,14 @@ func (ep *Endpoint) ReplyClass(to int, req Request, data any, bytes int64, tc in
 }
 
 // dispatch runs the handler for one request message, charging the dispatch
-// cost.
+// cost. Every request any wait services enters its handler here.
 func (ep *Endpoint) dispatch(m sim.Msg) {
-	if m.Kind == KindShutdown {
+	switch m.Kind {
+	case KindShutdown:
 		ep.shutdown = true
 		return
+	case KindReply:
+		panic(fmt.Sprintf("msg: proc %d received a reply no Call awaits", ep.p.ID))
 	}
 	if ep.handler == nil {
 		panic(fmt.Sprintf("msg: proc %d has no handler for kind %d", ep.p.ID, m.Kind))
@@ -303,14 +306,20 @@ func (ep *Endpoint) PollVisible() {
 	}
 }
 
+// ServeUntil services requests, blocking for each, until done reports true.
+// done is checked before every wait, so the message after the one that
+// satisfied it stays in the inbox. what names the wait in a deadlock report.
+func (ep *Endpoint) ServeUntil(what string, done func() bool) {
+	for !done() {
+		ep.dispatch(ep.p.Recv(what))
+	}
+}
+
 // ServeUntilShutdown services requests until a KindShutdown message is
 // received. Dedicated protocol processors and finished application
 // processors park here.
 func (ep *Endpoint) ServeUntilShutdown() {
-	for !ep.shutdown {
-		m := ep.p.Recv("serving requests")
-		ep.dispatch(m)
-	}
+	ep.ServeUntil("serving requests", func() bool { return ep.shutdown })
 }
 
 // Shutdown delivers a KindShutdown message to the target, waking it from

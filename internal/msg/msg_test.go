@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/interconnect"
@@ -321,5 +322,57 @@ func TestWaitReplyStashFirst(t *testing.T) {
 	h.eng.Go(s.p, func(p *sim.Proc) { s.ServeUntilShutdown() })
 	if err := h.eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeUntil: ServeUntil services eligible requests in arrival order,
+// charging DispatchCost for each, and returns as soon as done holds, leaving
+// the next message in the inbox.
+func TestServeUntil(t *testing.T) {
+	h := newHarness(t, 2, 1, ModePoll)
+	src, dst := h.eps[0], h.eps[1]
+	var got []int
+	var entered []sim.Time
+	dst.SetHandler(func(m sim.Msg, req Request) {
+		got = append(got, req.Data.(int))
+		entered = append(entered, dst.p.Now())
+	})
+	h.eng.Go(src.p, func(p *sim.Proc) {
+		for i := 1; i <= 3; i++ {
+			src.Send(dst, kindOneWay, i, 8)
+		}
+	})
+	h.eng.Go(dst.p, func(p *sim.Proc) {
+		start := sim.Millisecond // all three requests are eligible by then
+		p.SleepUntil(start)
+		dst.ServeUntil("test wait", func() bool { return len(got) == 2 })
+		d := DefaultParams(ModePoll).DispatchCost
+		if len(entered) != 2 || entered[0] != start+d || entered[1] != start+2*d {
+			t.Errorf("handlers entered at %v, want [%v %v]", entered, start+d, start+2*d)
+		}
+		if m, ok := p.TryRecv(); !ok || m.Data.(Request).Data != 3 {
+			t.Errorf("third request consumed: TryRecv = %v, %v", m, ok)
+		}
+	})
+	if err := h.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("got %v, want [1 2] in order", got)
+	}
+}
+
+// TestServeUntilDeadlockNamesWait: a ServeUntil whose condition never holds
+// ends the run in a deadlock report naming the wait.
+func TestServeUntilDeadlockNamesWait(t *testing.T) {
+	h := newHarness(t, 2, 1, ModePoll)
+	dst := h.eps[1]
+	dst.SetHandler(func(m sim.Msg, req Request) {})
+	h.eng.Go(dst.p, func(p *sim.Proc) {
+		dst.ServeUntil("awaiting the test's arrivals", func() bool { return false })
+	})
+	err := h.eng.Run()
+	if err == nil || !strings.Contains(err.Error(), "awaiting the test's arrivals") {
+		t.Fatalf("run error = %v, want a deadlock naming the wait", err)
 	}
 }

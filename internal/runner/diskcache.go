@@ -30,7 +30,7 @@ import (
 // moves a small-sweep number cannot keep serving old cache entries. The
 // residual risk: a model change that moves only default-size cells leaves
 // that sha, and therefore this salt, unchanged.
-const modelDigest = "27c57b73e0243b795bfe71ca5253acdcd5225d8d50954ea1b6dd47d302eec899"
+const modelDigest = "cee367eda6972b5b5529c124c576776c6ee758e8917831fdbe9995384e37fa49"
 
 // diskEntry is the on-disk format of one cached result.
 type diskEntry struct {

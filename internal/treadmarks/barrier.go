@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/msg"
 	"repro/internal/sim"
 )
 
@@ -39,10 +38,7 @@ func (t *Protocol) Barrier(p *core.Proc, id int) {
 // lack.
 func (t *Protocol) barrierManager(p *core.Proc, id int) {
 	st := t.state(p)
-	for len(t.arrived) < t.nprocs-1 {
-		m := p.Sim().Recv("barrier manager awaiting arrivals")
-		t.dispatchAt(p, m)
-	}
+	p.EP().ServeUntil("barrier manager awaiting arrivals", func() bool { return len(t.arrived) >= t.nprocs-1 })
 	arrived := t.arrived
 	t.arrived = nil
 	for _, req := range arrived {
@@ -59,20 +55,4 @@ func (t *Protocol) barrierManager(p *core.Proc, id int) {
 			16+int64(4*t.nprocs)+wireBytes(recs))
 	}
 	st.managerVTGuess = st.vt.Clone()
-}
-
-// dispatchAt services one raw inbox message the barrier manager's wait loop
-// received. It calls Service directly, not through msg.Endpoint's dispatch,
-// so unlike every other request service it charges no msg.DispatchCost: a
-// request pays it or not depending on whether it arrives before or after
-// rank 0 enters barrierManager (DESIGN §9).
-func (t *Protocol) dispatchAt(p *core.Proc, m sim.Msg) {
-	switch m.Kind {
-	case msg.KindReply:
-		panic("treadmarks: barrier manager received a stray reply")
-	case msg.KindShutdown:
-		panic("treadmarks: barrier manager received shutdown mid-barrier")
-	default:
-		t.Service(p, m, m.Data.(msg.Request))
-	}
 }

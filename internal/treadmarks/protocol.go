@@ -151,7 +151,7 @@ type barrierRelease struct {
 // handlers, which run on the owning processor, so the single-baton scheduler
 // makes every stretch of code between two waits atomic — and nothing more. A
 // fault or synchronization operation that blocks (Call, WaitReply, the
-// barrier manager's Recv, a reply waiting for buffer space) runs the
+// barrier manager's ServeUntil, a reply waiting for buffer space) runs the
 // processor's handlers inside that wait, so at every wait the state a
 // handler reads must describe the frames as they are: validate raises
 // applied[w] only once w's diffs are merged, because servePage ships the
