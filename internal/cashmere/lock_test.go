@@ -157,7 +157,6 @@ func (l *lockOnly) WantsWriteHook() bool                              { return f
 func (l *lockOnly) Barrier(p *core.Proc, id int)                      {}
 func (l *lockOnly) Finalize(p *core.Proc)                             {}
 func (l *lockOnly) Counters() map[string]int64                        { return nil }
-func (l *lockOnly) MaxCostJitter() float64                            { return 1.0 }
 
 func (l *lockOnly) Lock(p *core.Proc, id int) {
 	if l.useRef {

@@ -302,18 +302,12 @@ func (c *Protocol) OnSharedWrite(p *core.Proc, addr core.Addr, size int) {
 // Lock implements core.Protocol: cluster lock acquire, then acquire-side
 // coherence (process incoming write notices).
 func (c *Protocol) Lock(p *core.Proc, id int) {
-	if id < 0 || id >= c.appLocks {
-		panic(fmt.Sprintf("cashmere: lock id %d out of range [0,%d)", id, c.appLocks))
-	}
 	c.locks.acquire(p, id)
 	c.processAcquire(p)
 }
 
 // Unlock implements core.Protocol: release-side coherence, then lock release.
 func (c *Protocol) Unlock(p *core.Proc, id int) {
-	if id < 0 || id >= c.appLocks {
-		panic(fmt.Sprintf("cashmere: lock id %d out of range [0,%d)", id, c.appLocks))
-	}
 	c.processRelease(p)
 	c.locks.release(p, id)
 }
@@ -420,17 +414,6 @@ func (c *Protocol) Service(p *core.Proc, m sim.Msg, req msg.Request) {
 
 // Finalize implements core.Protocol.
 func (c *Protocol) Finalize(p *core.Proc) {}
-
-// MaxCostJitter implements core.SchedulePerturbable: any cost inflation up
-// to 100% per operation is legal. Cashmere takes no timing-dependent
-// decisions — every wait is condition-based (barrier words probed via
-// SpinWait until they flip, the lock acquire a PollWait step function probing
-// its lock words; message replies block until they arrive) and the only time
-// bound anywhere is the 120 s livelock backstop both kinds of spin share
-// (core.Spin), six orders of magnitude above any jittered operation cost. Stretching an operation therefore moves *when* events occur, never
-// *which* events occur, so a jittered run is one of the protocol's legal
-// executions.
-func (c *Protocol) MaxCostJitter() float64 { return 1.0 }
 
 // Counters implements core.Protocol. The remote-read counter appears only
 // when the interconnect actually served one-sided page reads, so Memory

@@ -133,6 +133,27 @@ func TestSharedIndexChecked(t *testing.T) {
 	}
 }
 
+// TestLockIDOutOfRange: a lock id the program did not declare fails the run
+// with an error naming it, on the sequential baseline too, so a program that
+// under-declares Locks cannot pass its oracle run.
+func TestLockIDOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(p *Proc)
+		id   int
+	}{
+		{"Lock", func(p *Proc) { p.Lock(2) }, 2},
+		{"Lock", func(p *Proc) { p.Lock(-1) }, -1},
+		{"Unlock", func(p *Proc) { p.Unlock(2) }, 2},
+	} {
+		prog := &Program{Name: "lockid", SharedBytes: vmPageSize, Locks: 2, Body: tc.body}
+		_, err := Run(seqConfig(), prog)
+		if want := fmt.Sprintf("lock id %d out of range [0,2)", tc.id); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s(%d): err = %v, want it to contain %q", tc.name, tc.id, err, want)
+		}
+	}
+}
+
 // TestComputeNegativePanics: a negative computation time is a caller bug, as
 // it is for Advance and Charge, not a silent no-op.
 func TestComputeNegativePanics(t *testing.T) {
@@ -147,9 +168,9 @@ func TestComputeNegativePanics(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadCostJitter: a jitter outside [0, the protocol's declared
-// tolerance] fails the run before it starts. NaN is outside every range,
-// although it compares false with both bounds.
+// TestRunRejectsBadCostJitter: a jitter outside [0, sim.MaxCostJitter] fails
+// the run before it starts. NaN is outside every range, although it compares
+// false with both bounds.
 func TestRunRejectsBadCostJitter(t *testing.T) {
 	prog := &Program{Name: "jitter", SharedBytes: vmPageSize, Body: func(p *Proc) {}}
 	for _, j := range []float64{-0.5, 1.5, math.NaN()} {

@@ -361,6 +361,7 @@ func (p *Proc) SpinBackoff(s *Spin) sim.Time {
 
 // Lock acquires application lock id.
 func (p *Proc) Lock(id int) {
+	p.checkLock(id)
 	p.stats.LockAcquires++
 	p.sp.Yield()
 	p.proto.Lock(p, id)
@@ -368,8 +369,17 @@ func (p *Proc) Lock(id int) {
 
 // Unlock releases application lock id.
 func (p *Proc) Unlock(id int) {
+	p.checkLock(id)
 	p.sp.Yield()
 	p.proto.Unlock(p, id)
+}
+
+// checkLock rejects a lock id the program did not declare, under every
+// protocol, the sequential baseline included.
+func (p *Proc) checkLock(id int) {
+	if n := p.rt.prog.Locks; id < 0 || id >= n {
+		panic(fmt.Sprintf("core: lock id %d out of range [0,%d)", id, n))
+	}
 }
 
 // Barrier blocks until all compute processors reach barrier id.

@@ -45,9 +45,8 @@ type Config struct {
 	Variant string
 	// Schedule requests a seed-derived perturbation of the simulated event
 	// schedule (schedule-space exploration; internal/check, cmd/dsmcheck).
-	// The zero value runs the canonical order. Run rejects a CostJitter
-	// beyond the protocol's declared tolerance (SchedulePerturbable) — a
-	// protocol that declares no tolerance cannot run perturbed at all.
+	// The zero value runs the canonical order. Validate rejects a CostJitter
+	// outside [0, sim.MaxCostJitter].
 	Schedule sim.Schedule
 }
 
@@ -329,17 +328,6 @@ func Run(cfg Config, prog *Program) (res *Result, err error) {
 	rt.proto = cfg.NewProtocol(rt)
 
 	if cfg.Schedule.Enabled() {
-		// A perturbed schedule stretches protocol operation costs; that is
-		// only legal inside the range the protocol itself declares tolerable.
-		sp, ok := rt.proto.(SchedulePerturbable)
-		if !ok {
-			return nil, fmt.Errorf("core: %s on %s: protocol declares no schedule-perturbation tolerance; cannot run perturbed",
-				prog.Name, cfg.Variant)
-		}
-		if max := sp.MaxCostJitter(); cfg.Schedule.CostJitter > max {
-			return nil, fmt.Errorf("core: %s on %s: schedule cost jitter %v exceeds the protocol's declared tolerance %v",
-				prog.Name, cfg.Variant, cfg.Schedule.CostJitter, max)
-		}
 		eng.SetSchedule(cfg.Schedule)
 	}
 

@@ -15,9 +15,8 @@ import "fmt"
 // Three independent knobs, all derived from Seed:
 //
 //   - CostJitter inflates every Advance(d) by a per-processor pseudo-random
-//     amount in [0, d*CostJitter]. Costs only ever grow, and never beyond the
-//     declared fraction, so a jittered run stays inside the cost ranges the
-//     protocol layer declares legal (core.SchedulePerturbable).
+//     amount in [0, d*CostJitter]. Costs only ever grow, and never beyond
+//     MaxCostJitter, the range every protocol's legality argument covers.
 //   - FlipTies replaces FIFO ordering among equal-virtual-time run-queue
 //     entries with a seeded hash order. Only events the conservative
 //     scheduling rule leaves unordered — same-instant ties — are affected.
@@ -35,8 +34,7 @@ type Schedule struct {
 	// that a zero Schedule value means "canonical order".
 	Seed uint64
 	// CostJitter is the maximum fractional inflation of each Advance, in
-	// [0, MaxCostJitter]; NaN is rejected. The protocol layer bounds it
-	// further via its declared tolerance.
+	// [0, MaxCostJitter]; NaN is rejected.
 	CostJitter float64
 	// FlipTies perturbs the ordering of equal-virtual-time run-queue entries.
 	FlipTies bool
@@ -45,10 +43,10 @@ type Schedule struct {
 	Stagger Time
 }
 
-// MaxCostJitter is the hard cap on Schedule.CostJitter: inflating any cost
-// by more than 4x is outside every declared tolerance and almost certainly a
-// misconfiguration.
-const MaxCostJitter = 4.0
+// MaxCostJitter is the one cap on Schedule.CostJitter: any operation cost may
+// be at most doubled. Every protocol's legality argument covers this range
+// (DESIGN §7b item 1); it is the only jitter gate.
+const MaxCostJitter = 1.0
 
 // Enabled reports whether the schedule perturbs anything. A zero Seed
 // disables the schedule regardless of the other fields.
@@ -96,9 +94,8 @@ func jitterNext(state *uint64) uint64 {
 }
 
 // SetSchedule commits the engine to a seed-derived schedule perturbation.
-// Must be called before Run; panics on an out-of-range schedule. The caller
-// (core.Run) is responsible for checking CostJitter against the protocol's
-// declared tolerance first. A disabled schedule (zero Seed) is a no-op.
+// Must be called before Run; panics on an out-of-range schedule (core.Run
+// validates it first). A disabled schedule (zero Seed) is a no-op.
 func (e *Engine) SetSchedule(s Schedule) {
 	if e.started {
 		panic("sim: SetSchedule called after Run")

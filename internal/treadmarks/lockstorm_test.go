@@ -68,7 +68,7 @@ func TestLockStorm(t *testing.T) {
 // TestLockStormPerturbed runs the storm under cost jitter over a contiguous
 // range of schedule seeds, on the three TreadMarks variants and four shapes
 // from 4 to 8 processors. Every perturbed schedule is a legal execution
-// (Protocol.MaxCostJitter), so every one must keep every update.
+// (DESIGN §7b item 1), so every one must keep every update.
 func TestLockStormPerturbed(t *testing.T) {
 	const seeds = 30
 	for _, variant := range []string{"tmk_udp_int", "tmk_mc_int", "tmk_mc_poll"} {

@@ -312,21 +312,6 @@ func (t *Protocol) serve(p *core.Proc, m sim.Msg, req msg.Request) {
 // Finalize implements core.Protocol.
 func (t *Protocol) Finalize(p *core.Proc) {}
 
-// MaxCostJitter implements core.SchedulePerturbable: any cost inflation up
-// to 100% per operation is legal. TreadMarks' ordering decisions are meant
-// to be logical, not temporal — vector timestamps order intervals, lock
-// batons order critical sections, the barrier manager counts arrivals — and
-// every wait is condition-based (Recv blocks until the reply message
-// exists). That is a property the code has to earn, not one it has for free:
-// timing decides which handler runs inside which wait, and 23 cells of the
-// pinned small sweep once computed wrong answers by timing alone because two
-// wait windows exposed state a handler must not see (see Protocol). The
-// conservative barrier-manager VT guess is the one timing-sensitive
-// heuristic, and it errs only toward re-sending intervals the manager
-// already has, never toward dropping any. With the wait-window rule kept,
-// stretching costs yields another legal execution of the same protocol.
-func (t *Protocol) MaxCostJitter() float64 { return 1.0 }
-
 // Counters implements core.Protocol.
 func (t *Protocol) Counters() map[string]int64 {
 	m := map[string]int64{
