@@ -3,8 +3,8 @@
 #
 #   1. the dsmcheck sweep — the memory-model litmus suite (MP/SB/LB/IRIW,
 #      with and without acquire/release sync) and the fuzz-corpus
-#      differential checker, both polling protocols, fixed seeds so the run
-#      is reproducible;
+#      differential checker, all six protocol variants, fixed seeds so the
+#      run is reproducible;
 #   2. the self-test — arms the injected TreadMarks diff-loss bug
 #      (treadmarks.Config.TestDropDiffRuns) and verifies the harness catches
 #      it and shrinks the failure to <= 2 rounds on <= 2 processors.
@@ -19,14 +19,17 @@ diff_schedules=${DSMCHECK_DIFF_SCHEDULES:-25}
 seed=${DSMCHECK_SEED:-1}
 repro=${DSMCHECK_REPRO:-dsmcheck_repro.json}
 
-go build -o /tmp/dsmcheck.checksh ./cmd/dsmcheck
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/dsmcheck" ./cmd/dsmcheck
 
 echo "== dsmcheck sweep (schedules $schedules, diff $diff_schedules, seed $seed) =="
-/tmp/dsmcheck.checksh -schedules "$schedules" -diff-schedules "$diff_schedules" \
-    -seed "$seed" -repro "$repro"
+"$tmp/dsmcheck" -schedules "$schedules" -diff-schedules "$diff_schedules" \
+    -seed "$seed" -repro "$repro" \
+    -variants csm_pp,csm_int,csm_poll,tmk_udp_int,tmk_mc_int,tmk_mc_poll
 
 echo "== dsmcheck selftest (injected diff-loss bug) =="
-/tmp/dsmcheck.checksh -selftest -diff-schedules "$diff_schedules" \
+"$tmp/dsmcheck" -selftest -diff-schedules "$diff_schedules" \
     -repro /tmp/dsmcheck_selftest_repro.json
 
 echo "check OK"
