@@ -38,7 +38,8 @@ func (t *Protocol) Barrier(p *core.Proc, id int) {
 // lack.
 func (t *Protocol) barrierManager(p *core.Proc, id int) {
 	st := t.state(p)
-	p.EP().ServeUntil("barrier manager awaiting arrivals", func() bool { return len(t.arrived) >= t.nprocs-1 })
+	p.EP().ServeUntil("barrier manager awaiting arrivals",
+		func() bool { return len(t.arrived) >= t.nprocs-1 })
 	arrived := t.arrived
 	t.arrived = nil
 	for _, req := range arrived {

@@ -165,9 +165,9 @@ type Protocol struct {
 	nprocs int
 
 	ps []*pstate
-	// owner[id] is the rank lock id's manager last granted it to (the last
-	// requester), -1 before the first acquire. Only the manager, rank
-	// lockManagerRank(id), touches it.
+	// owner[id] is the last requester of lock id its manager has seen, the
+	// tail of the ownership chain, or -1 before the first acquire. Only the
+	// manager, rank lockManagerRank(id), touches it.
 	owner []int32
 	// arrived queues, on rank 0, the barrierArriveMsg requests of the one
 	// barrier episode in flight (arrivers block until released, so there is
