@@ -128,8 +128,8 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 func (t *Protocol) fetchPage(p *core.Proc, page int) {
 	st := t.state(p)
 	frame := p.Space().EnsureFrame(page)
-	mgr := t.pageManagerRank(page)
-	if mgr == p.Rank() {
+	manager := t.pageManagerRank(page)
+	if manager == p.Rank() {
 		// Our own managed page: base copy is the initial image.
 		if img := t.rt.InitialPage(page); img != nil {
 			copy(frame, img)
@@ -138,7 +138,7 @@ func (t *Protocol) fetchPage(p *core.Proc, page int) {
 		return
 	}
 	t.pageRequests++
-	reply := p.EP().Call(t.rt.ProcByRank(mgr).EP(), kindPageRequest, pageReqMsg{Page: page}, 16)
+	reply := p.EP().Call(t.rt.ProcByRank(manager).EP(), kindPageRequest, pageReqMsg{Page: page}, 16)
 	pr := reply.(pageReply)
 	copy(frame, pr.Data)
 	p.ChargeProtocol(p.Costs().Copy(vm.PageSize))
