@@ -32,7 +32,7 @@ func run() int {
 		schedules     = flag.Int("schedules", 200, "perturbed schedules per litmus (test, variant)")
 		diffSchedules = flag.Int("diff-schedules", 25, "perturbed schedules per differential (program, variant)")
 		seed          = flag.Uint64("seed", 1, "base schedule seed (schedule i uses seed+i)")
-		jitter        = flag.Float64("jitter", 0.75, "per-event cost jitter fraction (protocols tolerate up to 1.0)")
+		jitter        = flag.Float64("jitter", 0.75, "per-event cost jitter fraction, in [0, 1.0]")
 		staggerUS     = flag.Int64("stagger-us", 3000, "max seed-derived per-processor start offset, microseconds")
 		variantsCSV   = flag.String("variants", strings.Join(check.DefaultVariants(), ","), "comma-separated protocol variants to sweep")
 		jobs          = flag.Int("jobs", 0, "parallel simulations (0 = GOMAXPROCS)")

@@ -100,9 +100,10 @@ func (p *Proc) Advance(d Time) {
 // advanceSlow rejects a negative duration and applies cost jitter. Under a
 // cost-jittering schedule (SetSchedule) the charged duration is inflated by a
 // seed-derived amount in [0, d*CostJitter]: never shrunk, never past the
-// declared fraction, so every jittered cost stays within the range the model
-// layer declared legal. Integer arithmetic only; the intermediate product
-// bounds d below ~100 virtual days per call, far past any real charge.
+// requested fraction, which Validate caps at MaxCostJitter, the range every
+// protocol's legality argument covers. Integer arithmetic only; the
+// intermediate product bounds d below ~100 virtual days per call, far past
+// any real charge.
 func (p *Proc) advanceSlow(d Time) Time {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: proc %d Advance(%d): negative duration", p.ID, d))
