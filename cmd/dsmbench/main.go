@@ -22,7 +22,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -40,14 +39,6 @@ import (
 func main() {
 	var (
 		all        = flag.Bool("all", false, "run every table, figure, and ablation")
-		costs      = flag.Bool("costs", false, "print basic operation costs (§4.1)")
-		table1     = flag.Bool("table1", false, "Table 1: basic operation costs per variant")
-		table2     = flag.Bool("table2", false, "Table 2: data sets and sequential times")
-		table3     = flag.Bool("table3", false, "Table 3: detailed statistics at 32 procs")
-		fig5       = flag.Bool("fig5", false, "Figure 5: speedups")
-		fig6       = flag.Bool("fig6", false, "Figure 6: execution-time breakdown")
-		abl        = flag.Bool("ablations", false, "design-choice ablations")
-		netsweep   = flag.Bool("netsweep", false, "interconnect x node-count sweep (8..64 nodes, every interconnect; not part of -all)")
 		netF       = flag.String("interconnect", "", "interconnect for the paper tables: memchan (default), rdma, or switched")
 		strict     = flag.Bool("strict", false, "exit nonzero if any planned run errors (infeasible layouts are not errors)")
 		size       = flag.String("size", "default", "dataset size: small or default")
@@ -61,6 +52,10 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof)")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file at exit (pprof)")
 	)
+	enabled := make([]*bool, len(bench.Sections))
+	for i, s := range bench.Sections {
+		enabled[i] = flag.Bool(s.Name, false, s.Doc)
+	}
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -120,51 +115,17 @@ func main() {
 		}
 	}
 
-	// Phase 1: collect the enabled sections and their specs into one plan.
-	type section struct {
-		enabled bool
-		specs   []runner.RunSpec
-		render  func(io.Writer, *runner.ResultSet) error
-	}
-	sections := []section{
-		{*costs, nil, func(w io.Writer, _ *runner.ResultSet) error { bench.Costs(w); return nil }},
-		{*table1, bench.Table1Specs(opts.VariantOpts), func(w io.Writer, rs *runner.ResultSet) error {
-			return bench.Table1Render(w, opts.VariantOpts, rs)
-		}},
-		{*table2, bench.Table2Specs(opts), func(w io.Writer, rs *runner.ResultSet) error {
-			return bench.Table2Render(w, opts, rs)
-		}},
-		{*fig5, bench.Fig5Specs(opts), func(w io.Writer, rs *runner.ResultSet) error {
-			return bench.Fig5Render(w, opts, rs)
-		}},
-		{*fig6, bench.Fig6Specs(opts), func(w io.Writer, rs *runner.ResultSet) error {
-			return bench.Fig6Render(w, opts, rs)
-		}},
-		{*table3, bench.Table3Specs(opts), func(w io.Writer, rs *runner.ResultSet) error {
-			return bench.Table3Render(w, opts, rs)
-		}},
-		{*abl, bench.AblationSpecs(opts), func(w io.Writer, rs *runner.ResultSet) error {
-			return bench.AblationsRender(w, opts, rs)
-		}},
-	}
+	// Phase 1: collect the selected sections and their specs into one plan.
+	// -all draws every section but the last, the interconnect sweep.
+	var sections []bench.Section
 	plan := runner.NewPlan()
-	any := false
-	for _, s := range sections {
-		if s.enabled || *all {
-			any = true
-			plan.Add(s.specs...)
+	for i, s := range bench.Sections {
+		if *enabled[i] || (*all && i < len(bench.Sections)-1) {
+			sections = append(sections, s)
+			plan.Add(s.Specs(opts)...)
 		}
 	}
-	// The interconnect sweep stays outside -all: the paper's evaluation is
-	// Memory Channel only and the -all output is pinned by golden tests.
-	if *netsweep {
-		any = true
-		plan.Add(bench.NetSweepSpecs(opts)...)
-		sections = append(sections, section{true, nil, func(w io.Writer, rs *runner.ResultSet) error {
-			return bench.NetSweepRender(w, opts, rs)
-		}})
-	}
-	if !any {
+	if len(sections) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -210,13 +171,9 @@ func main() {
 		}
 	}
 
-	// Phase 3: render each enabled section from the shared result set.
-	w := os.Stdout
+	// Phase 3: render each selected section from the shared result set.
 	for _, s := range sections {
-		if !s.enabled && !*all {
-			continue
-		}
-		if err := s.render(w, rs); err != nil {
+		if err := s.Render(os.Stdout, opts, rs); err != nil {
 			fmt.Fprintln(os.Stderr, "dsmbench:", err)
 			os.Exit(1)
 		}

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/sim"
+	"repro/internal/variants"
 )
 
 func main() { os.Exit(run()) }
@@ -34,7 +35,7 @@ func run() int {
 		seed          = flag.Uint64("seed", 1, "base schedule seed (schedule i uses seed+i)")
 		jitter        = flag.Float64("jitter", 0.75, "per-event cost jitter fraction, in [0, 1.0]")
 		staggerUS     = flag.Int64("stagger-us", 3000, "max seed-derived per-processor start offset, microseconds")
-		variantsCSV   = flag.String("variants", strings.Join(check.DefaultVariants(), ","), "comma-separated protocol variants to sweep")
+		variantsCSV   = flag.String("variants", strings.Join(variants.Names, ","), "comma-separated protocol variants to sweep")
 		jobs          = flag.Int("jobs", 0, "parallel simulations (0 = GOMAXPROCS)")
 		jsonOut       = flag.Bool("json", false, "emit the full report as JSON instead of tables")
 		reproPath     = flag.String("repro", "dsmcheck_repro.json", "file to write the minimized repro to on failure")

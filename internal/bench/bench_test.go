@@ -15,17 +15,41 @@ import (
 	"repro/internal/variants"
 )
 
-// section executes one table's or figure's specs and renders it from the
-// result set, the path cmd/dsmbench takes for each section.
-func section(t *testing.T, w io.Writer, opts Options, specs func(Options) []runner.RunSpec, render func(io.Writer, Options, *runner.ResultSet) error) {
+// plan is the combined, deduplicated plan of the given sections, the plan
+// cmd/dsmbench builds from the sections it draws.
+func plan(opts Options, secs ...Section) *runner.Plan {
+	p := runner.NewPlan()
+	for _, s := range secs {
+		p.Add(s.Specs(opts)...)
+	}
+	return p
+}
+
+// render writes the given sections, in order, from one result set.
+func render(w io.Writer, opts Options, rs *runner.ResultSet, secs ...Section) error {
+	for _, s := range secs {
+		if err := s.Render(w, opts, rs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// run plans, executes and renders the given sections, the path cmd/dsmbench
+// takes, and returns the result set (nil if the sections plan no run).
+func run(t *testing.T, w io.Writer, opts Options, secs ...Section) *runner.ResultSet {
 	t.Helper()
-	rs, err := execute(specs(opts))
-	if err != nil {
+	var rs *runner.ResultSet
+	if p := plan(opts, secs...); p.Len() > 0 {
+		var err error
+		if rs, err = runner.Execute(p, runner.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := render(w, opts, rs, secs...); err != nil {
 		t.Fatal(err)
 	}
-	if err := render(w, opts, rs); err != nil {
-		t.Fatal(err)
-	}
+	return rs
 }
 
 // TestCostTableCoversModel: the cost table has a row for every field of the
@@ -47,7 +71,7 @@ func TestCostTableCoversModel(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	Costs(&buf)
+	run(t, &buf, Options{}, costs)
 	for name := range fields {
 		if _, ok := costRows[name]; !ok {
 			t.Errorf("%s has no row in the cost table", name)
@@ -71,10 +95,60 @@ func TestCostTableCoversModel(t *testing.T) {
 	}
 }
 
+// TestSectionsRenderFromOwnPlan: every section renders from a plan of its own
+// Specs alone, byte-identical to its rendering from the combined plan of all
+// sections. A renderer that read a run only another section plans would pass
+// the goldens, whose plan is combined, and panic here.
+func TestSectionsRenderFromOwnPlan(t *testing.T) {
+	opts := Options{Size: apps.SizeSmall, Apps: []string{"SOR"}, Procs: []int{1, 4}}
+	combined, err := runner.Execute(plan(opts, Sections...), runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range Sections {
+		t.Run(s.Name, func(t *testing.T) {
+			var own, all bytes.Buffer
+			run(t, &own, opts, s)
+			if err := s.Render(&all, opts, combined); err != nil {
+				t.Fatal(err)
+			}
+			if own.Len() == 0 {
+				t.Fatal("rendered nothing")
+			}
+			if !bytes.Equal(own.Bytes(), all.Bytes()) {
+				t.Errorf("own plan renders differently from the combined plan:\n%s", diffHint(own.Bytes(), all.Bytes()))
+			}
+		})
+	}
+}
+
+// TestFailedRunPrintsNothing: a section whose result set lacks one of its runs
+// returns an error naming that run's key and writes nothing, not the part of
+// the table before the missing cell.
+func TestFailedRunPrintsNothing(t *testing.T) {
+	opts := Options{Size: apps.SizeSmall, Apps: []string{"SOR"}, Procs: []int{1, 4}, Variants: []string{"csm_poll"}}
+	specs := fig5.Specs(opts)
+	missing := specs[len(specs)-1]
+	p := runner.NewPlan()
+	p.Add(specs[:len(specs)-1]...)
+	rs, err := runner.Execute(p, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err = fig5.Render(&buf, opts, rs)
+	if err == nil || !strings.Contains(err.Error(), missing.Key()) {
+		t.Errorf("Render error %v does not name the missing run %s", err, missing.Key())
+	}
+	if buf.Len() != 0 {
+		t.Errorf("Render wrote %d bytes before failing:\n%s", buf.Len(), buf.String())
+	}
+}
+
 func TestTable2Small(t *testing.T) {
 	var buf bytes.Buffer
 	opts := Options{Size: apps.SizeSmall, Apps: []string{"SOR", "Water"}}
-	section(t, &buf, opts, Table2Specs, Table2Render)
+	run(t, &buf, opts, table2)
 	out := buf.String()
 	for _, want := range []string{"SOR", "Water", "Problem Size"} {
 		if !strings.Contains(out, want) {
@@ -91,7 +165,7 @@ func TestFig5SmallSubset(t *testing.T) {
 		Procs:    []int{1, 4},
 		Variants: []string{"csm_poll", "tmk_mc_poll"},
 	}
-	section(t, &buf, opts, Fig5Specs, Fig5Render)
+	run(t, &buf, opts, fig5)
 	if !strings.Contains(buf.String(), "SOR speedups") {
 		t.Errorf("fig5 output:\n%s", buf.String())
 	}
@@ -105,7 +179,7 @@ func TestFig5InfeasibleMarked(t *testing.T) {
 		Procs:    []int{32},
 		Variants: []string{"csm_pp"},
 	}
-	section(t, &buf, opts, Fig5Specs, Fig5Render)
+	run(t, &buf, opts, fig5)
 	if !strings.Contains(buf.String(), "-") {
 		t.Error("csm_pp at 32 not marked infeasible")
 	}
@@ -114,12 +188,12 @@ func TestFig5InfeasibleMarked(t *testing.T) {
 func TestTable3AndFig6Small(t *testing.T) {
 	opts := Options{Size: apps.SizeSmall, Apps: []string{"Water"}}
 	var buf bytes.Buffer
-	section(t, &buf, opts, Table3Specs, Table3Render)
+	run(t, &buf, opts, table3)
 	if !strings.Contains(buf.String(), "Page transfers") {
 		t.Errorf("table 3 output:\n%s", buf.String())
 	}
 	buf.Reset()
-	section(t, &buf, opts, Fig6Specs, Fig6Render)
+	run(t, &buf, opts, fig6)
 	out := buf.String()
 	for _, want := range []string{"Water", "CSM", "TMK", "Comm&Wait"} {
 		if !strings.Contains(out, want) {
@@ -135,18 +209,22 @@ func TestTable3ProcsRule(t *testing.T) {
 }
 
 // micro executes microbenchmark specs and returns each one's measurement,
-// read from the result set as Table1Render reads it.
+// read from the result set as Table 1 reads it.
 func micro(t *testing.T, specs ...runner.RunSpec) []float64 {
 	t.Helper()
-	rs, err := execute(specs)
+	p := runner.NewPlan()
+	p.Add(specs...)
+	rs, err := runner.Execute(p, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]float64, len(specs))
 	for i, s := range specs {
-		if out[i], err = microCheck(rs, s); err != nil {
+		res, err := rs.Get(s)
+		if err != nil {
 			t.Fatal(err)
 		}
+		out[i] = res.Checks["us"]
 	}
 	return out
 }
@@ -189,12 +267,7 @@ func TestTable1Shape(t *testing.T) {
 // the paper's platform, so its key names the shape and size and no model
 // value (MC, cost, cache, protocol or schedule).
 func TestPaperSpecsKeyBare(t *testing.T) {
-	opts := Options{Size: apps.SizeSmall}
-	specs := Table1Specs(opts.VariantOpts)
-	for _, f := range []func(Options) []runner.RunSpec{Table2Specs, Fig5Specs, Fig6Specs, Table3Specs} {
-		specs = append(specs, f(opts)...)
-	}
-	for _, s := range specs {
+	for _, s := range plan(Options{Size: apps.SizeSmall}, table1, table2, fig5, fig6, table3).Specs() {
 		if n := strings.Count(s.Key(), "|"); n != 4 {
 			t.Errorf("paper-platform key %s has %d segments, want 5", s.Key(), n+1)
 		}

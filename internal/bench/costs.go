@@ -9,14 +9,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/interconnect"
 	"repro/internal/msg"
+	"repro/internal/runner"
 )
 
 // costRows is the cost model's provenance: a row per field of core.CostModel,
 // interconnect.MCParams ("MC.") and msg.Params ("msg."; Mode is a mechanism),
 // with the paper's wording ("—" where it gives none) and a tag: measured,
 // reconstructed (OCR-damaged digits, read as the row says), calibrated (from
-// the 233 MHz clock or instruction counts) or assumed. Costs reads the values
-// from the presets; TestCostTableCoversModel holds the rows to the fields.
+// the 233 MHz clock or instruction counts) or assumed. renderCosts reads the
+// values from the presets; TestCostTableCoversModel holds the rows to the
+// fields.
 var costRows = map[string]struct{ prov, paper string }{
 	"PageFault":             {"measured", "§4.1: the hardware fault takes 9 µs, then a local signal\n(msg.LocalSignalCost) delivers it to the user-level handler"},
 	"ProtChange":            {"measured", "§4.1: 62 µs per memory protection change (mprotect)"},
@@ -47,9 +49,17 @@ var costRows = map[string]struct{ prov, paper string }{
 	"msg.LocalSignalCost":   {"measured", "§4.1: 69 µs to deliver a signal to a process on the same node"},
 }
 
-// Costs prints the cost table in field order: each constant's value as its
-// preset defines it, its provenance, and what the paper (§3, §4.1) says.
-func Costs(w io.Writer) {
+// costs prints the cost table; it plans no run.
+var costs = Section{
+	Name:   "costs",
+	Doc:    "print basic operation costs (§4.1)",
+	Specs:  func(Options) []runner.RunSpec { return nil },
+	render: renderCosts,
+}
+
+// renderCosts prints the cost table in field order: each constant's value as
+// its preset defines it, its provenance, and what the paper (§3, §4.1) says.
+func renderCosts(w io.Writer, _ Options, _ resultOf) {
 	header(w, "Cost model: every constant a run charges, with its provenance and the paper's wording")
 	const row = "  %-23s%-9s%-15s%s\n"
 	fmt.Fprintf(w, row, "constant", "value", "provenance", "paper")

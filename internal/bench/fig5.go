@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -26,17 +25,21 @@ func Fig5Specs(opts Options) []runner.RunSpec {
 	return specs
 }
 
-// Fig5Render reproduces the paper's Figure 5: speedups of every application
+var fig5 = Section{
+	Name:   "fig5",
+	Doc:    "Figure 5: speedups",
+	Specs:  Fig5Specs,
+	render: renderFig5,
+}
+
+// renderFig5 reproduces the paper's Figure 5: speedups of every application
 // under every protocol variant across the processor ladder, relative to the
 // sequential (unlinked) execution time from Table 2. One text block per
 // application; csm_pp is omitted at 32 processors (not applicable, §4.3).
-func Fig5Render(w io.Writer, opts Options, rs *runner.ResultSet) error {
+func renderFig5(w io.Writer, opts Options, res resultOf) {
 	opts = opts.defaults()
 	for _, app := range opts.Apps {
-		seq, err := rs.Get(spec(app, variants.Sequential, 1, opts))
-		if err != nil {
-			return fmt.Errorf("%s sequential: %w", app, err)
-		}
+		seq := res(spec(app, variants.Sequential, 1, opts))
 		header(w, fmt.Sprintf("Figure 5: %s speedups (sequential %.3fs)", app, seconds(seq.Time)))
 		fmt.Fprintf(w, "%-12s", "procs")
 		for _, v := range opts.Variants {
@@ -46,18 +49,13 @@ func Fig5Render(w io.Writer, opts Options, rs *runner.ResultSet) error {
 		for _, procs := range opts.Procs {
 			fmt.Fprintf(w, "%-12d", procs)
 			for _, v := range opts.Variants {
-				res, err := rs.Get(spec(app, v, procs, opts))
-				if errors.Is(err, runner.ErrInfeasible) {
+				if r := res(spec(app, v, procs, opts)); r != nil {
+					fmt.Fprintf(w, "%13.2f", float64(seq.Time)/float64(r.Time))
+				} else {
 					fmt.Fprintf(w, "%13s", "-")
-					continue
 				}
-				if err != nil {
-					return fmt.Errorf("%s on %s at %d: %w", app, v, procs, err)
-				}
-				fmt.Fprintf(w, "%13.2f", float64(seq.Time)/float64(res.Time))
 			}
 			fmt.Fprintln(w)
 		}
 	}
-	return nil
 }

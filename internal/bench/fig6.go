@@ -16,31 +16,30 @@ func Fig6Specs(opts Options) []runner.RunSpec {
 	return Table3Specs(opts)
 }
 
-// Fig6Render reproduces the paper's Figure 6: a breakdown of execution time
+var fig6 = Section{
+	Name:   "fig6",
+	Doc:    "Figure 6: execution-time breakdown",
+	Specs:  Fig6Specs,
+	render: renderFig6,
+}
+
+// renderFig6 reproduces the paper's Figure 6: a breakdown of execution time
 // for the polling versions of Cashmere and TreadMarks (Barnes at 16
 // processors, the others at 32), normalized to Cashmere's total execution
 // time per application. Components: User, Protocol, Polling overhead, Write
 // doubling (Cashmere only), and Comm & Wait.
-func Fig6Render(w io.Writer, opts Options, rs *runner.ResultSet) error {
+func renderFig6(w io.Writer, opts Options, res resultOf) {
 	opts = opts.defaults()
 	header(w, "Figure 6: Normalized execution-time breakdown, polling versions (Barnes at 16, others at 32)")
 	fmt.Fprintf(w, "%-8s %-4s %8s %8s %10s %10s %10s %10s %10s\n",
 		"App", "Sys", "Total", "Norm", "User%", "Protocol%", "Polling%", "Doubling%", "Comm&Wait%")
 	for _, app := range opts.Apps {
 		procs := table3Procs(app)
-		csm, err := rs.Get(spec(app, "csm_poll", procs, opts))
-		if err != nil {
-			return fmt.Errorf("%s csm_poll: %w", app, err)
-		}
-		tmk, err := rs.Get(spec(app, "tmk_mc_poll", procs, opts))
-		if err != nil {
-			return fmt.Errorf("%s tmk_mc_poll: %w", app, err)
-		}
+		csm := res(spec(app, "csm_poll", procs, opts))
 		base := float64(csm.Time)
 		printBreakdown(w, app, "CSM", csm, base)
-		printBreakdown(w, app, "TMK", tmk, base)
+		printBreakdown(w, app, "TMK", res(spec(app, "tmk_mc_poll", procs, opts)), base)
 	}
-	return nil
 }
 
 func printBreakdown(w io.Writer, app, sys string, res *core.Result, normBase float64) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -15,47 +14,16 @@ import (
 	"repro/internal/variants"
 )
 
-// allPlan is the combined, deduplicated plan dsmbench -all builds for the
-// given options.
-func allPlan(opts Options) *runner.Plan {
-	plan := runner.NewPlan()
-	plan.Add(Table1Specs(opts.VariantOpts)...)
-	plan.Add(Table2Specs(opts)...)
-	plan.Add(Fig5Specs(opts)...)
-	plan.Add(Fig6Specs(opts)...)
-	plan.Add(Table3Specs(opts)...)
-	plan.Add(AblationSpecs(opts)...)
-	return plan
-}
-
-// renderAll reproduces dsmbench's -all output from an executed allPlan: every
-// section rendered in the CLI's order.
-func renderAll(w io.Writer, opts Options, rs *runner.ResultSet) error {
-	Costs(w)
-	if err := Table1Render(w, opts.VariantOpts, rs); err != nil {
-		return err
-	}
-	if err := Table2Render(w, opts, rs); err != nil {
-		return err
-	}
-	if err := Fig5Render(w, opts, rs); err != nil {
-		return err
-	}
-	if err := Fig6Render(w, opts, rs); err != nil {
-		return err
-	}
-	if err := Table3Render(w, opts, rs); err != nil {
-		return err
-	}
-	return AblationsRender(w, opts, rs)
-}
+// allSections are the sections dsmbench -all draws: every section but the
+// last, the interconnect sweep.
+var allSections = Sections[:len(Sections)-1]
 
 // fullSmallSweep executes the complete small-size sweep (all eight
 // applications, the full processor ladder: 430 specs, ~10 s) once per test
 // binary. Both full goldens read it, whatever the tests between them do to the
 // runner's memo cache.
 var fullSmallSweep = sync.OnceValues(func() (*runner.ResultSet, error) {
-	return runner.Execute(allPlan(Options{Size: apps.SizeSmall}), runner.Options{})
+	return runner.Execute(plan(Options{Size: apps.SizeSmall}, allSections...), runner.Options{})
 })
 
 // TestGoldenSmallSubset pins the harness's rendered output byte for byte: the
@@ -69,12 +37,12 @@ func TestGoldenSmallSubset(t *testing.T) {
 		Apps:  []string{"SOR", "Water"},
 		Procs: []int{1, 4, 8},
 	}
-	rs, err := runner.Execute(allPlan(opts), runner.Options{})
+	rs, err := runner.Execute(plan(opts, allSections...), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := renderAll(&buf, opts, rs); err != nil {
+	if err := render(&buf, opts, rs, allSections...); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_small_subset.txt"))
@@ -97,7 +65,7 @@ func TestGoldenSmallFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := renderAll(&buf, Options{Size: apps.SizeSmall}, rs); err != nil {
+	if err := render(&buf, Options{Size: apps.SizeSmall}, rs, allSections...); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_small.txt"))

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -62,9 +61,16 @@ func NetSweepSpecs(opts Options) []runner.RunSpec {
 	return specs
 }
 
-// NetSweepRender formats one block per application and variant: execution
+var netSweep = Section{
+	Name:   "netsweep",
+	Doc:    "interconnect x node-count sweep (8..64 nodes, every interconnect; not part of -all)",
+	Specs:  NetSweepSpecs,
+	render: renderNetSweep,
+}
+
+// renderNetSweep formats one block per application and variant: execution
 // time in seconds per node count (rows) and interconnect (columns).
-func NetSweepRender(w io.Writer, opts Options, rs *runner.ResultSet) error {
+func renderNetSweep(w io.Writer, opts Options, res resultOf) {
 	sweepApps := netSweepApps(opts)
 	opts = opts.defaults()
 	for _, app := range sweepApps {
@@ -78,19 +84,14 @@ func NetSweepRender(w io.Writer, opts Options, rs *runner.ResultSet) error {
 			for _, nodes := range netSweepNodes {
 				fmt.Fprintf(w, "%-8d", nodes)
 				for _, kind := range interconnect.Kinds {
-					res, err := rs.Get(netSweepSpec(app, v, nodes, kind, opts))
-					if errors.Is(err, runner.ErrInfeasible) {
+					if r := res(netSweepSpec(app, v, nodes, kind, opts)); r != nil {
+						fmt.Fprintf(w, "%12.3f", seconds(r.Time))
+					} else {
 						fmt.Fprintf(w, "%12s", "-")
-						continue
 					}
-					if err != nil {
-						return fmt.Errorf("%s on %s, %d nodes, %s: %w", app, v, nodes, kind, err)
-					}
-					fmt.Fprintf(w, "%12.3f", seconds(res.Time))
 				}
 				fmt.Fprintln(w)
 			}
 		}
 	}
-	return nil
 }

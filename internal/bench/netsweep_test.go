@@ -21,14 +21,8 @@ func TestNetSweep16NodeSmoke(t *testing.T) {
 	if want := len(NetSweepVariants) * len(netSweepNodes) * len(interconnect.Kinds); len(specs) != want {
 		t.Fatalf("sweep enumerates %d specs, want %d", len(specs), want)
 	}
-	rs, err := execute(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := NetSweepRender(&buf, opts, rs); err != nil {
-		t.Fatal(err)
-	}
+	rs := run(t, &buf, opts, netSweep)
 	for _, kind := range interconnect.Kinds {
 		if !strings.Contains(buf.String(), string(kind)) {
 			t.Errorf("rendered sweep does not mention %q:\n%s", kind, buf.String())

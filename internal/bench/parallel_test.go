@@ -24,11 +24,8 @@ func TestSequentialBaselineRunsOnce(t *testing.T) {
 
 	// The baseline and Fig5's parallel cells all share one plan: the
 	// combined plan must contain the sequential spec exactly once.
-	plan := runner.NewPlan()
-	plan.Add(Table2Specs(opts)...)
-	plan.Add(Fig5Specs(opts)...)
 	seqCount := 0
-	for _, s := range plan.Specs() {
+	for _, s := range plan(opts, table2, fig5).Specs() {
 		if s.Variant == variants.Sequential {
 			seqCount++
 		}
@@ -38,18 +35,18 @@ func TestSequentialBaselineRunsOnce(t *testing.T) {
 	}
 
 	// Table 2 executes the baseline (1 simulation).
-	section(t, io.Discard, opts, Table2Specs, Table2Render)
+	run(t, io.Discard, opts, table2)
 	after2 := runner.Executions()
 
 	// Figure 5 needs the same baseline plus 2 parallel cells: only the
 	// cells may execute.
-	section(t, io.Discard, opts, Fig5Specs, Fig5Render)
+	run(t, io.Discard, opts, fig5)
 	if delta := runner.Executions() - after2; delta != 2 {
 		t.Fatalf("Fig5 after Table2 ran %d simulations, want 2 (baseline must come from cache)", delta)
 	}
 
 	// Re-rendering Table 2 must execute nothing at all.
-	section(t, io.Discard, opts, Table2Specs, Table2Render)
+	run(t, io.Discard, opts, table2)
 	if delta := runner.Executions() - after2; delta != 2 {
 		t.Fatalf("repeat Table2 re-ran %d baseline simulations, want 0", delta-2)
 	}
@@ -71,13 +68,12 @@ func TestAblationsShareCacheWithSweep(t *testing.T) {
 	}
 	before := runner.Executions()
 
-	plan := runner.NewPlan()
-	plan.Add(AblationSpecs(opts)...)
-	if _, err := runner.Execute(plan, runner.Options{}); err != nil {
+	abl := plan(opts, ablations)
+	if _, err := runner.Execute(abl, runner.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	ran := runner.Executions() - before
-	if want := int64(plan.Len() - 1); ran != want {
+	if want := int64(abl.Len() - 1); ran != want {
 		t.Fatalf("ablations ran %d simulations, want %d (SOR csm_poll@8 must come from cache)", ran, want)
 	}
 }
@@ -92,37 +88,29 @@ func TestParallelRenderingIsDeterministic(t *testing.T) {
 		Apps:  []string{"SOR", "Water"},
 		Procs: []int{1, 4},
 	}
-	plan := runner.NewPlan()
-	plan.Add(Table2Specs(opts)...)
-	plan.Add(Fig5Specs(opts)...)
-
-	render := func(rs *runner.ResultSet) ([]byte, error) {
+	both := plan(opts, table2, fig5)
+	draw := func(rs *runner.ResultSet) ([]byte, error) {
 		var buf bytes.Buffer
-		if err := Table2Render(&buf, opts, rs); err != nil {
-			return nil, err
-		}
-		if err := Fig5Render(&buf, opts, rs); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		err := render(&buf, opts, rs, table2, fig5)
+		return buf.Bytes(), err
 	}
 
 	runner.ResetCache()
-	serialRS, err := runner.Execute(plan, runner.Options{Jobs: 1})
+	serialRS, err := runner.Execute(both, runner.Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialOut, err := render(serialRS)
+	serialOut, err := draw(serialRS)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	runner.ResetCache()
-	parallelRS, err := runner.Execute(plan, runner.Options{Jobs: 8})
+	parallelRS, err := runner.Execute(both, runner.Options{Jobs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelOut, err := render(parallelRS)
+	parallelOut, err := draw(parallelRS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +118,7 @@ func TestParallelRenderingIsDeterministic(t *testing.T) {
 	if !bytes.Equal(serialOut, parallelOut) {
 		t.Fatalf("rendered tables differ between Jobs=1 and Jobs=8:\n%s", diffHint(parallelOut, serialOut))
 	}
-	for _, s := range plan.Specs() {
+	for _, s := range both.Specs() {
 		r1, err1 := serialRS.Get(s)
 		r2, err2 := parallelRS.Get(s)
 		if err1 != nil || err2 != nil {

@@ -46,37 +46,21 @@ func Table1Specs(vo variants.Options) []runner.RunSpec {
 	return specs
 }
 
-// Table1Render reproduces the paper's Table 1: the minimum cost of page
+var table1 = Section{
+	Name:   "table1",
+	Doc:    "Table 1: basic operation costs per variant",
+	Specs:  func(o Options) []runner.RunSpec { return Table1Specs(o.VariantOpts) },
+	render: renderTable1,
+}
+
+// renderTable1 reproduces the paper's Table 1: the minimum cost of page
 // transfers and user-level synchronization operations for the six protocol
 // implementations. Lock acquire and page transfer are measured between two
 // processors on separate nodes; barrier costs are measured at 2 and at 16
 // processors (the parenthesized figures in the paper).
-func Table1Render(w io.Writer, vo variants.Options, rs *runner.ResultSet) error {
-	type row struct {
-		lockAcq  float64
-		barrier2 float64
-		barrier  float64
-		pageXfer float64
-	}
-	rows := map[string]row{}
-	for _, v := range variants.Names {
-		la, err := microCheck(rs, microSpec(microLock, v, 2, vo))
-		if err != nil {
-			return fmt.Errorf("lock acquire on %s: %w", v, err)
-		}
-		b2, err := microCheck(rs, microSpec(microBarrier, v, 2, vo))
-		if err != nil {
-			return fmt.Errorf("barrier(2) on %s: %w", v, err)
-		}
-		b16, err := microCheck(rs, microSpec(microBarrier, v, 16, vo))
-		if err != nil {
-			return fmt.Errorf("barrier(16) on %s: %w", v, err)
-		}
-		px, err := microCheck(rs, microSpec(microPage, v, 2, vo))
-		if err != nil {
-			return fmt.Errorf("page transfer on %s: %w", v, err)
-		}
-		rows[v] = row{lockAcq: la, barrier2: b2, barrier: b16, pageXfer: px}
+func renderTable1(w io.Writer, opts Options, res resultOf) {
+	cost := func(prog, v string, procs int) float64 {
+		return res(microSpec(prog, v, procs, opts.VariantOpts)).Checks["us"]
 	}
 	header(w, "Table 1: Cost of basic operations (microseconds; barrier shows 2-proc with 16-proc in parens)")
 	fmt.Fprintf(w, "%-14s", "Operation")
@@ -86,20 +70,19 @@ func Table1Render(w io.Writer, vo variants.Options, rs *runner.ResultSet) error 
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-14s", "Lock Acquire")
 	for _, v := range variants.Names {
-		fmt.Fprintf(w, "%16.0f", rows[v].lockAcq)
+		fmt.Fprintf(w, "%16.0f", cost(microLock, v, 2))
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-14s", "Barrier")
 	for _, v := range variants.Names {
-		fmt.Fprintf(w, "%10.0f (%3.0f)", rows[v].barrier2, rows[v].barrier)
+		fmt.Fprintf(w, "%10.0f (%3.0f)", cost(microBarrier, v, 2), cost(microBarrier, v, 16))
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-14s", "Page Transfer")
 	for _, v := range variants.Names {
-		fmt.Fprintf(w, "%16.0f", rows[v].pageXfer)
+		fmt.Fprintf(w, "%16.0f", cost(microPage, v, 2))
 	}
 	fmt.Fprintln(w)
-	return nil
 }
 
 // lockProgram times an uncontended lock acquire by a processor that is not
@@ -193,18 +176,4 @@ func pageProgram() *core.Program {
 			p.Finish()
 		},
 	}
-}
-
-// microCheck extracts a microbenchmark's reported measurement from a result
-// set.
-func microCheck(rs *runner.ResultSet, s runner.RunSpec) (float64, error) {
-	res, err := rs.Get(s)
-	if err != nil {
-		return 0, err
-	}
-	v, ok := res.Checks["us"]
-	if !ok {
-		return 0, fmt.Errorf("bench: %s reported no measurement", res.Program)
-	}
-	return v, nil
 }

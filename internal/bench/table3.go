@@ -33,27 +33,18 @@ func Table3Specs(opts Options) []runner.RunSpec {
 	return specs
 }
 
-// Table3Render reproduces the paper's Table 3: detailed statistics for the
+var table3 = Section{
+	Name:   "table3",
+	Doc:    "Table 3: detailed statistics at 32 procs",
+	Specs:  Table3Specs,
+	render: renderTable3,
+}
+
+// renderTable3 reproduces the paper's Table 3: detailed statistics for the
 // polling versions of Cashmere and TreadMarks, aggregated over all
 // processors.
-func Table3Render(w io.Writer, opts Options, rs *runner.ResultSet) error {
+func renderTable3(w io.Writer, opts Options, res resultOf) {
 	opts = opts.defaults()
-	csm := map[string]*core.Result{}
-	tmk := map[string]*core.Result{}
-	for _, name := range opts.Apps {
-		procs := table3Procs(name)
-		r, err := rs.Get(spec(name, "csm_poll", procs, opts))
-		if err != nil {
-			return fmt.Errorf("%s csm_poll: %w", name, err)
-		}
-		csm[name] = r
-		r, err = rs.Get(spec(name, "tmk_mc_poll", procs, opts))
-		if err != nil {
-			return fmt.Errorf("%s tmk_mc_poll: %w", name, err)
-		}
-		tmk[name] = r
-	}
-
 	header(w, "Table 3: Detailed statistics, polling versions (Barnes at 16 processors, others at 32)")
 	fmt.Fprintf(w, "%-22s", "Application")
 	for _, n := range opts.Apps {
@@ -61,30 +52,26 @@ func Table3Render(w io.Writer, opts Options, rs *runner.ResultSet) error {
 	}
 	fmt.Fprintln(w)
 
-	prow := func(label string, f func(*core.Result) string, m map[string]*core.Result) {
-		fmt.Fprintf(w, "%-22s", label)
-		for _, n := range opts.Apps {
-			fmt.Fprintf(w, "%10s", f(m[n]))
-		}
-		fmt.Fprintln(w)
-	}
-	secs := func(r *core.Result) string { return fmt.Sprintf("%.2f", seconds(r.Time)) }
 	i := func(v int64) string { return fmt.Sprintf("%d", v) }
-
-	fmt.Fprintln(w, "CSM")
-	prow("  Exec. time (secs)", secs, csm)
-	prow("  Barriers", func(r *core.Result) string { return i(r.Total.Barriers / int64(r.Procs)) }, csm)
-	prow("  Locks", func(r *core.Result) string { return i(r.Total.LockAcquires) }, csm)
-	prow("  Read faults", func(r *core.Result) string { return i(r.Total.ReadFaults) }, csm)
-	prow("  Write faults", func(r *core.Result) string { return i(r.Total.WriteFaults) }, csm)
-	prow("  Page transfers", func(r *core.Result) string { return i(r.Total.PageTransfers) }, csm)
-	fmt.Fprintln(w, "TMK")
-	prow("  Exec. time (secs)", secs, tmk)
-	prow("  Barriers", func(r *core.Result) string { return i(r.Total.Barriers / int64(r.Procs)) }, tmk)
-	prow("  Locks", func(r *core.Result) string { return i(r.Total.LockAcquires) }, tmk)
-	prow("  Read faults", func(r *core.Result) string { return i(r.Total.ReadFaults) }, tmk)
-	prow("  Write faults", func(r *core.Result) string { return i(r.Total.WriteFaults) }, tmk)
-	prow("  Messages", func(r *core.Result) string { return i(r.Total.Messages) }, tmk)
-	prow("  Data (Kbytes)", func(r *core.Result) string { return fmt.Sprintf("%.0f", float64(r.Total.DataBytes)/1024) }, tmk)
-	return nil
+	for _, sys := range []struct{ name, variant string }{{"CSM", "csm_poll"}, {"TMK", "tmk_mc_poll"}} {
+		prow := func(label string, f func(*core.Result) string) {
+			fmt.Fprintf(w, "%-22s", label)
+			for _, n := range opts.Apps {
+				fmt.Fprintf(w, "%10s", f(res(spec(n, sys.variant, table3Procs(n), opts))))
+			}
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintln(w, sys.name)
+		prow("  Exec. time (secs)", func(r *core.Result) string { return fmt.Sprintf("%.2f", seconds(r.Time)) })
+		prow("  Barriers", func(r *core.Result) string { return i(r.Total.Barriers / int64(r.Procs)) })
+		prow("  Locks", func(r *core.Result) string { return i(r.Total.LockAcquires) })
+		prow("  Read faults", func(r *core.Result) string { return i(r.Total.ReadFaults) })
+		prow("  Write faults", func(r *core.Result) string { return i(r.Total.WriteFaults) })
+		if sys.name == "CSM" {
+			prow("  Page transfers", func(r *core.Result) string { return i(r.Total.PageTransfers) })
+			continue
+		}
+		prow("  Messages", func(r *core.Result) string { return i(r.Total.Messages) })
+		prow("  Data (Kbytes)", func(r *core.Result) string { return fmt.Sprintf("%.0f", float64(r.Total.DataBytes)/1024) })
+	}
 }

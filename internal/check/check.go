@@ -23,6 +23,7 @@ import (
 	"runtime"
 
 	"repro/internal/sim"
+	"repro/internal/variants"
 )
 
 // Shape is a cluster configuration: Nodes x PPN compute processors.
@@ -42,16 +43,18 @@ type Params struct {
 	// BaseSeed is the first schedule seed; schedule i uses BaseSeed+i.
 	// Zero means 1 (a schedule seed of zero is the canonical order).
 	BaseSeed uint64
-	// Jitter is the per-event cost jitter fraction (default 0.75). It must lie
-	// in [0, sim.MaxCostJitter] (1.0), which core.Run checks through
+	// Jitter is the per-event cost jitter fraction; zero charges every cost
+	// unjittered (dsmcheck's flag default is 0.75). It must lie in
+	// [0, sim.MaxCostJitter] (1.0), which core.Run checks through
 	// Schedule.Validate.
 	Jitter float64
-	// Stagger is the maximum seed-derived start offset per processor
-	// (default 3ms). Litmus outcomes need it: without a stagger the fixed
-	// startup costs make the same role win every race on every seed.
+	// Stagger is the maximum seed-derived start offset per processor; zero
+	// starts every processor at once (dsmcheck's flag default is 3ms).
+	// Litmus outcomes need it: without a stagger the fixed startup costs make
+	// the same role win every race on every seed.
 	Stagger sim.Time
-	// Variants are the protocol variants to sweep (default both polling
-	// variants: csm_poll and tmk_mc_poll).
+	// Variants are the protocol variants to sweep (default all six,
+	// variants.Names).
 	Variants []string
 	// Jobs is the worker-pool width (default GOMAXPROCS).
 	Jobs int
@@ -62,10 +65,6 @@ type Params struct {
 	InjectDropDiffRuns int
 }
 
-// DefaultVariants are the two polling protocol variants — the paper's best
-// configurations of Cashmere and TreadMarks, and the fastest to simulate.
-func DefaultVariants() []string { return []string{"csm_poll", "tmk_mc_poll"} }
-
 func (p Params) withDefaults() Params {
 	if p.Schedules <= 0 {
 		p.Schedules = 200
@@ -73,14 +72,8 @@ func (p Params) withDefaults() Params {
 	if p.BaseSeed == 0 {
 		p.BaseSeed = 1
 	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.75
-	}
-	if p.Stagger == 0 {
-		p.Stagger = 3 * sim.Millisecond
-	}
 	if len(p.Variants) == 0 {
-		p.Variants = DefaultVariants()
+		p.Variants = variants.Names
 	}
 	if p.Jobs <= 0 {
 		p.Jobs = runtime.GOMAXPROCS(0)

@@ -6,18 +6,26 @@ import (
 	"testing"
 
 	"repro/internal/apps/fuzz"
+	"repro/internal/sim"
+	"repro/internal/variants"
 )
+
+// perturbed is a sweep of the given schedule count at dsmcheck's default
+// jitter and stagger.
+func perturbed(schedules int) Params {
+	return Params{Schedules: schedules, Jitter: 0.75, Stagger: 3 * sim.Millisecond}
+}
 
 // TestLitmusAcceptance is the tentpole acceptance bar: across at least 200
 // perturbed schedules per (test, protocol), every forbidden outcome is
 // absent and every permitted-with-sync must-observe outcome appears at
 // least once.
 func TestLitmusAcceptance(t *testing.T) {
-	report, err := RunLitmus(Params{Schedules: 200})
+	report, err := RunLitmus(perturbed(200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 8 * 2 * 200; report.Runs != want {
+	if want := 8 * len(variants.Names) * 200; report.Runs != want {
 		t.Fatalf("ran %d simulations, want %d", report.Runs, want)
 	}
 	for _, row := range report.Rows {
@@ -37,11 +45,14 @@ func TestLitmusAcceptance(t *testing.T) {
 // worker interleaving — same parameters, same report, including with a
 // single-threaded pool.
 func TestLitmusDeterministicReport(t *testing.T) {
-	a, err := RunLitmus(Params{Schedules: 12, Jobs: 4})
+	p := perturbed(12)
+	p.Jobs = 4
+	a, err := RunLitmus(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunLitmus(Params{Schedules: 12, Jobs: 1})
+	p.Jobs = 1
+	b, err := RunLitmus(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,18 +91,30 @@ func TestSuiteShape(t *testing.T) {
 	}
 }
 
+// TestZeroJitterAndStaggerKept: a zero Jitter or Stagger asks for a schedule
+// without jitter or without stagger; neither is replaced by a default.
+func TestZeroJitterAndStaggerKept(t *testing.T) {
+	s := Params{Schedules: 1}.withDefaults().schedule(0)
+	if s.CostJitter != 0 || s.Stagger != 0 {
+		t.Errorf("zero Jitter and Stagger gave CostJitter %v, Stagger %v; want 0 and 0", s.CostJitter, s.Stagger)
+	}
+	if s := perturbed(1).withDefaults().schedule(0); s.CostJitter != 0.75 || s.Stagger != 3*sim.Millisecond {
+		t.Errorf("Jitter 0.75 and Stagger 3ms gave CostJitter %v, Stagger %v", s.CostJitter, s.Stagger)
+	}
+}
+
 // TestDifferentialClean: the real protocols pass the differential checker —
 // every corpus program, every schedule, oracle-exact results.
 func TestDifferentialClean(t *testing.T) {
-	report, err := RunDifferential(Params{Schedules: 12})
+	report, err := RunDifferential(perturbed(12))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range report.Failures {
 		t.Errorf("%s on %s %+v schedule seed %d: %s", f.Variant, f.Shape, f.Fuzz, f.Schedule.Seed, f.Reason)
 	}
-	// Every corpus config x 2 variants x (2 canonical + 12 perturbed).
-	if want := len(fuzz.Corpus()) * 2 * 14; report.Runs != want {
+	// Every corpus config x every variant x (2 canonical + 12 perturbed).
+	if want := len(fuzz.Corpus()) * len(variants.Names) * 14; report.Runs != want {
 		t.Errorf("ran %d simulations, want %d", report.Runs, want)
 	}
 }
@@ -101,9 +124,10 @@ func TestDifferentialClean(t *testing.T) {
 // shrinker must reduce the failure to at most 2 rounds on at most 2
 // processors.
 func TestInjectedBugCaughtAndShrunk(t *testing.T) {
-	report, err := RunDifferential(Params{
-		Schedules: 8, Variants: []string{"tmk_mc_poll"}, InjectDropDiffRuns: 3,
-	})
+	p := perturbed(8)
+	p.Variants = []string{"tmk_mc_poll"}
+	p.InjectDropDiffRuns = 3
+	report, err := RunDifferential(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +184,7 @@ func TestReproRoundTrip(t *testing.T) {
 	orig := Repro{
 		Kind: KindLitmus, Litmus: "MP+sync", Perm: 1, Variant: "tmk_mc_poll",
 		Nodes: 2, PPN: 2,
-		Schedule:           Params{}.withDefaults().schedule(4),
+		Schedule:           perturbed(0).withDefaults().schedule(4),
 		InjectDropDiffRuns: 2, Reason: "because",
 	}
 	if err := orig.WriteFile(path); err != nil {
@@ -180,7 +204,7 @@ func TestReproRoundTrip(t *testing.T) {
 func TestLitmusReplay(t *testing.T) {
 	r := Repro{
 		Kind: KindLitmus, Litmus: "SB+sync", Variant: "csm_poll",
-		Nodes: 2, PPN: 1, Schedule: Params{}.withDefaults().schedule(0),
+		Nodes: 2, PPN: 1, Schedule: perturbed(0).withDefaults().schedule(0),
 	}
 	reason, err := Replay(r)
 	if err != nil {

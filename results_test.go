@@ -21,8 +21,9 @@ import (
 // scripts/repin.sh regenerates both files with every other pin.
 func TestCommittedResultsFile(t *testing.T) {
 	opts := bench.Options{Size: apps.SizeSmall}
+	netsweep := bench.Sections[len(bench.Sections)-1] // the last section, outside -all
 	plan := runner.NewPlan()
-	plan.Add(bench.NetSweepSpecs(opts)...)
+	plan.Add(netsweep.Specs(opts)...)
 	rs, err := runner.Execute(plan, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +32,7 @@ func TestCommittedResultsFile(t *testing.T) {
 	if err := rs.WriteJSON(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if err := bench.NetSweepRender(&table, opts, rs); err != nil {
+	if err := netsweep.Render(&table, opts, rs); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {

@@ -25,8 +25,7 @@ go build -o "$tmp/dsmcheck" ./cmd/dsmcheck
 
 echo "== dsmcheck sweep (schedules $schedules, diff $diff_schedules, seed $seed) =="
 "$tmp/dsmcheck" -schedules "$schedules" -diff-schedules "$diff_schedules" \
-    -seed "$seed" -repro "$repro" \
-    -variants csm_pp,csm_int,csm_poll,tmk_udp_int,tmk_mc_int,tmk_mc_poll
+    -seed "$seed" -repro "$repro"
 
 echo "== dsmcheck selftest (injected diff-loss bug) =="
 "$tmp/dsmcheck" -selftest -diff-schedules "$diff_schedules" \
