@@ -80,8 +80,9 @@ func (p *Proc) Space() *vm.Space { return p.space }
 // Runtime returns the owning runtime.
 func (p *Proc) Runtime() *Runtime { return p.rt }
 
-// Costs returns the cost model.
-func (p *Proc) Costs() CostModel { return p.costs }
+// Costs returns the cost model, by pointer so that hot paths read one field
+// without copying the struct. It is read-only: callers must not write it.
+func (p *Proc) Costs() *CostModel { return &p.costs }
 
 // Stats returns the processor's statistics (live; snapshot at Finish).
 func (p *Proc) Stats() *Stats { return &p.stats }

@@ -1,5 +1,7 @@
 package treadmarks
 
+import "encoding/binary"
+
 // Run is one contiguous range of changed bytes in a diff.
 type Run struct {
 	Off  int32
@@ -39,41 +41,57 @@ func (d Diff) WireBytes() int64 { return int64(8*len(d.Runs) + d.Bytes()) }
 // a float64 is never split across diffs.
 const diffWord = 8
 
+// diffBlock is the span MakeDiff skips at once when frame and twin agree on
+// all of it: eight words.
+const diffBlock = 8 * diffWord
+
 // MakeDiff compares a page against its twin and returns the changed runs at
 // word granularity. The data slices are copies, safe to retain after the
-// page changes. Trailing bytes beyond the last whole word are compared as
-// one short word.
+// page changes; all runs share one buffer, each capped at its own length.
+// Trailing bytes beyond the last whole word are compared as one short word.
 func MakeDiff(frame, twin []byte) []Run {
-	var runs []Run
 	n := len(frame)
-	wordDiffers := func(i int) bool {
-		end := i + diffWord
-		if end > n {
-			end = n
-		}
-		for k := i; k < end; k++ {
-			if frame[k] != twin[k] {
-				return true
-			}
-		}
-		return false
-	}
+	twin = twin[:n]
+	var runs []Run
+	total := 0
 	for i := 0; i < n; {
-		if !wordDiffers(i) {
+		if i+diffBlock <= n && string(frame[i:i+diffBlock]) == string(twin[i:i+diffBlock]) {
+			i += diffBlock
+			continue
+		}
+		if !wordDiffers(frame, twin, i) {
 			i += diffWord
 			continue
 		}
 		j := i + diffWord
-		for j < n && wordDiffers(j) {
+		for j+diffWord <= n && binary.LittleEndian.Uint64(frame[j:]) != binary.LittleEndian.Uint64(twin[j:]) {
 			j += diffWord
 		}
-		if j > n {
+		if j+diffWord > n && (j >= n || wordDiffers(frame, twin, j)) {
+			// The run reached the end, or the short last word differs too.
 			j = n
 		}
-		runs = append(runs, Run{Off: int32(i), Data: append([]byte(nil), frame[i:j]...)})
+		runs = append(runs, Run{Off: int32(i), Data: frame[i:j]})
+		total += j - i
 		i = j
 	}
+	// The runs alias frame so far: copy them all into one buffer.
+	buf := make([]byte, 0, total)
+	for k := range runs {
+		start := len(buf)
+		buf = append(buf, runs[k].Data...)
+		runs[k].Data = buf[start:len(buf):len(buf)]
+	}
 	return runs
+}
+
+// wordDiffers reports whether frame and twin differ in the word at i, or in
+// the short word there if fewer than diffWord bytes remain.
+func wordDiffers(frame, twin []byte, i int) bool {
+	if i+diffWord <= len(frame) {
+		return binary.LittleEndian.Uint64(frame[i:]) != binary.LittleEndian.Uint64(twin[i:])
+	}
+	return string(frame[i:]) != string(twin[i:])
 }
 
 // ApplyDiff merges a diff's runs into a page frame.

@@ -34,7 +34,7 @@ func (t *Protocol) closeInterval(p *core.Proc) {
 	id := st.cur + 1
 	st.cur = id
 	st.vt[rank] = id
-	st.log[rank] = append(st.log[rank], Interval{Proc: rank, ID: id, VT: st.vt.Clone(), Pages: pages})
+	t.log[rank] = append(t.log[rank], newInterval(st.vt.Clone(), pages))
 	for _, pg := range pages {
 		t.slot(st.known, int(pg))[rank] = id
 		t.slot(st.applied, int(pg))[rank] = id
@@ -43,36 +43,35 @@ func (t *Protocol) closeInterval(p *core.Proc) {
 	t.intervalsClosed++
 }
 
-// intervalsSince collects every interval record in rank's log (st) that the
-// given vector has not seen, in causal order: ascending (VT.Sum, Proc, ID).
+// intervalsSince names every interval st has incorporated that the given
+// vector has not seen, in causal order: ascending (VT.Sum, Proc, ID).
 // Each writer's unseen records are a contiguous slice of its log whose sums
 // ascend strictly (see Interval), so the order is a k-way merge of those runs,
 // written straight into the slice that is shipped: a min-heap of run heads
-// keyed (sum, writer) picks the next record, and the last run left is copied
-// whole.
-func (st *pstate) intervalsSince(have VT) []Interval {
+// keyed (sum, writer) picks the next interval, and the last run left is
+// appended whole.
+func (t *Protocol) intervalsSince(st *pstate, have VT) []intervalRef {
 	heads := st.heads[:0]
 	n := 0
 	for q := range st.vt {
 		if st.vt[q] > have[q] {
 			i, end := have[q], st.vt[q]
-			heads = append(heads, runHead{sum: st.log[q][i].VT.Sum(), q: int32(q), i: i, end: end})
+			heads = append(heads, runHead{sum: t.log[q][i].sum, q: int32(q), i: i, end: end})
 			n += int(end - i)
 		}
 	}
 	if n == 0 {
 		return nil
 	}
-	out := make([]Interval, 0, n)
+	out := make([]intervalRef, 0, n)
 	for k := len(heads)/2 - 1; k >= 0; k-- {
 		siftHead(heads, k)
 	}
 	for len(heads) > 1 {
 		h := &heads[0]
-		run := st.log[h.q]
-		out = append(out, run[h.i])
+		out = append(out, intervalRef{h.q, h.i + 1})
 		if h.i++; h.i < h.end {
-			h.sum = run[h.i].VT.Sum()
+			h.sum = t.log[h.q][h.i].sum
 		} else {
 			last := len(heads) - 1
 			heads[0] = heads[last]
@@ -81,7 +80,9 @@ func (st *pstate) intervalsSince(have VT) []Interval {
 		siftHead(heads, 0)
 	}
 	h := heads[0]
-	out = append(out, st.log[h.q][h.i:h.end]...)
+	for id := h.i + 1; id <= h.end; id++ {
+		out = append(out, intervalRef{h.q, id})
+	}
 	st.heads = heads[:0]
 	return out
 }
@@ -125,17 +126,19 @@ func (a *runHead) before(b *runHead) bool {
 // wireBytes estimates the message size of an interval set: a compact header
 // per interval plus its write notices. (Vector timestamps are delta-encoded
 // against the carrying message's VT rather than shipped per interval.)
-func wireBytes(recs []Interval) int64 {
+func (t *Protocol) wireBytes(refs []intervalRef) int64 {
 	var b int64
-	for _, r := range recs {
-		b += 12 + int64(4*len(r.Pages))
+	for _, r := range refs {
+		b += 12 + int64(4*len(t.rec(r.Proc, r.ID).Pages))
 	}
 	return b
 }
 
-// incorporate merges received interval records: logs them, updates the
-// write-notice horizon, and invalidates pages with unseen writes (§2.2).
-func (t *Protocol) incorporate(p *core.Proc, recs []Interval, senderVT VT) {
+// incorporate merges received intervals: advances the processor's knowledge
+// of each writer over them, updates the write-notice horizon, and invalidates
+// pages with unseen writes (§2.2). The records themselves are the writers'
+// own (Protocol.log), so nothing is copied.
+func (t *Protocol) incorporate(p *core.Proc, refs []intervalRef, senderVT VT) {
 	st := t.state(p)
 	if st.serviceDepth > 0 {
 		panic(fmt.Sprintf("treadmarks: rank %d incorporating intervals inside a request handler", p.Rank()))
@@ -145,43 +148,43 @@ func (t *Protocol) incorporate(p *core.Proc, recs []Interval, senderVT VT) {
 	// flush the diff now, stamped with our pre-incorporation knowledge, so
 	// that chain-ordered writes keep chain-ordered stamps. (Processing the
 	// records first would inflate the stamp past the very writes that came
-	// after ours.)
-	if len(st.twins) > 0 {
-		for _, rec := range recs {
-			if rec.Proc == rank || st.logTop(rec.Proc) >= rec.ID {
-				continue
-			}
-			for _, pg := range rec.Pages {
-				if st.twins[int(pg)] != nil {
-					t.flushDiff(p, int(pg))
-				}
+	// after ours.) The same pass checks that every shipped interval has been
+	// closed by its writer, so each names a record in the log.
+	for _, r := range refs {
+		if int(r.ID) > len(t.log[r.Proc]) {
+			panic(fmt.Sprintf("treadmarks: proc %d got interval (%d,%d) its writer has not closed (log at %d)",
+				p.Rank(), r.Proc, r.ID, len(t.log[r.Proc])))
+		}
+		if len(st.twins) == 0 || r.Proc == rank || st.vt[r.Proc] >= r.ID {
+			continue
+		}
+		for _, pg := range t.rec(r.Proc, r.ID).Pages {
+			if st.twins[int(pg)] != nil {
+				t.flushDiff(p, int(pg))
 			}
 		}
 	}
-	for _, rec := range recs {
-		q := rec.Proc
-		if st.logTop(q) >= rec.ID {
+	for _, r := range refs {
+		q := r.Proc
+		if st.vt[q] >= r.ID {
 			continue // already known
 		}
-		if st.logTop(q)+1 != rec.ID {
-			panic(fmt.Sprintf("treadmarks: proc %d got interval (%d,%d) with log at %d (gap)",
-				p.Rank(), q, rec.ID, st.logTop(q)))
+		if st.vt[q]+1 != r.ID {
+			panic(fmt.Sprintf("treadmarks: proc %d got interval (%d,%d) knowing %d (gap)",
+				p.Rank(), q, r.ID, st.vt[q]))
 		}
-		st.log[q] = append(st.log[q], rec)
-		if st.vt[q] < rec.ID {
-			st.vt[q] = rec.ID
-		}
+		st.vt[q] = r.ID
 		p.ChargeProtocol(p.Costs().HandlerWork / 2)
 		if q == rank {
 			continue
 		}
-		for _, pg := range rec.Pages {
+		for _, pg := range t.rec(q, r.ID).Pages {
 			known := t.slot(st.known, int(pg))
-			if known[q] < rec.ID {
-				known[q] = rec.ID
+			if known[q] < r.ID {
+				known[q] = r.ID
 			}
 			applied := t.slot(st.applied, int(pg))
-			if applied[q] < rec.ID && p.Space().Prot(int(pg)) != vm.ProtNone {
+			if applied[q] < r.ID && p.Space().Prot(int(pg)) != vm.ProtNone {
 				p.Space().SetProt(int(pg), vm.ProtNone)
 				if p.Space().Frame(int(pg)) != nil {
 					// Unmapping a page the processor actually has mapped

@@ -16,40 +16,46 @@ func (r *testRand) next() uint64 {
 	return z ^ z>>31
 }
 
-// randomLog builds the log of a processor that has incorporated a random
-// causal history of the given writers, and returns it with every writer's
-// full history. At each step a random writer first (half the time) joins
-// another writer's vector time, as at an acquire, then closes an interval.
-func randomLog(r *testRand, writers, steps int) (*pstate, [][]Interval) {
+// randomLog builds the shared log of a random causal history of the given
+// writers, and a processor that has incorporated all of it. At each step a
+// random writer first (half the time) joins another writer's vector time, as
+// at an acquire, then closes an interval.
+func randomLog(r *testRand, writers, steps int) (*Protocol, *pstate) {
 	vts := make([]VT, writers)
 	for i := range vts {
 		vts[i] = NewVT(writers)
 	}
-	all := make([][]Interval, writers)
+	t := &Protocol{log: make([][]Interval, writers)}
 	for s := 0; s < steps; s++ {
 		p := int(r.next() % uint64(writers))
 		if r.next()%2 == 0 {
 			vts[p].MaxInto(vts[r.next()%uint64(writers)])
 		}
 		vts[p][p]++
-		all[p] = append(all[p], Interval{Proc: int32(p), ID: vts[p][p], VT: vts[p].Clone()})
+		t.log[p] = append(t.log[p], newInterval(vts[p].Clone(), nil))
 	}
-	st := &pstate{vt: NewVT(writers), log: all}
-	for q, recs := range all {
+	st := &pstate{vt: NewVT(writers)}
+	for q, recs := range t.log {
 		st.vt[q] = int32(len(recs))
 	}
-	return st, all
+	return t, st
 }
 
 // TestIntervalsSinceMatchesSort: the merge ships exactly the records the
 // requester lacks, in the order a sort by (VT.Sum, Proc, ID) gives, on random
 // logs of 1–32 writers, for requests that lack nothing, everything, or a
-// random suffix of each writer (including horizons past the owner's own).
+// random suffix of each writer (including horizons past the owner's own). On
+// odd seeds the owner knows only a prefix of each writer's shared log.
 func TestIntervalsSinceMatchesSort(t *testing.T) {
 	for seed := uint64(1); seed <= 400; seed++ {
 		r := testRand(seed)
 		writers := 1 + int(r.next()%32)
-		st, all := randomLog(&r, writers, int(r.next()%uint64(8*writers+1)))
+		tm, st := randomLog(&r, writers, int(r.next()%uint64(8*writers+1)))
+		if seed%2 == 1 {
+			for q := range st.vt {
+				st.vt[q] = int32(r.next() % uint64(st.vt[q]+1))
+			}
+		}
 		have := NewVT(writers)
 		switch seed % 4 {
 		case 0: // have == vt
@@ -60,17 +66,15 @@ func TestIntervalsSinceMatchesSort(t *testing.T) {
 				have[q] = int32(r.next() % uint64(st.vt[q]+2))
 			}
 		}
-		var want []Interval
-		for q, recs := range all {
-			for _, rec := range recs {
-				if rec.ID > have[q] {
-					want = append(want, rec)
-				}
+		var want []intervalRef
+		for q := range tm.log {
+			for id := have[q] + 1; id <= st.vt[q]; id++ {
+				want = append(want, intervalRef{int32(q), id})
 			}
 		}
 		sort.Slice(want, func(i, j int) bool {
 			a, b := want[i], want[j]
-			if sa, sb := a.VT.Sum(), b.VT.Sum(); sa != sb {
+			if sa, sb := tm.rec(a.Proc, a.ID).VT.Sum(), tm.rec(b.Proc, b.ID).VT.Sum(); sa != sb {
 				return sa < sb
 			}
 			if a.Proc != b.Proc {
@@ -78,7 +82,7 @@ func TestIntervalsSinceMatchesSort(t *testing.T) {
 			}
 			return a.ID < b.ID
 		})
-		got := st.intervalsSince(have)
+		got := tm.intervalsSince(st, have)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d records, want %d", seed, len(got), len(want))
 		}
@@ -95,7 +99,7 @@ func TestIntervalsSinceMatchesSort(t *testing.T) {
 // TreadMarks jobs: 32 writers, 56 unseen records over 8 of them.
 func BenchmarkIntervalsSince(b *testing.B) {
 	r := testRand(1)
-	st, _ := randomLog(&r, 32, 32*20)
+	tm, st := randomLog(&r, 32, 32*20)
 	have := st.vt.Clone()
 	for q := 0; q < 32; q += 4 {
 		have[q] = max(0, have[q]-7)
@@ -103,8 +107,8 @@ func BenchmarkIntervalsSince(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shipped = st.intervalsSince(have)
+		shipped = tm.intervalsSince(st, have)
 	}
 }
 
-var shipped []Interval
+var shipped []intervalRef

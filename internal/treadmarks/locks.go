@@ -70,10 +70,10 @@ func (t *Protocol) Unlock(p *core.Proc, id int) {
 func (t *Protocol) grantLock(p *core.Proc, lock int, h handoffReq) {
 	st := t.state(p)
 	st.locks[lock].baton = false
-	recs := st.intervalsSince(h.vt)
+	recs := t.intervalsSince(st, h.vt)
 	p.ChargeProtocol(p.Costs().HandlerWork)
 	p.EP().Reply(h.req.From, h.req, lockGrant{VT: st.vt.Clone(), Intervals: recs},
-		16+wireBytes(recs))
+		16+t.wireBytes(recs))
 }
 
 // handleHandoff grants the lock now if we are not inside (or entering) the

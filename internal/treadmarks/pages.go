@@ -29,7 +29,7 @@ func (t *Protocol) flushDiff(p *core.Proc, page int) {
 	// re-advertise the twin's writes and must not re-stamp them past a chain
 	// successor's newer diff.
 	rank := int32(p.Rank())
-	d := Diff{Tag: st.cur, VT: st.rec(rank, tw.birth).VT, Runs: MakeDiff(p.Space().Frame(page), tw.data)}
+	d := Diff{Tag: st.cur, VT: t.rec(rank, tw.birth).VT, Runs: MakeDiff(p.Space().Frame(page), tw.data)}
 	st.diffs[page] = append(st.diffs[page], d)
 	delete(st.twins, page)
 	if p.Space().Prot(page).CanWrite() {
@@ -57,10 +57,6 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 	known := st.known[page]
 	// Request the missing diffs from every writer in parallel (as
 	// TreadMarks does), then collect all replies before merging.
-	type gathered struct {
-		writer int
-		diff   Diff
-	}
 	type inflight struct {
 		writer int
 		token  uint64
@@ -69,7 +65,7 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 		// newest served diff covers (DESIGN §8 rule 10).
 		horizon int32
 	}
-	var all []gathered
+	var all causalOrder
 	var calls []inflight
 	if known != nil {
 		for w := 0; w < t.nprocs; w++ {
@@ -84,7 +80,7 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 		for i := range calls {
 			diffs := p.EP().WaitReply(calls[i].token).([]Diff)
 			for _, d := range diffs {
-				all = append(all, gathered{writer: calls[i].writer, diff: d})
+				all = append(all, gathered{sum: d.VT.Sum(), writer: calls[i].writer, diff: d})
 			}
 			if n := len(diffs); n > 0 {
 				calls[i].horizon = max(calls[i].horizon, diffs[n-1].Tag)
@@ -96,17 +92,7 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 	// ties (concurrent diffs) are ordered by writer then tag, which is safe
 	// because concurrent diffs of data-race-free programs touch disjoint
 	// bytes.
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		sa, sb := a.diff.VT.Sum(), b.diff.VT.Sum()
-		if sa != sb {
-			return sa < sb
-		}
-		if a.writer != b.writer {
-			return a.writer < b.writer
-		}
-		return a.diff.Tag < b.diff.Tag
-	})
+	sort.Sort(all)
 	for _, g := range all {
 		ApplyDiff(frame, g.diff.Runs)
 		p.ChargeProtocol(p.Costs().DiffApplyBase + p.Costs().Copy(g.diff.Bytes()))
@@ -121,6 +107,31 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 	}
 	p.Space().SetProt(page, vm.ProtRead)
 	p.ChargeProtocol(p.Costs().ProtChange)
+}
+
+// gathered is one diff validate received, with the sum of its timestamp.
+type gathered struct {
+	sum    int64
+	writer int
+	diff   Diff
+}
+
+// causalOrder sorts gathered diffs by (timestamp sum, writer, tag). A writer
+// ships a page's diffs with distinct tags, so the order is total and any sort
+// yields the same sequence.
+type causalOrder []gathered
+
+func (c causalOrder) Len() int      { return len(c) }
+func (c causalOrder) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
+func (c causalOrder) Less(i, j int) bool {
+	a, b := &c[i], &c[j]
+	if a.sum != b.sum {
+		return a.sum < b.sum
+	}
+	if a.writer != b.writer {
+		return a.writer < b.writer
+	}
+	return a.diff.Tag < b.diff.Tag
 }
 
 // fetchPage obtains a base copy of the page from its static manager, along
@@ -182,39 +193,48 @@ func (t *Protocol) OnSharedWrite(p *core.Proc, addr core.Addr, size int) {}
 
 // serveDiff answers a diff request with what the requester's knowledge
 // entitles it to (DESIGN §8 rule 10): flush the twin if a notice the
-// requester knows covers it, then return the stored diffs beyond its applied
-// horizon that were born no later than its newest notice. Births ascend with
-// tags, so the first diff born in the requester's future ends the reply.
+// requester knows covers it, then reply with the stored diffs served.
 func (t *Protocol) serveDiff(p *core.Proc, req msg.Request) {
 	st := t.state(p)
 	dr := req.Data.(diffReqMsg)
-	page := dr.Page
-	if tw := st.twins[page]; tw != nil && tw.birth <= dr.Known {
-		t.flushDiff(p, page)
+	if tw := st.twins[dr.Page]; tw != nil && tw.birth <= dr.Known {
+		t.flushDiff(p, dr.Page)
 	}
-	rank := p.Rank()
-	var out []Diff
-	var bytes int64
-	for _, d := range st.diffs[page] {
-		if d.VT[rank] > dr.Known {
-			break
-		}
-		if d.Tag > dr.Applied {
-			t.diffsServed++
-			if n := t.cfg.TestDropDiffRuns; n > 0 && t.diffsServed%int64(n) == 0 && len(d.Runs) > 0 {
-				// Injected diff-loss bug (Config.TestDropDiffRuns): serve a
-				// copy of the diff missing its last run. The struct copy
-				// shares the runs' backing array but truncating the length
-				// never mutates stored state.
-				d.Runs = d.Runs[:len(d.Runs)-1]
-				t.testRunsLost++
-			}
-			out = append(out, d)
-			bytes += d.WireBytes()
-		}
-	}
+	out, bytes := t.served(st.diffs[dr.Page], p.Rank(), dr)
 	p.ChargeProtocol(p.Costs().HandlerWork)
 	p.EP().ReplyClass(req.From, req, out, 16+bytes, interconnect.TrafficPage)
+}
+
+// served returns the window of rank's stored diffs ds (ascending by tag) that
+// a diff request gets, and its wire size: the diffs beyond the requester's
+// applied horizon that were born no later than its newest notice. Births
+// ascend with tags, so the window starts at the first tag past Applied and
+// ends at the first diff born in the requester's future. The window shares
+// ds's backing array, capped so an append cannot reach ds.
+func (t *Protocol) served(ds []Diff, rank int, dr diffReqMsg) ([]Diff, int64) {
+	lo := sort.Search(len(ds), func(i int) bool { return ds[i].Tag > dr.Applied })
+	hi := lo
+	for hi < len(ds) && ds[hi].VT[rank] <= dr.Known {
+		hi++
+	}
+	out := ds[lo:hi:hi]
+	n := int64(t.cfg.TestDropDiffRuns)
+	if n > 0 {
+		// The injected bug edits the reply, never the stored diffs.
+		out = append([]Diff(nil), out...)
+	}
+	var bytes int64
+	for i := range out {
+		t.diffsServed++
+		if n > 0 && t.diffsServed%n == 0 && len(out[i].Runs) > 0 {
+			// Injected diff-loss bug (Config.TestDropDiffRuns): the reply's
+			// copy of the diff loses its last run.
+			out[i].Runs = out[i].Runs[:len(out[i].Runs)-1]
+			t.testRunsLost++
+		}
+		bytes += out[i].WireBytes()
+	}
+	return out, bytes
 }
 
 // servePage answers a page request with our current copy (flushing our twin

@@ -53,9 +53,6 @@ type pstate struct {
 	// made at the first write fault and turned into a stored diff by
 	// flushDiff.
 	twins map[int]*twin
-	// log[q] holds every interval record of processor q this processor has
-	// incorporated: log[q][i] is interval i+1.
-	log [][]Interval
 	// heads is intervalsSince's merge scratch, kept for its capacity.
 	heads []runHead
 	// known[page][w], allocated lazily, is the highest interval of writer w
@@ -122,7 +119,7 @@ type lockHandoffMsg struct {
 }
 type lockGrant struct {
 	VT        VT
-	Intervals []Interval
+	Intervals []intervalRef
 }
 type diffReqMsg struct {
 	Page    int
@@ -139,11 +136,11 @@ type pageReply struct {
 type barrierArriveMsg struct {
 	Barrier   int
 	VT        VT
-	Intervals []Interval
+	Intervals []intervalRef
 }
 type barrierRelease struct {
 	VT        VT
-	Intervals []Interval
+	Intervals []intervalRef
 }
 
 // Protocol is the TreadMarks protocol state for all processors. All fields
@@ -165,6 +162,11 @@ type Protocol struct {
 	nprocs int
 
 	ps []*pstate
+	// log[q] holds every interval processor q has closed: log[q][i] is
+	// interval i+1. Only q's closeInterval appends to it, and a record never
+	// changes once closed, so every processor reads the same records: what
+	// processor p has incorporated of q is the prefix log[q][:ps[p].vt[q]].
+	log [][]Interval
 	// owner[id] is the last requester of lock id its manager has seen, the
 	// tail of the ownership chain, or -1 before the first acquire. Only the
 	// manager, rank lockManagerRank(id), touches it.
@@ -181,7 +183,7 @@ type Protocol struct {
 	pageRequests    int64
 	invalidations   int64
 
-	// diffsServed counts diffs copied into serveDiff replies; testRunsLost
+	// diffsServed counts the diffs serveDiff replies held; testRunsLost
 	// counts the runs the injected TestDropDiffRuns bug discarded. Both only
 	// drive the injection and its counter (absent unless the bug is armed).
 	diffsServed  int64
@@ -207,7 +209,6 @@ func (t *Protocol) Setup(rt *core.Runtime) {
 		st := &pstate{
 			vt:             NewVT(t.nprocs),
 			twins:          make(map[int]*twin),
-			log:            make([][]Interval, t.nprocs),
 			known:          make([][]int32, numPages),
 			applied:        make([][]int32, numPages),
 			diffs:          make(map[int][]Diff),
@@ -216,6 +217,7 @@ func (t *Protocol) Setup(rt *core.Runtime) {
 		}
 		t.ps = append(t.ps, st)
 	}
+	t.log = make([][]Interval, t.nprocs)
 	t.owner = make([]int32, locks)
 	for id := range t.owner {
 		t.owner[id] = -1
@@ -239,15 +241,8 @@ func (t *Protocol) lockManagerRank(id int) int { return id % t.nprocs }
 // distribution, as in TreadMarks).
 func (t *Protocol) pageManagerRank(page int) int { return page % t.nprocs }
 
-// rec returns processor q's interval record with the given id from p's log.
-func (st *pstate) rec(q, id int32) Interval {
-	return st.log[q][id-1]
-}
-
-// logTop returns the highest interval id of q present in the log.
-func (st *pstate) logTop(q int32) int32 {
-	return int32(len(st.log[q]))
-}
+// rec returns writer q's interval id from the shared log.
+func (t *Protocol) rec(q, id int32) *Interval { return &t.log[q][id-1] }
 
 func (t *Protocol) slot(arr [][]int32, page int) []int32 {
 	if arr[page] == nil {

@@ -98,42 +98,41 @@ func TestVTJoinProperties(t *testing.T) {
 // each writer's ids ascending and contiguous from the requester's horizon —
 // on a hand-built log and on random histories.
 func TestSortIntervalsCausal(t *testing.T) {
-	st := &pstate{
-		vt: VT{1, 2, 1},
-		log: [][]Interval{
-			{{Proc: 0, ID: 1, VT: VT{1, 0, 0}}},
-			{{Proc: 1, ID: 1, VT: VT{0, 1, 0}}, {Proc: 1, ID: 2, VT: VT{0, 2, 1}}},
-			{{Proc: 2, ID: 1, VT: VT{0, 1, 1}}},
-		},
-	}
-	check := func(st *pstate, have VT) {
+	tm := &Protocol{log: [][]Interval{
+		{newInterval(VT{1, 0, 0}, nil)},
+		{newInterval(VT{0, 1, 0}, nil), newInterval(VT{0, 2, 1}, nil)},
+		{newInterval(VT{0, 1, 1}, nil)},
+	}}
+	st := &pstate{vt: VT{1, 2, 1}}
+	check := func(tm *Protocol, st *pstate, have VT) {
 		t.Helper()
-		recs := st.intervalsSince(have)
-		for i := 0; i < len(recs); i++ {
-			for j := i + 1; j < len(recs); j++ {
-				// recs[j] must not happen-before recs[i].
-				if recs[i].VT.Covers(recs[j].VT) && recs[i].VT.Sum() != recs[j].VT.Sum() {
-					t.Errorf("order violates causality: %v before %v", recs[j], recs[i])
+		refs := tm.intervalsSince(st, have)
+		for i := 0; i < len(refs); i++ {
+			for j := i + 1; j < len(refs); j++ {
+				// refs[j] must not happen-before refs[i].
+				a, b := tm.rec(refs[i].Proc, refs[i].ID), tm.rec(refs[j].Proc, refs[j].ID)
+				if a.VT.Covers(b.VT) && a.VT.Sum() != b.VT.Sum() {
+					t.Errorf("order violates causality: %v before %v", *b, *a)
 				}
 			}
 		}
 		// Per-proc ids must ascend by one from the requester's horizon.
 		last := append(VT(nil), have...)
-		for _, r := range recs {
+		for _, r := range refs {
 			if r.ID != last[r.Proc]+1 {
 				t.Errorf("proc %d: id %d follows %d", r.Proc, r.ID, last[r.Proc])
 			}
 			last[r.Proc] = r.ID
 		}
 	}
-	check(st, NewVT(3))
-	if recs := st.intervalsSince(NewVT(3)); len(recs) != 4 {
-		t.Errorf("shipped %d of 4 records", len(recs))
+	check(tm, st, NewVT(3))
+	if refs := tm.intervalsSince(st, NewVT(3)); len(refs) != 4 {
+		t.Errorf("shipped %d of 4 records", len(refs))
 	}
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := testRand(seed)
-		st, _ := randomLog(&r, 1+int(r.next()%12), 60)
-		check(st, NewVT(len(st.vt)))
+		tm, st := randomLog(&r, 1+int(r.next()%12), 60)
+		check(tm, st, NewVT(len(st.vt)))
 	}
 }
 

@@ -47,18 +47,31 @@ func (v VT) Sum() int64 {
 	return s
 }
 
-// Interval is one processor's closed interval: the unit of write-notice
-// propagation. Interval (Proc, ID) carries the pages the processor dirtied
-// during it and the vector timestamp at its close (with VT[Proc] == ID).
+// Interval is the record of one processor's closed interval: the unit of
+// write-notice propagation. Writer q's interval i is Protocol.log[q][i-1]; it
+// carries the pages q dirtied during it and the vector timestamp at its close
+// (with VT[q] == i).
 //
-// One writer's records, in id order, have strictly ascending VT sums: VT[Proc]
-// == ID grows by one per record and the writer's other entries never shrink.
-// That is the precondition of intervalsSince's merge: each writer's slice of
-// the log is already a sorted run of the (Sum, Proc, ID) order, so the records
+// One writer's records, in id order, have strictly ascending VT sums: VT[q]
+// grows by one per record and the writer's other entries never shrink. That
+// is the precondition of intervalsSince's merge: each writer's slice of the
+// log is already a sorted run of the (Sum, Proc, ID) order, so the intervals
 // a message ships are a k-way merge of at most one run per writer, not a sort.
 type Interval struct {
-	Proc  int32
-	ID    int32
 	VT    VT
 	Pages []int32
+	// sum is VT.Sum(), computed once at close; it is host-side bookkeeping
+	// and not part of the wire size (see wireBytes).
+	sum int64
+}
+
+// intervalRef names interval ID of writer Proc, whose record is the writer's
+// own (Protocol.log). Interval sets travel as refs: a message stands for the
+// records it names, and wireBytes charges them in full.
+type intervalRef struct{ Proc, ID int32 }
+
+// newInterval returns the record of an interval closed at timestamp vt with
+// write notices for pages. Neither slice may change afterwards.
+func newInterval(vt VT, pages []int32) Interval {
+	return Interval{VT: vt, Pages: pages, sum: vt.Sum()}
 }
