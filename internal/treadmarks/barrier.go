@@ -21,10 +21,10 @@ func (t *Protocol) Barrier(p *core.Proc, id int) {
 	}
 	// Send our VT plus the intervals the manager may lack, per our
 	// conservative guess of its vector timestamp.
-	recs := t.intervalsSince(st, st.managerVTGuess)
+	refs := t.intervalsSince(st, st.managerVTGuess)
 	reply := p.EP().Call(t.rt.ProcByRank(0).EP(), kindBarrierArrive,
-		barrierArriveMsg{Barrier: id, VT: st.vt.Clone(), Intervals: recs},
-		16+int64(4*t.nprocs)+t.wireBytes(recs))
+		barrierArriveMsg{Barrier: id, VT: st.vt.Clone(), Intervals: refs},
+		16+int64(4*t.nprocs)+t.wireBytes(refs))
 	rel := reply.(barrierRelease)
 	t.incorporate(p, rel.Intervals, rel.VT)
 	st.managerVTGuess = rel.VT.Clone()
@@ -51,9 +51,9 @@ func (t *Protocol) barrierManager(p *core.Proc, id int) {
 	}
 	p.ChargeProtocol(sim.Time(t.nprocs) * p.Costs().HandlerWork)
 	for _, req := range arrived {
-		recs := t.intervalsSince(st, req.Data.(barrierArriveMsg).VT)
-		p.EP().Reply(req.From, req, barrierRelease{VT: st.vt.Clone(), Intervals: recs},
-			16+int64(4*t.nprocs)+t.wireBytes(recs))
+		refs := t.intervalsSince(st, req.Data.(barrierArriveMsg).VT)
+		p.EP().Reply(req.From, req, barrierRelease{VT: st.vt.Clone(), Intervals: refs},
+			16+int64(4*t.nprocs)+t.wireBytes(refs))
 	}
 	st.managerVTGuess = st.vt.Clone()
 }

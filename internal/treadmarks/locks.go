@@ -70,10 +70,10 @@ func (t *Protocol) Unlock(p *core.Proc, id int) {
 func (t *Protocol) grantLock(p *core.Proc, lock int, h handoffReq) {
 	st := t.state(p)
 	st.locks[lock].baton = false
-	recs := t.intervalsSince(st, h.vt)
+	refs := t.intervalsSince(st, h.vt)
 	p.ChargeProtocol(p.Costs().HandlerWork)
-	p.EP().Reply(h.req.From, h.req, lockGrant{VT: st.vt.Clone(), Intervals: recs},
-		16+t.wireBytes(recs))
+	p.EP().Reply(h.req.From, h.req, lockGrant{VT: st.vt.Clone(), Intervals: refs},
+		16+t.wireBytes(refs))
 }
 
 // handleHandoff grants the lock now if we are not inside (or entering) the

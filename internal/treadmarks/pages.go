@@ -193,7 +193,8 @@ func (t *Protocol) OnSharedWrite(p *core.Proc, addr core.Addr, size int) {}
 
 // serveDiff answers a diff request with what the requester's knowledge
 // entitles it to (DESIGN §8 rule 10): flush the twin if a notice the
-// requester knows covers it, then reply with the stored diffs served.
+// requester knows covers it, then reply with the window of stored diffs
+// served selects.
 func (t *Protocol) serveDiff(p *core.Proc, req msg.Request) {
 	st := t.state(p)
 	dr := req.Data.(diffReqMsg)

@@ -144,7 +144,7 @@ type barrierRelease struct {
 }
 
 // Protocol is the TreadMarks protocol state for all processors. All fields
-// are only touched by the processor that owns them or by its request
+// but log are only touched by the processor that owns them or by its request
 // handlers, which run on the owning processor, so the single-baton scheduler
 // makes every stretch of code between two waits atomic — and nothing more. A
 // fault or synchronization operation that blocks (Call, WaitReply, the
@@ -166,6 +166,7 @@ type Protocol struct {
 	// interval i+1. Only q's closeInterval appends to it, and a record never
 	// changes once closed, so every processor reads the same records: what
 	// processor p has incorporated of q is the prefix log[q][:ps[p].vt[q]].
+	// Messages name these records (intervalRef) rather than copy them.
 	log [][]Interval
 	// owner[id] is the last requester of lock id its manager has seen, the
 	// tail of the ownership chain, or -1 before the first acquire. Only the
