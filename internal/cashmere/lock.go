@@ -87,6 +87,13 @@ func (ls *lockSpace) acquire(p *core.Proc, id int) {
 // and returns (false, now) there; (true, 0) means the lock is held. It runs on
 // whichever goroutine holds the baton, so nothing it calls may yield or block:
 // word reads and writes, charges, and PollVisible's charge-and-reply handlers.
+//
+// The two one-word spins promise their next failures
+// (sim.(*Proc).PromiseUntil, PromiseWhile), so the engine takes those probes
+// without calling advance. Both promises are exact because only this
+// processor can change what they depend on: the node flag is cleared only by
+// its holder, and the entry word is written only by the holder of the node
+// flag, which is this processor.
 func (s *lockSpin) advance() (bool, sim.Time) {
 	ls, p, sp := s.ls, s.p, s.p.Sim()
 	for {
@@ -94,6 +101,7 @@ func (s *lockSpin) advance() (bool, sim.Time) {
 		case stageFlag:
 			flag := &ls.flags[s.id][s.node]
 			if *flag {
+				sp.PromiseWhile(&s.spin.Spin, flag)
 				return false, p.SpinBackoff(&s.spin)
 			}
 			*flag = true
@@ -101,14 +109,22 @@ func (s *lockSpin) advance() (bool, sim.Time) {
 			s.setEntry()
 
 		case stageLoopback:
-			if ls.words.Read(sp, s.base+s.node) != 1 {
+			entry := s.base + s.node
+			if ls.words.Read(sp, entry) != 1 {
+				if cur, prev, at := ls.words.Latest(entry); cur == 1 && prev != 1 {
+					sp.PromiseUntil(&s.spin.Spin, at)
+				}
 				return false, p.SpinBackoff(&s.spin)
 			}
-			// Step 3: read the whole array.
+			// Step 3: read the whole array. Each word's read is charged
+			// before it is made, one jittered Advance apiece, so word n is
+			// read at the clock after n+1 charges; the charges are accounted
+			// once, after the loop.
+			c := p.Costs().MemAccess
 			sole := true
 			lowest := s.node
 			for n := 0; n < ls.nodes; n++ {
-				p.Charge(core.CatProtocol, p.Costs().MemAccess)
+				sp.Advance(c)
 				if n != s.node && ls.words.Read(sp, s.base+n) != 0 {
 					sole = false
 					if n < lowest {
@@ -116,6 +132,7 @@ func (s *lockSpin) advance() (bool, sim.Time) {
 					}
 				}
 			}
+			p.Account(core.CatProtocol, sim.Time(ls.nodes)*c)
 			if sole {
 				return true, 0
 			}
@@ -146,7 +163,9 @@ func (s *lockSpin) advance() (bool, sim.Time) {
 			return false, p.SpinBackoff(&s.spin)
 
 		case stageBackedOff:
-			p.EP().PollVisible()
+			if sp.InboxVisible() {
+				p.EP().PollVisible()
+			}
 			s.attempt++
 			s.setEntry()
 		}

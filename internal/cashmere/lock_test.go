@@ -1,6 +1,7 @@
 package cashmere
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -281,16 +282,20 @@ func TestAcquireMatchesStraightLine(t *testing.T) {
 
 // stormProgram has every processor take lock 0 rounds times, holding it for
 // hold with no scheduling point inside the critical section.
-func stormProgram(rounds int, hold sim.Time) *core.Program {
+func stormProgram(rounds int, hold sim.Time) *core.Program { return lockStorm(1, rounds, hold) }
+
+// lockStorm is stormProgram over locks locks: rank r takes lock r%locks.
+func lockStorm(locks, rounds int, hold sim.Time) *core.Program {
 	return &core.Program{
 		Name:        "lock-storm",
 		SharedBytes: vm.PageSize,
-		Locks:       1,
+		Locks:       locks,
 		Body: func(p *core.Proc) {
+			id := p.Rank() % locks
 			for i := 0; i < rounds; i++ {
-				p.Lock(0)
+				p.Lock(id)
 				p.Charge(core.CatUser, hold)
-				p.Unlock(0)
+				p.Unlock(id)
 			}
 		},
 	}
@@ -351,17 +356,30 @@ func TestAcquireAllocatesNothing(t *testing.T) {
 	runLockScript(t, cfg, prog, false)
 }
 
-// BenchmarkContendedLock is 16 processors on one lock: the shape the acquire's
-// step function is built for. CI smoke-runs it; perfbench's sync_storm
+// BenchmarkContendedLock is the shape the acquire's step function is built
+// for: every processor takes its lock 20 times. At 8 nodes × 2 all sixteen
+// share one lock. At 64 nodes × 1, the interconnect sweep's largest Memory
+// Channel shape, where Step 3 reads 64 words, rank r takes lock r%8, so each
+// lock has eight contenders as at 8 × 2: sixty-four on one lock starve the
+// tournament's lowest node for as long as the sweep's runs take in all.
+// ns/poll is the host time per inline probe (Engine.InlinePolls), the unit
+// of a contended acquire's cost. CI smoke-runs it; perfbench's sync_storm
 // measures it.
 func BenchmarkContendedLock(b *testing.B) {
-	cfg := testConfig(8, 2, "csm_poll", Config{})
-	prog := stormProgram(20, 50*sim.Microsecond)
-	for i := 0; i < b.N; i++ {
-		l := &lockOnly{}
-		cfg.NewProtocol = func(*core.Runtime) core.Protocol { return l }
-		if _, err := core.Run(cfg, prog); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct{ nodes, ppn, locks int }{{8, 2, 1}, {64, 1, 8}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.nodes, shape.ppn), func(b *testing.B) {
+			cfg := testConfig(shape.nodes, shape.ppn, "csm_poll", Config{})
+			prog := lockStorm(shape.locks, 20, 50*sim.Microsecond)
+			var polls uint64
+			for i := 0; i < b.N; i++ {
+				l := &lockOnly{}
+				cfg.NewProtocol = func(*core.Runtime) core.Protocol { return l }
+				if _, err := core.Run(cfg, prog); err != nil {
+					b.Fatal(err)
+				}
+				polls += l.rt.Engine().InlinePolls()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(polls), "ns/poll")
+		})
 	}
 }

@@ -47,15 +47,16 @@ type spinState struct {
 }
 
 // Spin is the resumable part of a spin loop — what happens after a probe has
-// failed: the livelock deadline and the exponential backoff step. SpinWait is
-// a condition plus one Spin; a wait that spans several spins (Cashmere's lock
-// acquire) owns a Spin and drives it from its own PollWait step function with
-// SpinBegin and SpinBackoff, so there is one copy of the sequence and of its
-// constants.
+// failed: the livelock deadline and the exponential backoff step (sim.Spin)
+// and the wait's name for the livelock panic. SpinWait is a condition plus
+// one Spin; a wait that spans several spins (Cashmere's lock acquire) owns a
+// Spin and drives it from its own PollWait step function with SpinBegin and
+// SpinBackoff, so there is one copy of the sequence. The backoff step itself
+// is sim.(*Proc).Backoff, the one copy the dispatcher also takes for a
+// promised probe (sim.(*Proc).PromiseUntil).
 type Spin struct {
-	what     string
-	deadline sim.Time
-	step     sim.Time
+	sim.Spin
+	what string
 }
 
 // Rank returns the processor's compute rank (0-based), or -1 for a dedicated
@@ -92,6 +93,14 @@ func (p *Proc) Charge(cat Category, d sim.Time) {
 	p.sp.Advance(d)
 	p.stats.Cat[cat] += d
 }
+
+// Account adds d to category cat without moving the clock. A loop that must
+// read the clock between its charges (Cashmere's lock-array read) advances it
+// itself, one sim.(*Proc).Advance per charge so that each draws its own
+// jitter, and accounts their sum once: the same clocks and statistics as a
+// Charge per step, without an out-of-line call for each (Charge is over the
+// inlining budget).
+func (p *Proc) Account(cat Category, d sim.Time) { p.stats.Cat[cat] += d }
 
 // ChargeProtocol is shorthand for Charge(CatProtocol, d), the common case in
 // protocol code.
@@ -327,37 +336,31 @@ func (p *Proc) stepSpin() (bool, sim.Time) {
 	return false, p.SpinBackoff(&p.spin.Spin)
 }
 
-const (
-	spinStepMin = 500 * sim.Nanosecond
-	spinStepMax = 20 * sim.Microsecond
-	// Long enough that heavy lock congestion (32 processors queueing on
-	// millisecond critical sections under interrupt-based variants) is not
-	// mistaken for a livelock.
-	spinLimit = 120 * sim.Second
-)
+// spinLimit is the livelock bound: long enough that heavy lock congestion
+// (32 processors queueing on millisecond critical sections under
+// interrupt-based variants) is not mistaken for a livelock.
+const spinLimit = 120 * sim.Second
 
 // SpinBegin starts a spin at p's current clock: the livelock deadline is set
-// from now and the backoff step returns to its minimum. what names the wait
+// from now and the backoff step starts at its minimum. what names the wait
 // in the livelock panic.
 func (p *Proc) SpinBegin(s *Spin, what string) {
-	*s = Spin{what: what, deadline: p.sp.Now() + spinLimit, step: spinStepMin}
+	*s = Spin{Spin: sim.StartSpin(p.sp.Now() + spinLimit), what: what}
 }
 
 // SpinBackoff follows a failed probe of s: it panics past the livelock
-// deadline, services the requests that have become eligible, advances p's
-// clock by the backoff step and doubles the step up to its bound. It returns
-// the clock, which is when the next probe is due — a PollWait step function
-// returns (false, p.SpinBackoff(s)). It neither yields nor blocks.
+// deadline, services the requests that have become eligible and takes the
+// backoff step (sim.(*Proc).Backoff). It returns the clock, which is when the
+// next probe is due — a PollWait step function returns (false,
+// p.SpinBackoff(s)). It neither yields nor blocks.
 func (p *Proc) SpinBackoff(s *Spin) sim.Time {
-	if p.sp.Now() > s.deadline {
+	if p.sp.Now() > s.Deadline {
 		panic(fmt.Sprintf("core: proc %d spun %dns on %q without progress", p.sp.ID, spinLimit, s.what))
 	}
-	p.ep.PollVisible()
-	p.sp.Advance(s.step)
-	if s.step < spinStepMax {
-		s.step *= 2
+	if p.sp.InboxVisible() {
+		p.ep.PollVisible()
 	}
-	return p.sp.Now()
+	return p.sp.Backoff(&s.Spin)
 }
 
 // Lock acquires application lock id.

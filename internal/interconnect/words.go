@@ -49,6 +49,14 @@ func (w *WordArray) Read(p *sim.Proc, i int) int64 {
 	return wd.prev
 }
 
+// Latest returns word i's latest write: the value it stored, the value it
+// overwrote, and the virtual time from which every node reads the new value.
+// Until then every node reads the old one (Read).
+func (w *WordArray) Latest(i int) (cur, prev int64, visibleFrom sim.Time) {
+	wd := &w.words[i]
+	return wd.cur, wd.prev, wd.visibleFrom
+}
+
 // WriteLoopback stores v into word i with loop-back enabled: every node,
 // including the writer's, sees the new value only after the fabric latency.
 // Used by synchronization primitives that rely on total write ordering.

@@ -47,6 +47,14 @@ func (e *Engine) enqueue(target *Proc, t Time) {
 func (e *Engine) yieldAt(q *Proc, t Time) (elided bool) {
 	q.lastYield = q.now
 	q.requiet()
+	return e.requeue(q, t)
+}
+
+// requeue is yieldAt short of the quiet deadline, for the inline poll loop:
+// the deadline of a processor parked in PollWait is read by nothing but
+// Deliver's minimum, so pollInline re-derives it once, when the poll reports
+// done, from the lastYield of the last re-queue.
+func (e *Engine) requeue(q *Proc, t Time) (elided bool) {
 	if !e.fastYield || t >= e.runq.headTime() {
 		e.stamp(q, t)
 		return false
@@ -63,23 +71,26 @@ func (e *Engine) yieldAt(q *Proc, t Time) (elided bool) {
 // dispatching goroutine, exactly as PollWait's own loop would on the
 // processor's: on (false, next) the processor is re-queued (or, when nothing
 // else could run first, probed again) and no switch happened; on done the poll
-// is cleared and the caller must resume the processor for real. e.polling
-// brackets each probe; a probe that panics leaves it set for dispatchNext's
-// deferred handler.
+// is cleared and the caller must resume the processor for real. A probe the
+// poll's last failure promised (PromiseUntil) is the engine's own Backoff,
+// counted and re-queued the same way. e.polling brackets each probe; a probe
+// that panics leaves it set for dispatchNext's deferred handler.
 func (e *Engine) pollInline(q *Proc) (resume bool) {
 	for {
 		e.polls++
 		e.polling = true
-		done, next := q.poll()
+		done, next := q.probe(q.poll)
 		e.polling = false
 		if done {
 			q.poll = nil
+			q.requiet()
 			return true
 		}
 		if next < q.now {
 			next = q.now
 		}
-		if !e.yieldAt(q, next) {
+		q.lastYield = q.now
+		if !e.requeue(q, next) {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -129,13 +130,183 @@ func TestFastYieldEquivalence(t *testing.T) {
 	}
 }
 
+// promiseRun is what one run of promiseScript is compared on.
+type promiseRun struct {
+	clocks                   []Time
+	served                   [][2]int64 // (message Seq, clock at service), in service order
+	doneAt                   Time       // the spinner's clock when its wait ended
+	elided, handoffs, inline uint64
+	err                      string
+}
+
+// promiseScript parks processor 0 in a PollWait that waits until its clock
+// reaches until, 300 µs after the wait starts, and processor 1 has cleared a
+// flag at about clear. Each failed probe checks a livelock deadline,
+// services the visible messages and takes the Backoff step; with promise set
+// it first promises the probes after it — until the window's end while the
+// clock is inside it, while the flag is set after that. Messages reach the
+// spinner before, inside and after the window, and processor 1 moves the
+// spinner's run-queue entry earlier with a WakeAt while its backoff step is
+// long. It returns the run and how often the poll itself was called.
+func promiseScript(t *testing.T, promise, fast bool, s Schedule, deadline, clear Time) (promiseRun, int) {
+	t.Helper()
+	const us = Microsecond
+	e := mustEngine(t, 2, 2)
+	e.SetFastYield(fast)
+	e.SetSchedule(s)
+	var run promiseRun
+	calls := 0
+	flag := true
+	spinner := e.Proc(0)
+	serve := func(m Msg, p *Proc) {
+		run.served = append(run.served, [2]int64{int64(m.Seq), p.Now()})
+		p.Advance(us) // the handler's cost
+	}
+	e.Go(spinner, func(p *Proc) {
+		p.Advance(2 * us)
+		p.Yield()
+		spin := StartSpin(p.Now() + deadline)
+		until := p.Now() + 300*us
+		p.PollWait(func() (bool, Time) {
+			calls++
+			if !flag && p.Now() >= until {
+				return true, 0
+			}
+			if promise {
+				if p.Now() < until {
+					p.PromiseUntil(&spin, until)
+				} else {
+					p.PromiseWhile(&spin, &flag)
+				}
+			}
+			if p.Now() > spin.Deadline {
+				panic(fmt.Sprintf("proc %d spun past %dns at %d", p.ID, spin.Deadline, p.Now()))
+			}
+			for m, ok := p.TryRecv(); ok; m, ok = p.TryRecv() {
+				serve(m, p)
+			}
+			return false, p.Backoff(&spin)
+		})
+		run.doneAt = p.Now()
+		for p.InboxLen() > 0 {
+			serve(p.Recv("drain"), p)
+		}
+	})
+	e.Go(e.Proc(1), func(p *Proc) {
+		spinner.Deliver(p.NewMsg(us, 1, nil)) // before the window
+		p.Advance(10 * us)
+		p.Yield()
+		spinner.Deliver(p.NewMsg(p.Now()+5*us, 1, nil)) // inside it
+		p.Advance(120 * us)
+		p.Yield()
+		e.WakeAt(spinner, p.Now()) // the spinner is queued for later
+		p.Advance(clear - 130*us)
+		p.Yield()
+		flag = false
+		p.Advance(20 * us)
+		p.Yield()
+		spinner.Deliver(p.NewMsg(p.Now()+300*us, 1, nil)) // after it
+	})
+	e.Go(e.Proc(2), func(p *Proc) {
+		for i := 0; i < 40; i++ {
+			p.Advance(Time(5+i%5*5) * us)
+			p.Yield()
+			if i%9 == 4 {
+				spinner.Deliver(p.NewMsg(p.Now()+Time(i)*us, 2, nil))
+			}
+		}
+	})
+	e.Go(e.Proc(3), func(p *Proc) {
+		for i := 0; i < 12; i++ {
+			p.Sleep(30 * us)
+			if i%4 == 2 {
+				spinner.Deliver(p.NewMsg(p.Now()-3*us, 3, nil)) // visible at once
+			}
+		}
+	})
+	if err := e.Run(); err != nil {
+		run.err = err.Error()
+	}
+	for _, p := range e.Procs() {
+		run.clocks = append(run.clocks, p.now)
+	}
+	run.elided, run.handoffs, run.inline = e.ElidedYields(), e.DirectHandoffs(), e.InlinePolls()
+	return run, calls
+}
+
+// livelock is the poll's own panic message in a run's error: with the fast
+// paths off the poll panics on the spinner's coroutine, not a dispatcher's, so
+// the wrapping differs.
+func livelock(err string) string {
+	if i := strings.Index(err, "proc 0 spun past"); i >= 0 {
+		return err[i:]
+	}
+	return err
+}
+
+// TestPromisedProbesMatchPolledProbes runs promiseScript with the poll's
+// promises and with them withheld, under the canonical schedule and under
+// tie-flipping and cost-jittering ones, with the flag cleared inside the
+// window and after it, and with a deadline far off and with ones that pass
+// inside either promise. Every clock, the service time of
+// every message, the elision, handoff and inline-poll counts and the livelock
+// panic's text must be equal; the promises must have spared poll calls. With
+// the fast paths off the promise is never consulted: the run is the
+// withheld one's, poll call for poll call, but for the counters and the
+// wrapping of the panic.
+func TestPromisedProbesMatchPolledProbes(t *testing.T) {
+	schedules := []Schedule{{}}
+	for seed := uint64(1); seed <= 8; seed++ {
+		schedules = append(schedules,
+			Schedule{Seed: seed, FlipTies: true},
+			Schedule{Seed: seed, CostJitter: 0.75},
+			Schedule{Seed: seed, FlipTies: true, CostJitter: 0.5})
+	}
+	var spared, panics int
+	for _, c := range []struct{ deadline, clear Time }{
+		{Second, 200 * Microsecond}, {Second, 500 * Microsecond},
+		{40 * Microsecond, 500 * Microsecond}, {150 * Microsecond, 500 * Microsecond},
+		{250 * Microsecond, 500 * Microsecond}, {420 * Microsecond, 500 * Microsecond},
+	} {
+		deadline := c.deadline
+		for _, s := range schedules {
+			got, gotCalls := promiseScript(t, true, true, s, deadline, c.clear)
+			want, wantCalls := promiseScript(t, false, true, s, deadline, c.clear)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("deadline %d, schedule %+v:\npromised %+v\n  polled %+v", deadline, s, got, want)
+			}
+			spared += wantCalls - gotCalls
+			if got.err != "" {
+				panics++
+				if !strings.Contains(got.err, "spun past") {
+					t.Fatalf("deadline %d, schedule %+v: %s, want the livelock panic", deadline, s, got.err)
+				}
+			}
+			slow, slowCalls := promiseScript(t, true, false, s, deadline, c.clear)
+			if slowCalls != wantCalls || !reflect.DeepEqual(slow.clocks, want.clocks) ||
+				!reflect.DeepEqual(slow.served, want.served) || slow.doneAt != want.doneAt || livelock(slow.err) != livelock(want.err) {
+				t.Fatalf("deadline %d, schedule %+v: fast paths off, %d poll calls and\n%+v\nwant %d and\n%+v",
+					deadline, s, slowCalls, slow, wantCalls, want)
+			}
+		}
+	}
+	if spared <= 0 {
+		t.Errorf("promises spared %d poll calls: the engine never took a promised probe", spared)
+	}
+	if want := 4 * len(schedules); panics != want {
+		t.Errorf("%d runs with an early deadline panicked, want %d", panics, want)
+	}
+}
+
 // TestCheckpointQuietMatchesPredicate checks that the one-compare deadline
 // is the predicate it replaced: after every operation that moves a clock, a
 // quantum origin or an inbox head — seeded random Delivers with past and
-// future arrival times, TryRecv, Yield, YieldUntil, Advance, Block and
-// WakeAt on three processors — CheckpointQuiet must equal
+// future arrival times, TryRecv, Yield, YieldUntil, Advance, Block, WakeAt
+// and a promising PollWait on three processors — CheckpointQuiet must equal
 // `(inbox empty || head.At > now) && now-lastYield < Quantum` on every
-// processor, and with the fast paths off it must always be false.
+// processor not parked in a PollWait (the inline poll loop re-derives the
+// deadline when the poll reports done), and with the fast paths off it must
+// always be false.
 func TestCheckpointQuietMatchesPredicate(t *testing.T) {
 	for _, fast := range []bool{true, false} {
 		for seed := int64(1); seed <= 200; seed++ {
@@ -156,6 +327,9 @@ func checkpointQuietRun(t *testing.T, fast bool, seed int64) (failure string) {
 	alive, blocked := e.NumProcs(), 0
 	check := func(op string) bool {
 		for _, q := range e.Procs() {
+			if q.poll != nil {
+				continue
+			}
 			want := fast && (len(q.inbox.msgs) == 0 || q.inbox.msgs[0].At > q.now) &&
 				q.now-q.lastYield < Quantum
 			if got := q.CheckpointQuiet(); got != want && failure == "" {
@@ -169,7 +343,7 @@ func checkpointQuietRun(t *testing.T, fast bool, seed int64) (failure string) {
 		e.Go(p, func(p *Proc) {
 			for step := 0; step < 60 && check("start"); step++ {
 				var op string
-				switch rng.Intn(8) {
+				switch rng.Intn(9) {
 				case 0, 1:
 					op = "Deliver"
 					at := p.now + dur() - Quantum // past or future
@@ -202,6 +376,17 @@ func checkpointQuietRun(t *testing.T, fast bool, seed int64) (failure string) {
 					blocked++
 					p.Block("checkpoint-quiet test")
 					blocked--
+				case 8:
+					op = "PollWait"
+					spin := StartSpin(maxTime)
+					until := p.now + dur()
+					p.PollWait(func() (bool, Time) {
+						if p.now >= until {
+							return true, 0
+						}
+						p.PromiseUntil(&spin, until)
+						return false, p.Backoff(&spin)
+					})
 				}
 				check(op)
 			}

@@ -89,12 +89,21 @@ func (p *Proc) NewMsg(at Time, kind int, data any) Msg {
 // in the processor's future. It reports false if no message is currently
 // visible.
 func (p *Proc) TryRecv() (Msg, bool) {
-	if len(p.inbox.msgs) == 0 || p.inbox.msgs[0].At > p.now {
+	if !p.InboxVisible() {
 		return Msg{}, false
 	}
 	m := p.inbox.pop()
 	p.requiet()
 	return m, true
+}
+
+// InboxVisible reports whether a message is visible at the current clock,
+// i.e. whether TryRecv would return one. Callers test it before entering a
+// service loop that is a no-op on an empty inbox, and a promised probe
+// (Proc.PromiseUntil) tests it to hand a visible message back to its poll;
+// scripts/lint.sh keeps it inlinable.
+func (p *Proc) InboxVisible() bool {
+	return len(p.inbox.msgs) > 0 && p.inbox.msgs[0].At <= p.now
 }
 
 // PeekInbox reports whether any message is visible at the current clock

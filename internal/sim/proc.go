@@ -55,6 +55,9 @@ type Proc struct {
 	// poll, when non-nil, lets dispatchers evaluate this parked processor's
 	// wait condition inline instead of resuming its coroutine (see PollWait).
 	poll func() (bool, Time)
+	// promise is what the poll's last failed probe promised of the probes
+	// after it; the engine takes those itself (see PromiseUntil).
+	promise promise
 
 	inbox mailbox
 
@@ -233,7 +236,9 @@ func (p *Proc) yieldUntil(t Time) {
 // between. Each return is the one scheduling step the Yield or Sleep it
 // replaces would have made, so the argument above carries over unchanged, and
 // the coroutine is resumed once for the whole wait (Cashmere's lock acquire
-// is the worked example; DESIGN.md §3a item 4).
+// is the worked example; DESIGN.md §3a item 4). A failed probe may also
+// promise the failures after it (PromiseUntil, PromiseWhile); those probes
+// are then the engine's own Backoff steps, made without calling poll.
 //
 // The contract is that poll must not yield, block, park, or otherwise touch
 // the scheduler (delivering messages and waking other processors is fine) —
@@ -242,7 +247,7 @@ func (p *Proc) yieldUntil(t Time) {
 // state, testing.T.Helper, ...).
 func (p *Proc) PollWait(poll func() (done bool, next Time)) {
 	for {
-		done, next := poll()
+		done, next := p.probe(poll)
 		if done {
 			return
 		}

@@ -17,11 +17,28 @@ type entry struct {
 // the conservative rule leaves unordered. Keys are unique either way (see
 // runQueue.key), so before is a strict total order on the entries a queue can
 // hold and never needs a third comparison.
-func (a *entry) before(b *entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
+//
+// The compare is the borrow out of the 128-bit subtraction a − b, times high
+// and keys low: the low word borrows when a.key < b.key, and the whole
+// subtraction borrows — a sorts first — when a.at < b.at, or when the times
+// are equal and the low word borrowed. Each term is a compare the compiler
+// turns into a SETcc, so there is no branch, and the result is the borrow
+// bit itself, 1 or 0, which siftDown adds to the child index: which child is
+// smaller follows no pattern a branch predictor could learn. The borrow
+// written as math/bits.Sub64's and/xor formula (spelled out, since measured
+// packages may not import math/bits) measured slower; DESIGN.md §3a item 1
+// has the numbers. scripts/lint.sh keeps before inlinable.
+func (a *entry) before(b *entry) uint64 {
+	return bit(a.at < b.at) | bit(a.at == b.at)&bit(a.key < b.key)
+}
+
+// bit is 1 for true and 0 for false; the compiler emits no branch for it.
+func bit(b bool) uint64 {
+	var x uint64
+	if b {
+		x = 1
 	}
-	return a.key < b.key
+	return x
 }
 
 // runQueue is an indexed binary min-heap holding at most one entry per
@@ -82,7 +99,7 @@ func (q *runQueue) push(p *Proc, at Time, order uint64) {
 	}
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.before(&q.h[parent]) {
+		if e.before(&q.h[parent]) == 0 {
 			break
 		}
 		q.put(i, q.h[parent])
@@ -120,7 +137,7 @@ func (q *runQueue) pop() *Proc {
 // empty.
 func (q *runQueue) pushPop(p *Proc, at Time, order uint64) *Proc {
 	e := entry{at: at, key: q.key(order), p: p}
-	if len(q.h) == 0 || e.before(&q.h[0]) {
+	if len(q.h) == 0 || e.before(&q.h[0]) != 0 {
 		return p
 	}
 	top := q.h[0].p
@@ -139,10 +156,10 @@ func (q *runQueue) siftDown(e entry) {
 		if c >= n {
 			break
 		}
-		if c+1 < n && q.h[c+1].before(&q.h[c]) {
-			c++
+		if c+1 < n {
+			c += int(q.h[c+1].before(&q.h[c]))
 		}
-		if !q.h[c].before(&e) {
+		if q.h[c].before(&e) == 0 {
 			break
 		}
 		q.put(i, q.h[c])

@@ -38,8 +38,9 @@ import (
 
 // NoFastPathEnv is the environment variable that, when set to any non-empty
 // value, disables the simulator's host-time fast paths: yield elision, inline
-// poll evaluation and the quiet-checkpoint deadline (CheckpointQuiet is then
-// always false, so internal/core runs every checkpoint in full). NewEngine
+// poll evaluation, promised probes (PromiseUntil keeps nothing) and the
+// quiet-checkpoint deadline (CheckpointQuiet is then always false, so
+// internal/core runs every checkpoint in full). NewEngine
 // reads it, and nothing else does. The fast paths are bit-exact — they change
 // no virtual-time result — so the toggle exists purely so tests can run both
 // ways and assert identical output. Baton passes are the same coroutine
@@ -133,7 +134,7 @@ type Engine struct {
 	procs   []*Proc
 	started bool
 
-	fastYield bool // fast paths: yield elision, inline polls, quiet deadlines
+	fastYield bool // fast paths: yield elision, inline polls, promised probes, quiet deadlines
 
 	// sched is the committed schedule perturbation (zero value: canonical
 	// order). See schedule.go.
@@ -204,7 +205,8 @@ func (e *Engine) Go(p *Proc, body func(*Proc)) {
 }
 
 // SetFastYield enables or disables the fast paths on this engine — yield
-// elision, inline polls and the quiet-checkpoint deadline — overriding the
+// elision, inline polls, promised probes and the quiet-checkpoint deadline —
+// overriding the
 // SIM_NO_FASTPATH environment default. For tests that want to pin one path
 // explicitly; must be called before Run.
 func (e *Engine) SetFastYield(on bool) { e.fastYield = on }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -549,7 +550,7 @@ func TestRunQueueProperty(t *testing.T) {
 					}
 				}
 				for i := range q.h {
-					if q.h[i].p.qpos != i || i > 0 && !q.h[(i-1)/2].before(&q.h[i]) {
+					if q.h[i].p.qpos != i || i > 0 && q.h[(i-1)/2].before(&q.h[i]) == 0 {
 						return false
 					}
 				}
@@ -602,6 +603,45 @@ func TestRunQueueProperty(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 			t.Fatalf("salt %#x: %v", salt, err)
+		}
+	}
+}
+
+// TestEntryBeforeMatchesFieldOrder checks the run queue's branch-free
+// borrow compare against plain (at, key) lexicographic order: quick-checked
+// random pairs, the same pairs with equal times, the same pairs with salted
+// keys, and every pair of edge values — times 0, 1, maxTime-1 (and, for the
+// bias, -1 and math.MinInt64), keys 0, 1<<63 and MaxUint64. A compare that
+// dropped the low word's borrow would order equal-time entries by nothing.
+func TestEntryBeforeMatchesFieldOrder(t *testing.T) {
+	check := func(a, b entry) bool {
+		want := a.at < b.at || a.at == b.at && a.key < b.key
+		got := a.before(&b)
+		if got > 1 || (got == 1) != want {
+			t.Errorf("(%d, %#x).before(%d, %#x) = %d, field order says %v", a.at, a.key, b.at, b.key, got, want)
+			return false
+		}
+		return true
+	}
+	var q runQueue
+	q.salt = 0x9e3779b97f4a7c15
+	f := func(at1, at2 int64, k1, k2 uint64) bool {
+		return check(entry{at: at1, key: k1}, entry{at: at2, key: k2}) &&
+			check(entry{at: at1, key: k1}, entry{at: at1, key: k2}) &&
+			check(entry{at: at1 & (1<<20 - 1), key: q.key(k1)}, entry{at: at2 & (1<<20 - 1), key: q.key(k2)})
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	times := []Time{0, 1, maxTime - 1, -1, math.MinInt64}
+	keys := []uint64{0, 1, 1 << 63, math.MaxUint64}
+	for _, at1 := range times {
+		for _, at2 := range times {
+			for _, k1 := range keys {
+				for _, k2 := range keys {
+					check(entry{at: at1, key: k1}, entry{at: at2, key: k2})
+				}
+			}
 		}
 	}
 }
