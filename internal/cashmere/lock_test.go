@@ -360,8 +360,9 @@ func TestAcquireAllocatesNothing(t *testing.T) {
 // for: every processor takes its lock 20 times. At 8 nodes × 2 all sixteen
 // share one lock. At 64 nodes × 1, the interconnect sweep's largest Memory
 // Channel shape, where Step 3 reads 64 words, rank r takes lock r%8, so each
-// lock has eight contenders as at 8 × 2: sixty-four on one lock starve the
-// tournament's lowest node for as long as the sweep's runs take in all.
+// lock has eight contenders as at 8 × 2: with all sixty-four on one lock some
+// higher node's entry is set at every probe of the lowest, whose tournament
+// then runs into the 120 s livelock bound.
 // ns/poll is the host time per inline probe (Engine.InlinePolls), the unit
 // of a contended acquire's cost. CI smoke-runs it; perfbench's sync_storm
 // measures it.
