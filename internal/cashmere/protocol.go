@@ -235,6 +235,7 @@ func (c *Protocol) fetchPage(p *core.Proc, page, home int) {
 	data := reply.([]byte)
 	p.ChargeProtocol(p.Costs().Copy(vm.PageSize))
 	copy(frame, data)
+	c.rt.ReleasePage(data) // the snapshot Service took from the run's stack
 	p.Stats().PageTransfers++
 	p.Stats().PageCopies++
 }
@@ -277,7 +278,12 @@ func (c *Protocol) OnSharedWrite(p *core.Proc, addr core.Addr, size int) {
 	if size != 8 {
 		panic(fmt.Sprintf("cashmere: doubled store of %d bytes; core stores one 8-byte word", size))
 	}
-	p.Charge(core.CatDoubling, p.Costs().WriteDouble)
+	// Each charge is one inlined Advance plus an Account, as Step 3 of the
+	// lock does: Charge is over the inlining budget and would be a call.
+	sp := p.Sim()
+	wd := p.Costs().WriteDouble
+	sp.Advance(wd)
+	p.Account(core.CatDoubling, wd)
 	page := vm.PageOf(addr)
 	off := vm.Offset(addr)
 	hf := c.dir[page].homeFrame
@@ -294,9 +300,11 @@ func (c *Protocol) OnSharedWrite(p *core.Proc, addr core.Addr, size int) {
 		return
 	}
 	if !p.CacheTouch(DoubledAddr(addr)) {
-		p.Charge(core.CatDoubling, p.Costs().CacheMiss)
+		miss := p.Costs().CacheMiss
+		sp.Advance(miss)
+		p.Account(core.CatDoubling, miss)
 	}
-	c.net.WriteThrough(p.Sim(), int(c.home[page]), 8)
+	c.net.WriteThrough(sp, int(c.home[page]), 8)
 }
 
 // Lock implements core.Protocol: cluster lock acquire, then acquire-side
@@ -405,7 +413,10 @@ func (c *Protocol) Service(p *core.Proc, m sim.Msg, req msg.Request) {
 		// The serving processor reads the home copy and writes it through
 		// the Memory Channel: data crosses the local bus twice (§1).
 		p.ChargeProtocol(p.Costs().HandlerWork + p.Costs().Copy(vm.PageSize))
-		snapshot := append([]byte(nil), c.homeFrame(page)...)
+		// The snapshot is a recycled buffer, overwritten whole here and
+		// released by the requester's fetchPage after its copy.
+		snapshot := c.rt.PageBuffer()
+		copy(snapshot, c.homeFrame(page))
 		p.EP().ReplyClass(req.From, req, snapshot, vm.PageSize, interconnect.TrafficPage)
 	default:
 		panic(fmt.Sprintf("cashmere: unknown request kind %d", m.Kind))

@@ -179,6 +179,12 @@ type Runtime struct {
 	image    [][]byte // initial page contents; nil pages are all-zero
 	numPages int
 
+	// spare holds the page buffers ReleasePage took back, for PageBuffer to
+	// hand out again; freshPages counts the buffers PageBuffer had to
+	// allocate. Only the run's processors touch them, one at a time.
+	spare      [][]byte
+	freshPages int
+
 	finished int
 	checks   map[string]float64
 }
@@ -228,6 +234,34 @@ func (rt *Runtime) InitialPage(page int) []byte {
 	}
 	return rt.image[page]
 }
+
+// PageBuffer returns a vm.PageSize buffer for a short-lived page copy: a
+// twin, or a page in a reply. Its contents are undefined, so the taker must
+// overwrite every byte. Hand it back with ReleasePage once nothing references
+// it; a buffer that is never released is simply collected.
+func (rt *Runtime) PageBuffer() []byte {
+	if n := len(rt.spare); n > 0 {
+		b := rt.spare[n-1]
+		rt.spare[n-1] = nil
+		rt.spare = rt.spare[:n-1]
+		return b
+	}
+	rt.freshPages++
+	return make([]byte, vm.PageSize)
+}
+
+// ReleasePage takes back a buffer PageBuffer handed out, for the next
+// PageBuffer call. The caller must hold the only reference to it.
+func (rt *Runtime) ReleasePage(b []byte) {
+	if len(b) != vm.PageSize {
+		panic(fmt.Sprintf("core: ReleasePage of a %d-byte buffer", len(b)))
+	}
+	rt.spare = append(rt.spare, b)
+}
+
+// SparePages returns the buffers ReleasePage holds now. Ownership tests read
+// it: none of them may share memory with anything the run still uses.
+func (rt *Runtime) SparePages() [][]byte { return rt.spare }
 
 // ImageWriter writes the initial shared-memory image during untimed setup.
 type ImageWriter struct {

@@ -218,10 +218,14 @@ func TestInfeasibleSpec(t *testing.T) {
 	}
 }
 
+// TestExecuteParallelMatchesSerial runs the same plan on one worker and on
+// eight: concurrent runs share no state (each has its own engine, network
+// and page-buffer stack), so every result must be identical. CI repeats it
+// under the race detector at several GOMAXPROCS settings.
 func TestExecuteParallelMatchesSerial(t *testing.T) {
 	p := NewPlan()
-	for _, v := range []string{"csm_poll", "tmk_mc_poll", "csm_int"} {
-		p.Add(smallSpec(v, 2), smallSpec(v, 4))
+	for _, v := range []string{"csm_poll", "tmk_mc_poll", "csm_int", "tmk_udp_int"} {
+		p.Add(smallSpec(v, 2), smallSpec(v, 4), smallSpec(v, 8))
 	}
 	p.Add(smallSpec(variants.Sequential, 1))
 
@@ -252,6 +256,9 @@ func TestExecuteParallelMatchesSerial(t *testing.T) {
 		}
 		if !reflect.DeepEqual(r1.Traffic, r2.Traffic) {
 			t.Errorf("%s: traffic differs between Jobs=1 and Jobs=8", s.Key())
+		}
+		if !reflect.DeepEqual(r1.Checks, r2.Checks) {
+			t.Errorf("%s: checks differ between Jobs=1 and Jobs=8: %v vs %v", s.Key(), r1.Checks, r2.Checks)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package treadmarks
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -32,6 +33,8 @@ func (t *Protocol) flushDiff(p *core.Proc, page int) {
 	d := Diff{Tag: st.cur, VT: t.rec(rank, tw.birth).VT, Runs: MakeDiff(p.Space().Frame(page), tw.data)}
 	st.diffs[page] = append(st.diffs[page], d)
 	delete(st.twins, page)
+	// MakeDiff copied the runs out: nothing references the twin now.
+	t.rt.ReleasePage(tw.data)
 	if p.Space().Prot(page).CanWrite() {
 		p.Space().SetProt(page, vm.ProtRead)
 		p.ChargeProtocol(p.Costs().ProtChange)
@@ -45,6 +48,12 @@ func (t *Protocol) flushDiff(p *core.Proc, page int) {
 // causal order. On return the page is mapped read-only.
 func (t *Protocol) validate(p *core.Proc, page int) {
 	st := t.state(p)
+	if st.validating {
+		// The scratch below is per processor: only a handler could re-enter
+		// here, and no handler validates.
+		panic(fmt.Sprintf("treadmarks: proc %d re-entered validate (page %d)", p.Rank(), page))
+	}
+	st.validating = true
 	rank := p.Rank()
 	if st.twins[page] != nil {
 		t.flushDiff(p, page)
@@ -57,16 +66,7 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 	known := st.known[page]
 	// Request the missing diffs from every writer in parallel (as
 	// TreadMarks does), then collect all replies before merging.
-	type inflight struct {
-		writer int
-		token  uint64
-		// horizon is what the copy covers of the writer once the reply is
-		// merged: every notice the request knew of, and every interval the
-		// newest served diff covers (DESIGN §8 rule 10).
-		horizon int32
-	}
-	var all causalOrder
-	var calls []inflight
+	all, calls := st.gathered[:0], st.calls[:0]
 	if known != nil {
 		for w := 0; w < t.nprocs; w++ {
 			if w == rank || known[w] <= applied[w] {
@@ -105,8 +105,22 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 	for _, c := range calls {
 		applied[c.writer] = max(applied[c.writer], c.horizon)
 	}
+	// Keep the scratch's capacity, but no reference to a merged diff.
+	clear(all)
+	st.gathered, st.calls = all[:0], calls[:0]
+	st.validating = false
 	p.Space().SetProt(page, vm.ProtRead)
 	p.ChargeProtocol(p.Costs().ProtChange)
+}
+
+// inflight is one diff request validate has sent and not yet merged.
+type inflight struct {
+	writer int
+	token  uint64
+	// horizon is what the copy covers of the writer once the reply is
+	// merged: every notice the request knew of, and every interval the
+	// newest served diff covers (DESIGN §8 rule 10).
+	horizon int32
 }
 
 // gathered is one diff validate received, with the sum of its timestamp.
@@ -152,6 +166,7 @@ func (t *Protocol) fetchPage(p *core.Proc, page int) {
 	reply := p.EP().Call(t.rt.ProcByRank(manager).EP(), kindPageRequest, pageReqMsg{Page: page}, 16)
 	pr := reply.(pageReply)
 	copy(frame, pr.Data)
+	t.rt.ReleasePage(pr.Data)
 	p.ChargeProtocol(p.Costs().Copy(vm.PageSize))
 	p.Stats().PageFetches++
 	if pr.Applied != nil {
@@ -179,8 +194,9 @@ func (t *Protocol) OnWriteFault(p *core.Proc, page int) {
 		t.validate(p, page)
 	}
 	if st.twins[page] == nil {
-		frame := p.MaterializedFrame(page)
-		st.twins[page] = &twin{data: append([]byte(nil), frame...), birth: st.cur + 1}
+		data := t.rt.PageBuffer()
+		copy(data, p.MaterializedFrame(page))
+		st.twins[page] = &twin{data: data, birth: st.cur + 1}
 		p.ChargeProtocol(p.Costs().TwinCopy)
 		p.Stats().Twins++
 	}
@@ -247,15 +263,15 @@ func (t *Protocol) servePage(p *core.Proc, req msg.Request) {
 	if st.twins[page] != nil {
 		t.flushDiff(p, page)
 	}
-	frame := p.Space().Frame(page)
-	var data []byte
-	if frame != nil {
-		data = append([]byte(nil), frame...)
+	// The reply's copy is a recycled buffer, which the requester's
+	// fetchPage releases: every byte of it is written here.
+	data := t.rt.PageBuffer()
+	if frame := p.Space().Frame(page); frame != nil {
+		copy(data, frame)
+	} else if img := t.rt.InitialPage(page); img != nil {
+		copy(data, img)
 	} else {
-		data = make([]byte, vm.PageSize)
-		if img := t.rt.InitialPage(page); img != nil {
-			copy(data, img)
-		}
+		clear(data)
 	}
 	var applied []int32
 	if st.applied[page] != nil {

@@ -55,6 +55,13 @@ type pstate struct {
 	twins map[int]*twin
 	// heads is intervalsSince's merge scratch, kept for its capacity.
 	heads []runHead
+	// calls and gathered are validate's scratch, kept for their capacity
+	// and cleared after each merge so that no Diff stays reachable.
+	// validating is set while validate runs: it never re-enters on one
+	// processor, because no request handler validates.
+	calls      []inflight
+	gathered   causalOrder
+	validating bool
 	// known[page][w], allocated lazily, is the highest interval of writer w
 	// with a write notice for page that this processor has incorporated.
 	known [][]int32
