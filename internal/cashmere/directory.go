@@ -34,7 +34,8 @@ type entry struct {
 	// when processing NLE entries, §2.1).
 	neverExcl bool
 	// homeFrame is the unique main-memory copy at the home node, the target
-	// of write-through. Nil until the home is assigned.
+	// of write-through. Nil until the first doubled store makes it from the
+	// initial image, which stands in for it until then (homeView).
 	homeFrame []byte
 }
 

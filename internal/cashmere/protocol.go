@@ -159,8 +159,9 @@ func (c *Protocol) ensureHome(p *core.Proc, page int) int {
 	return int(c.home[page])
 }
 
-// homeFrame returns the page's unique main-memory copy, creating it from the
-// initial image on first use.
+// homeFrame returns the page's unique main-memory copy for writing: its
+// private home frame, made from the initial image by the first doubled
+// store. Until then the home copy is the image itself (homeView).
 func (c *Protocol) homeFrame(page int) []byte {
 	e := &c.dir[page]
 	if e.homeFrame == nil {
@@ -170,6 +171,29 @@ func (c *Protocol) homeFrame(page int) []byte {
 		}
 	}
 	return e.homeFrame
+}
+
+// homeView returns the page's home copy for reading: the private home frame
+// once a doubled store has made one, else the initial image (nil: a page of
+// zeros).
+func (c *Protocol) homeView(page int) []byte {
+	if hf := c.dir[page].homeFrame; hf != nil {
+		return hf
+	}
+	return c.rt.InitialPage(page)
+}
+
+// copyHome puts the home copy into p's frame of page. An untouched home is
+// the immutable initial image, which the frame shares instead of copying;
+// the copy is charged by the caller all the same.
+func (c *Protocol) copyHome(p *core.Proc, page int) {
+	if hf := c.dir[page].homeFrame; hf != nil {
+		copy(p.Space().EnsureFrame(page), hf)
+	} else if img := c.rt.InitialPage(page); img != nil {
+		p.Space().Share(page, img)
+	} else {
+		clear(p.Space().EnsureFrame(page))
+	}
 }
 
 // OnReadFault implements core.Protocol (§2.1 read page fault).
@@ -210,11 +234,9 @@ func (c *Protocol) readMiss(p *core.Proc, page int) {
 // Memory Channel (remote-writes-only) a processor at the home node is asked
 // to write the page through the network (variant-dependent service).
 func (c *Protocol) fetchPage(p *core.Proc, page, home int) {
-	frame := p.Space().EnsureFrame(page)
-	hf := c.homeFrame(page)
 	if p.Node() == home {
 		p.ChargeProtocol(p.Costs().Copy(vm.PageSize))
-		copy(frame, hf)
+		c.copyHome(p, page)
 		p.Stats().PageCopies++
 		return
 	}
@@ -224,11 +246,12 @@ func (c *Protocol) fetchPage(p *core.Proc, page, home int) {
 		arrival := c.net.RemoteRead(p.Sim(), home, vm.PageSize, interconnect.TrafficPage)
 		p.Sim().AdvanceTo(arrival)
 		p.ChargeProtocol(p.Costs().Copy(vm.PageSize))
-		copy(frame, hf)
+		c.copyHome(p, page)
 		p.Stats().PageTransfers++
 		p.Stats().PageCopies++
 		return
 	}
+	frame := p.Space().EnsureFrame(page)
 	target := c.fetchTarget(page, home)
 	c.fetchRequests++
 	reply := p.EP().Call(target.EP(), kindPageFetch, page, 64)
@@ -416,7 +439,11 @@ func (c *Protocol) Service(p *core.Proc, m sim.Msg, req msg.Request) {
 		// The snapshot is a recycled buffer, overwritten whole here and
 		// released by the requester's fetchPage after its copy.
 		snapshot := c.rt.PageBuffer()
-		copy(snapshot, c.homeFrame(page))
+		if hv := c.homeView(page); hv != nil {
+			copy(snapshot, hv)
+		} else {
+			clear(snapshot)
+		}
 		p.EP().ReplyClass(req.From, req, snapshot, vm.PageSize, interconnect.TrafficPage)
 	default:
 		panic(fmt.Sprintf("cashmere: unknown request kind %d", m.Kind))

@@ -720,3 +720,31 @@ func BenchmarkSharedReadRange(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestRunawayRunEnds runs a body that loops forever on a shared read (a flag
+// nothing sets, with a millisecond of local work between reads, so that the
+// clock reaches the bound in 200 000 reads): the run must end at the runaway
+// bound, in an error that names the program, the variant, the processor and
+// its clock, and not spin on in host time.
+func TestRunawayRunEnds(t *testing.T) {
+	l := NewLayout()
+	flag := l.I64Pages(1)
+	prog := &Program{
+		Name:        "runaway",
+		SharedBytes: l.Size(),
+		Body: func(p *Proc) {
+			for flag.At(p, 0) == 0 {
+				p.Sim().Advance(sim.Millisecond)
+			}
+		},
+	}
+	_, err := Run(seqConfig(), prog)
+	if err == nil {
+		t.Fatal("a run that never ends returned no error")
+	}
+	for _, want := range []string{"runaway on sequential", "proc 0 ran away", fmt.Sprintf("past the %dns bound", runLimit)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+}

@@ -115,8 +115,32 @@ func (p *Proc) ChargeProtocol(d sim.Time) { p.Charge(CatProtocol, d) }
 // with SIM_NO_FASTPATH the deadline is math.MinInt64 and every checkpoint
 // runs.
 func (p *Proc) pollAndYield() {
+	p.checkRunaway()
 	p.ep.PollVisible()
 	p.sp.YieldIfQuantum()
+}
+
+// yield is the scheduling point before a globally visible action (a fault,
+// a lock operation, a barrier), checked against the runaway bound.
+func (p *Proc) yield() {
+	p.checkRunaway()
+	p.sp.Yield()
+}
+
+// runLimit is the runaway bound: no processor's clock may pass it. The
+// longest run of the default-size tables (Gauss on 32 processors under
+// csm_int) finishes at 14.3 s, so a run past this bound is not slow but
+// stuck, say in a loop over corrupted shared data that never ends.
+const runLimit = 200 * sim.Second
+
+// checkRunaway panics once p's clock has passed runLimit; core.Run returns
+// the panic as an error naming the program and variant. Every checkpoint
+// that does not elide and every yield calls it, so a processor that keeps
+// running, whatever it loops on, meets it within a quantum of the bound.
+func (p *Proc) checkRunaway() {
+	if now := p.sp.Now(); now > runLimit {
+		panic(fmt.Sprintf("core: proc %d ran away: clock %dns is past the %dns bound on a run", p.sp.ID, now, runLimit))
+	}
 }
 
 // Compute charges d nanoseconds of application computation, sliced into
@@ -208,54 +232,63 @@ func (p *Proc) store(base Addr, i, n int, v uint64) {
 
 // readSlow returns the frame for a read of a whose page the frame table has
 // no entry for: the page is unreadable, so the protocol's read-fault handler
-// runs first, or readable but never copied in (materialize). load opens with
+// runs first, or readable but never mapped (materialize). load opens with
 // ReadFrame and comes here on nil.
 func (p *Proc) readSlow(a Addr) *[vm.PageSize]byte {
 	page := vm.PageOf(a)
 	if !p.space.Prot(page).CanRead() {
 		p.stats.ReadFaults++
-		p.sp.Yield() // faults are globally visible protocol actions
+		p.yield() // faults are globally visible protocol actions
 		p.proto.OnReadFault(p, page)
 		if !p.space.Prot(page).CanRead() {
 			panic(fmt.Sprintf("core: proc %d page %d still unreadable after fault", p.sp.ID, page))
 		}
 	}
-	p.MaterializedFrame(page) // first touch: copy in the initial image
+	p.MaterializedFrame(page) // first touch: map the initial image
 	return p.space.ReadFrame(page)
 }
 
-// writeSlow is readSlow for a write (WriteFrame, write-fault handler).
+// writeSlow is readSlow for a write (WriteFrame, write-fault handler). A
+// writable page whose frame is still nil after the fault check is unmapped
+// or shared: it gets a private copy here, the one place a store makes one.
 func (p *Proc) writeSlow(a Addr) *[vm.PageSize]byte {
 	page := vm.PageOf(a)
 	if !p.space.Prot(page).CanWrite() {
 		p.stats.WriteFaults++
-		p.sp.Yield()
+		p.yield()
 		p.proto.OnWriteFault(p, page)
 		if !p.space.Prot(page).CanWrite() {
 			panic(fmt.Sprintf("core: proc %d page %d still unwritable after fault", p.sp.ID, page))
 		}
 	}
+	if fr := p.space.WriteFrame(page); fr != nil {
+		return fr
+	}
 	p.MaterializedFrame(page)
+	p.space.EnsureFrame(page)
 	return p.space.WriteFrame(page)
 }
 
-// materialize lazily creates a frame for a page whose protection allows
-// access but whose data was never copied in: the page still holds the
-// initial image distributed (untimed) at startup, as in real TreadMarks,
-// where every processor starts with an identical valid copy. No cost is
-// charged — the copy logically happened during setup.
+// materialize lazily maps a page whose protection allows access but whose
+// data was never mapped: the page still holds the initial image distributed
+// (untimed) at startup, as in real TreadMarks, where every processor starts
+// with an identical valid copy. The image is immutable, so the page shares
+// it (vm.Space.Share) until a store needs a private copy; a page the image
+// never wrote gets a zeroed private frame. No cost is charged — the copy
+// logically happened during setup.
 func (p *Proc) materialize(page int) []byte {
-	fr := p.space.EnsureFrame(page)
 	if img := p.rt.InitialPage(page); img != nil {
-		copy(fr, img)
+		p.space.Share(page, img)
+		return img
 	}
-	return fr
+	return p.space.EnsureFrame(page)
 }
 
-// MaterializedFrame returns the page's local frame, creating it from the
-// initial image if it was never touched. Protocol fault handlers use this
-// when they need the page contents (e.g. to twin a page whose first local
-// access is the faulting write).
+// MaterializedFrame returns the page's local frame, mapping the initial
+// image if it was never touched. Protocol fault handlers use this when they
+// need to read the page contents (e.g. to twin a page whose first local
+// access is the faulting write); the frame may be shared, so they write
+// through vm.Space.EnsureFrame.
 func (p *Proc) MaterializedFrame(page int) []byte {
 	if fr := p.space.Frame(page); fr != nil {
 		return fr
@@ -367,14 +400,14 @@ func (p *Proc) SpinBackoff(s *Spin) sim.Time {
 func (p *Proc) Lock(id int) {
 	p.checkLock(id)
 	p.stats.LockAcquires++
-	p.sp.Yield()
+	p.yield()
 	p.proto.Lock(p, id)
 }
 
 // Unlock releases application lock id.
 func (p *Proc) Unlock(id int) {
 	p.checkLock(id)
-	p.sp.Yield()
+	p.yield()
 	p.proto.Unlock(p, id)
 }
 
@@ -389,7 +422,7 @@ func (p *Proc) checkLock(id int) {
 // Barrier blocks until all compute processors reach barrier id.
 func (p *Proc) Barrier(id int) {
 	p.stats.Barriers++
-	p.sp.Yield()
+	p.yield()
 	p.proto.Barrier(p, id)
 }
 

@@ -83,10 +83,14 @@ func (n *NullProtocol) Setup(rt *Runtime) {
 	}
 }
 
+// mapPage maps the page read-write holding its initial image: the image
+// itself, shared until the first store copies it (core's writeSlow), or a
+// zeroed private frame for a page the image never wrote.
 func (n *NullProtocol) mapPage(p *Proc, page int) {
-	fr := p.Space().EnsureFrame(page)
 	if img := n.rt.InitialPage(page); img != nil {
-		copy(fr, img)
+		p.Space().Share(page, img)
+	} else {
+		p.Space().EnsureFrame(page)
 	}
 	p.Space().SetProt(page, vm.ProtReadWrite)
 }

@@ -18,10 +18,19 @@ const stormLocks = 4
 // rounds. After the last round every rank reads all 64 elements; lockStorm
 // returns the first that lost an update.
 func lockStorm(cfg core.Config) error {
+	var lost error
+	if _, err := core.Run(cfg, stormProgram(&lost)); err != nil {
+		return err
+	}
+	return lost
+}
+
+// stormProgram is lockStorm's program; *lost is set to the first lost
+// update.
+func stormProgram(lost *error) *core.Program {
 	l := core.NewLayout()
 	arr := l.F64Pages(16 * stormLocks)
-	var lost error
-	prog := &core.Program{
+	return &core.Program{
 		Name: "lockstorm", SharedBytes: l.Size(), Locks: stormLocks, Barriers: 1,
 		Body: func(p *core.Proc) {
 			np := p.NumProcs()
@@ -38,17 +47,13 @@ func lockStorm(cfg core.Config) error {
 				p.Barrier(0)
 			}
 			for m := 0; m < 16*stormLocks; m++ {
-				if got := arr.At(p, m); got != float64(3*np) && lost == nil {
-					lost = fmt.Errorf("rank %d: arr[%d] = %v, want %v", p.Rank(), m, got, 3*np)
+				if got := arr.At(p, m); got != float64(3*np) && *lost == nil {
+					*lost = fmt.Errorf("rank %d: arr[%d] = %v, want %v", p.Rank(), m, got, 3*np)
 				}
 			}
 			p.Finish()
 		},
 	}
-	if _, err := core.Run(cfg, prog); err != nil {
-		return err
-	}
-	return lost
 }
 
 // TestLockStorm runs the storm on 2x2 at every HandlerWork from 1 to 12 µs:

@@ -1,10 +1,13 @@
 package treadmarks
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/apps/em3d"
 	"repro/internal/apps/tsp"
 	"repro/internal/cashmere"
 	"repro/internal/core"
@@ -13,22 +16,28 @@ import (
 )
 
 // ownershipCheck wraps a protocol and, when the last compute processor
-// finalizes, checks the run's spare page buffers (core.Runtime.SparePages)
-// against every buffer the run still uses. Only recycled buffers move between
-// owners, so a buffer released too early or twice shows up here: as a spare
-// that is also a live twin, a stored diff run, a Cashmere home frame, a
-// processor frame or an initial-image page, or as two spares sharing memory.
+// finalizes, checks the run's page memory. Only recycled buffers move between
+// owners, so a buffer released too early or twice shows up as a spare that is
+// also a live twin, a stored diff run, a Cashmere home frame, a processor
+// frame or an initial-image page, or as two spares sharing memory. And the
+// initial image is mapped by many processors at once, so a write that reached
+// it through a frame shows up as an image page that no longer holds what Init
+// wrote, or as a private frame aliasing it.
 type ownershipCheck struct {
 	core.Protocol
-	rt   *core.Runtime
-	left int
-	err  error
+	rt    *core.Runtime
+	image [][]byte // the initial image as Init left it
+	left  int
+	err   error
+	// private counts the run's private page copies at the end: processor
+	// frames that share nothing, and Cashmere home frames.
+	private int
 }
 
 func (o *ownershipCheck) Finalize(p *core.Proc) {
 	o.Protocol.Finalize(p)
 	if o.left--; o.left == 0 {
-		o.err = spareAliases(o.rt, o.Protocol)
+		o.private, o.err = o.check()
 	}
 }
 
@@ -46,50 +55,77 @@ func spanOf(b []byte, what string) span {
 	return span{v.Pointer(), v.Pointer() + uintptr(v.Cap()), what}
 }
 
-// spareAliases returns an error naming the first spare buffer that shares
-// memory with another spare or with a buffer the run still uses.
-func spareAliases(rt *core.Runtime, proto core.Protocol) error {
-	var live []span
-	for _, p := range rt.ComputeProcs() {
-		for pg := 0; pg < rt.NumPages(); pg++ {
-			if fr := p.Space().Frame(pg); fr != nil {
-				live = append(live, spanOf(fr, fmt.Sprintf("rank %d's frame of page %d", p.Rank(), pg)))
-			}
-		}
-	}
+// check returns the number of private page copies and an error naming the
+// first image page that changed, the first private copy that shares memory
+// with an image page, or the first spare buffer that shares memory with
+// another spare or with a buffer the run still uses.
+func (o *ownershipCheck) check() (int, error) {
+	rt := o.rt
+	var images, private []span
 	for pg := 0; pg < rt.NumPages(); pg++ {
 		if img := rt.InitialPage(pg); img != nil {
-			live = append(live, spanOf(img, fmt.Sprintf("initial image of page %d", pg)))
+			if !bytes.Equal(img, o.image[pg]) {
+				return 0, fmt.Errorf("initial image of page %d no longer holds what Init wrote", pg)
+			}
+			images = append(images, spanOf(img, fmt.Sprintf("initial image of page %d", pg)))
+		}
+	}
+	for _, p := range rt.ComputeProcs() {
+		for pg := 0; pg < rt.NumPages(); pg++ {
+			fr := p.Space().Frame(pg)
+			switch {
+			case fr == nil:
+			case p.Space().Shared(pg):
+				if img := rt.InitialPage(pg); img == nil || &fr[0] != &img[0] {
+					return 0, fmt.Errorf("rank %d's shared frame of page %d is not the page's image", p.Rank(), pg)
+				}
+			default:
+				private = append(private, spanOf(fr, fmt.Sprintf("rank %d's private frame of page %d", p.Rank(), pg)))
+			}
 		}
 	}
 	// Twins, stored diff runs and Cashmere home frames are the protocol's:
 	// every byte slice reachable from its state.
-	v := reflect.ValueOf(proto)
-	held := 0
-	walkBytes(v, "", v.Elem().Type().PkgPath(), map[visit]bool{}, func(s span) {
-		live = append(live, s)
-		held++
-	})
-	if held == 0 {
-		// Every program here leaves stored diffs or home frames.
-		return fmt.Errorf("found no byte slice in the protocol's state: the walk missed it")
+	// The sequential baseline holds none (its state is the runtime).
+	var held []span
+	homes := 0
+	if _, ok := o.Protocol.(*core.NullProtocol); !ok {
+		v := reflect.ValueOf(o.Protocol)
+		walkBytes(v, "", v.Elem().Type().PkgPath(), map[visit]bool{}, func(s span) {
+			held = append(held, s)
+			if strings.HasSuffix(s.what, ".homeFrame") {
+				homes++
+			}
+		})
+		if len(held) == 0 {
+			// Every program here leaves stored diffs or home frames.
+			return 0, fmt.Errorf("found no byte slice in the protocol's state: the walk missed it")
+		}
+	}
+	for _, s := range append(private, held...) {
+		for _, img := range images {
+			if s.overlaps(img) {
+				return 0, fmt.Errorf("%s shares memory with the %s", s.what, img.what)
+			}
+		}
 	}
 
+	live := append(append(images, private...), held...)
 	spare := rt.SparePages()
 	for i, b := range spare {
 		s := spanOf(b, "")
 		for j := range i {
 			if s.overlaps(spanOf(spare[j], "")) {
-				return fmt.Errorf("spare buffers %d and %d share memory: one buffer was released twice", j, i)
+				return 0, fmt.Errorf("spare buffers %d and %d share memory: one buffer was released twice", j, i)
 			}
 		}
 		for _, l := range live {
 			if s.overlaps(l) {
-				return fmt.Errorf("spare buffer %d of %d shares memory with %s", i, len(spare), l.what)
+				return 0, fmt.Errorf("spare buffer %d of %d shares memory with %s", i, len(spare), l.what)
 			}
 		}
 	}
-	return nil
+	return len(private) + homes, nil
 }
 
 // visit is a pointer walkBytes has followed: a struct and its first field
@@ -144,21 +180,40 @@ func walkBytes(v reflect.Value, path, pkg string, seen map[visit]bool, found fun
 	}
 }
 
-// runOwned runs one program with the ownership check armed.
-func runOwned(cfg core.Config, run func(core.Config) error) error {
+// runOwned runs prog with the ownership check armed and returns the number
+// of private page copies the run ended with.
+func runOwned(cfg core.Config, prog *core.Program) (int, error) {
 	var o *ownershipCheck
 	mk := cfg.NewProtocol
 	cfg.NewProtocol = func(rt *core.Runtime) core.Protocol {
 		o = &ownershipCheck{Protocol: mk(rt), rt: rt, left: len(rt.ComputeProcs())}
 		return o
 	}
-	if err := run(cfg); err != nil {
-		return err
+	wrapped := *prog
+	wrapped.Init = func(w *core.ImageWriter) {
+		if prog.Init != nil {
+			prog.Init(w)
+		}
+		o.image = make([][]byte, o.rt.NumPages())
+		for pg := range o.image {
+			o.image[pg] = bytes.Clone(o.rt.InitialPage(pg))
+		}
+	}
+	if _, err := core.Run(cfg, &wrapped); err != nil {
+		return 0, err
 	}
 	if o.left != 0 {
-		return fmt.Errorf("%d compute processors never finalized", o.left)
+		return 0, fmt.Errorf("%d compute processors never finalized", o.left)
 	}
-	return o.err
+	return o.private, o.err
+}
+
+// seqConfig is the sequential baseline on one processor.
+func seqConfig() core.Config {
+	cfg := testConfig(1, 1, "tmk_udp_int")
+	cfg.NewProtocol = core.NewNullProtocol
+	cfg.Variant = "sequential"
+	return cfg
 }
 
 // csmConfig is csm_poll or csm_int on nodes x ppn.
@@ -173,38 +228,82 @@ func csmConfig(nodes, ppn int, variant string) core.Config {
 	return cfg
 }
 
-// TestPageBufferOwnership runs the lock storm, the false-sharing program and
-// TSP small at 8 processors on both protocols and checks at the end of each
-// run that no recycled page buffer is still in use: twins and page replies
-// on TreadMarks, home-page snapshots on Cashmere.
+// TestPageBufferOwnership runs the lock storm, the false-sharing program, TSP
+// small and Em3d small at 8 processors on both protocols, and all but the
+// false-sharing program (which needs several writers) on the sequential
+// baseline. At the end of each run no recycled page buffer may still be in
+// use (twins and page replies on TreadMarks, home-page snapshots on
+// Cashmere), and the initial image, which frames share, must be intact.
 func TestPageBufferOwnership(t *testing.T) {
 	programs := []struct {
 		name string
 		run  func(core.Config) error
 	}{
-		{"lockstorm", lockStorm},
+		{"lockstorm", func(cfg core.Config) error {
+			var lost error
+			if _, err := runOwned(cfg, stormProgram(&lost)); err != nil {
+				return err
+			}
+			return lost
+		}},
 		{"falsesharing", func(cfg core.Config) error {
-			_, err := core.Run(cfg, falseSharing(8))
+			_, err := runOwned(cfg, falseSharing(8))
 			return err
 		}},
 		{"tsp", func(cfg core.Config) error {
-			_, err := core.Run(cfg, tsp.New(tsp.Small()))
+			_, err := runOwned(cfg, tsp.New(tsp.Small()))
+			return err
+		}},
+		{"em3d", func(cfg core.Config) error {
+			_, err := runOwned(cfg, em3d.New(em3d.Small()))
 			return err
 		}},
 	}
 	for _, cfg := range []core.Config{
+		seqConfig(),
 		testConfig(4, 2, "tmk_mc_poll"),
 		testConfig(4, 2, "tmk_udp_int"),
 		csmConfig(4, 2, "csm_poll"),
 		csmConfig(4, 2, "csm_int"),
 	} {
 		for _, prog := range programs {
+			if cfg.Variant == "sequential" && prog.name == "falsesharing" {
+				continue
+			}
 			t.Run(cfg.Variant+"/"+prog.name, func(t *testing.T) {
-				if err := runOwned(cfg, prog.run); err != nil {
+				if err := prog.run(cfg); err != nil {
 					t.Error(err)
 				}
 			})
 		}
+	}
+}
+
+// TestEm3dSharesUnwrittenPages pins what sharing the initial image saves on
+// Em3d small on one processor: it writes 4 of its 36 pages (the E and H
+// values), and only those get a private frame (and, on Cashmere, a private
+// home frame); the 32 pages of dependency tables stay mapped to the image.
+// At the default size, 64 of 832 pages get one.
+func TestEm3dSharesUnwrittenPages(t *testing.T) {
+	for _, c := range []struct {
+		cfg     core.Config
+		private int
+	}{
+		{seqConfig(), 4},
+		{testConfig(1, 1, "tmk_mc_poll"), 4},
+		{testConfig(1, 1, "tmk_udp_int"), 4},
+		{csmConfig(1, 1, "csm_poll"), 8},
+		{csmConfig(1, 1, "csm_int"), 8},
+	} {
+		t.Run(c.cfg.Variant, func(t *testing.T) {
+			private, err := runOwned(c.cfg, em3d.New(em3d.Small()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if private != c.private {
+				t.Errorf("%d private page copies, want %d", private, c.private)
+			}
+		})
 	}
 }
 
@@ -227,10 +326,7 @@ func TestOwnershipCheckCatchesEarlyRelease(t *testing.T) {
 			p.Finish()
 		},
 	}
-	err := runOwned(cfg, func(cfg core.Config) error {
-		_, err := core.Run(cfg, prog)
-		return err
-	})
+	_, err := runOwned(cfg, prog)
 	if err == nil {
 		t.Fatal("a live twin was on the spare stack, and the check passed")
 	}

@@ -61,7 +61,6 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 	if p.Space().Frame(page) == nil {
 		t.fetchPage(p, page)
 	}
-	frame := p.Space().Frame(page)
 	applied := t.slot(st.applied, page)
 	known := st.known[page]
 	// Request the missing diffs from every writer in parallel (as
@@ -93,6 +92,12 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 	// because concurrent diffs of data-race-free programs touch disjoint
 	// bytes.
 	sort.Sort(all)
+	var frame []byte
+	if len(all) > 0 {
+		// The frame may share the initial image: only a diff to apply
+		// needs a private copy.
+		frame = p.Space().EnsureFrame(page)
+	}
 	for _, g := range all {
 		ApplyDiff(frame, g.diff.Runs)
 		p.ChargeProtocol(p.Costs().DiffApplyBase + p.Costs().Copy(g.diff.Bytes()))
@@ -152,16 +157,20 @@ func (c causalOrder) Less(i, j int) bool {
 // with the vector describing which intervals the copy reflects.
 func (t *Protocol) fetchPage(p *core.Proc, page int) {
 	st := t.state(p)
-	frame := p.Space().EnsureFrame(page)
 	manager := t.pageManagerRank(page)
 	if manager == p.Rank() {
-		// Our own managed page: base copy is the initial image.
+		// Our own managed page: the base copy is the initial image, which
+		// the frame shares until a diff or a store needs a private copy.
+		// The copy is still charged: the simulated processor makes it.
 		if img := t.rt.InitialPage(page); img != nil {
-			copy(frame, img)
+			p.Space().Share(page, img)
 			p.ChargeProtocol(p.Costs().Copy(vm.PageSize))
+		} else {
+			p.Space().EnsureFrame(page)
 		}
 		return
 	}
+	frame := p.Space().EnsureFrame(page)
 	t.pageRequests++
 	reply := p.EP().Call(t.rt.ProcByRank(manager).EP(), kindPageRequest, pageReqMsg{Page: page}, 16)
 	pr := reply.(pageReply)

@@ -59,14 +59,19 @@ func (p Prot) CanWrite() bool { return p == ProtReadWrite }
 
 // Space is one processor's view of the shared address space: a page table
 // with protections and local frames holding that processor's copy of each
-// page's data.
+// page's data. A frame is private (the processor's own, writable once the
+// protection allows) or shared (an immutable page mapped with Share, such as
+// the run's initial image, which many spaces map at once). A shared frame is
+// copied the first time its holder needs to write it (EnsureFrame).
 type Space struct {
 	prot   []Prot
 	frames []*[PageSize]byte
+	shared []bool
 	// rd[p] (wr[p]) is page p's frame iff the frame exists and the protection
-	// allows a read (a write), else nil: the no-fault check of internal/core's
-	// accessors is one indexed load and a nil test. Both are a function of
-	// (prot[p], frames[p]) that every mutator re-establishes through sync.
+	// allows a read (a write, and the frame is private), else nil: the
+	// no-fault check of internal/core's accessors is one indexed load and a
+	// nil test. Both are a function of (prot[p], frames[p], shared[p]) that
+	// every mutator re-establishes through sync.
 	rd, wr []*[PageSize]byte
 }
 
@@ -79,6 +84,7 @@ func NewSpace(numPages int) *Space {
 	return &Space{
 		prot:   make([]Prot, numPages),
 		frames: make([]*[PageSize]byte, numPages),
+		shared: make([]bool, numPages),
 		rd:     make([]*[PageSize]byte, numPages),
 		wr:     make([]*[PageSize]byte, numPages),
 	}
@@ -87,13 +93,15 @@ func NewSpace(numPages int) *Space {
 // Prot returns the protection of page p.
 func (s *Space) Prot(page int) Prot { return s.prot[page] }
 
-// sync re-derives page p's rd/wr entries from its protection and frame.
+// sync re-derives page p's rd/wr entries from its protection and frame. A
+// shared frame is never writable through wr: a write to it must come
+// through EnsureFrame first.
 func (s *Space) sync(page int) {
 	var rd, wr *[PageSize]byte
 	if s.prot[page].CanRead() {
 		rd = s.frames[page]
 	}
-	if s.prot[page].CanWrite() {
+	if s.prot[page].CanWrite() && !s.shared[page] {
 		wr = s.frames[page]
 	}
 	s.rd[page], s.wr[page] = rd, wr
@@ -110,11 +118,12 @@ func (s *Space) SetProt(page int, prot Prot) {
 // frame allocation, else nil.
 func (s *Space) ReadFrame(page int) *[PageSize]byte { return s.rd[page] }
 
-// WriteFrame is ReadFrame for a write.
+// WriteFrame is ReadFrame for a write: nil also while the frame is shared.
 func (s *Space) WriteFrame(page int) *[PageSize]byte { return s.wr[page] }
 
 // Frame returns page p's local frame, or nil if the page has never been
-// mapped on this processor.
+// mapped on this processor. The frame may be shared (Shared): callers only
+// read through it, and write through EnsureFrame's.
 func (s *Space) Frame(page int) []byte {
 	if f := s.frames[page]; f != nil {
 		return f[:]
@@ -122,11 +131,26 @@ func (s *Space) Frame(page int) []byte {
 	return nil
 }
 
-// EnsureFrame returns page p's local frame, allocating a zeroed one if
-// needed.
+// Shared reports whether page p's frame is a shared page mapped by Share.
+func (s *Space) Shared(page int) bool { return s.shared[page] }
+
+// Share maps data, one immutable page, as page p's frame in place of any
+// frame it had. The space never writes it: the first EnsureFrame copies it.
+func (s *Space) Share(page int, data []byte) {
+	s.frames[page] = (*[PageSize]byte)(data)
+	s.shared[page] = true
+	s.sync(page)
+}
+
+// EnsureFrame returns page p's private frame, allocating a zeroed one if the
+// page has none and copying the shared page if it is shared.
 func (s *Space) EnsureFrame(page int) []byte {
-	if s.frames[page] == nil {
-		s.frames[page] = new([PageSize]byte)
+	if f := s.frames[page]; f == nil || s.shared[page] {
+		priv := new([PageSize]byte)
+		if f != nil {
+			*priv = *f
+		}
+		s.frames[page], s.shared[page] = priv, false
 		s.sync(page)
 	}
 	return s.frames[page][:]

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -106,28 +107,39 @@ func TestProtMonotonicity(t *testing.T) {
 	}
 }
 
-// TestFrameTablesFollowProtAndFrame drives random SetProt/EnsureFrame
-// sequences and checks after every step, on every page, that
-// ReadFrame and WriteFrame are what a walk of Prot and Frame would decide:
-// nil exactly when the access would fault or materialize, the frame's own
-// backing array otherwise.
+// TestFrameTablesFollowProtAndFrame drives random sequences of SetProt,
+// Share, EnsureFrame and stores through WriteFrame, and checks after every
+// step, on every page, that ReadFrame and WriteFrame are what a walk of Prot,
+// Frame and Shared would decide: nil exactly when the access would fault, map
+// or (for a write) copy a shared page, the frame's own backing array
+// otherwise. A model of every page's bytes checks the contents: EnsureFrame
+// of a shared page returns an equal private copy, and no step writes a
+// shared page.
 func TestFrameTablesFollowProtAndFrame(t *testing.T) {
 	const pages = 5
-	check := func(s *Space, step int) bool {
+	var src, pristine [2][]byte // the pages Share maps, and what they hold
+	for k := range src {
+		src[k], pristine[k] = make([]byte, PageSize), make([]byte, PageSize)
+		for i := range src[k] {
+			src[k][i] = byte(i*7 + k + 1)
+		}
+		copy(pristine[k], src[k])
+	}
+	check := func(s *Space, model [][]byte, step int) bool {
 		for pg := 0; pg < pages; pg++ {
-			fr, prot := s.Frame(pg), s.Prot(pg)
+			fr, prot, shared := s.Frame(pg), s.Prot(pg), s.Shared(pg)
 			for _, c := range []struct {
 				name    string
 				got     *[PageSize]byte
 				allowed bool
 			}{
 				{"ReadFrame", s.ReadFrame(pg), prot.CanRead()},
-				{"WriteFrame", s.WriteFrame(pg), prot.CanWrite()},
+				{"WriteFrame", s.WriteFrame(pg), prot.CanWrite() && !shared},
 			} {
 				want := c.allowed && fr != nil
 				if (c.got != nil) != want {
-					t.Errorf("step %d page %d (prot %v, frame %v): %s non-nil = %v, want %v",
-						step, pg, prot, fr != nil, c.name, c.got != nil, want)
+					t.Errorf("step %d page %d (prot %v, frame %v, shared %v): %s non-nil = %v, want %v",
+						step, pg, prot, fr != nil, shared, c.name, c.got != nil, want)
 					return false
 				}
 				if want && &c.got[0] != &fr[0] {
@@ -135,23 +147,56 @@ func TestFrameTablesFollowProtAndFrame(t *testing.T) {
 					return false
 				}
 			}
+			if shared && fr == nil {
+				t.Errorf("step %d page %d: shared without a frame", step, pg)
+				return false
+			}
+			if (fr == nil) != (model[pg] == nil) || (fr != nil && !bytes.Equal(fr, model[pg])) {
+				t.Errorf("step %d page %d: frame does not hold the page's bytes", step, pg)
+				return false
+			}
+		}
+		for k := range src {
+			if !bytes.Equal(src[k], pristine[k]) {
+				t.Errorf("step %d: shared page %d was written", step, k)
+				return false
+			}
 		}
 		return true
 	}
 	f := func(ops []uint16) bool {
 		s := NewSpace(pages)
-		if !check(s, -1) {
+		model := make([][]byte, pages)
+		if !check(s, model, -1) {
 			return false
 		}
 		for i, op := range ops {
 			pg := int(op>>8) % pages
-			switch op % 4 {
+			switch op % 6 {
 			case 0, 1, 2:
-				s.SetProt(pg, Prot(op%4))
+				s.SetProt(pg, Prot(op%3))
 			case 3:
-				s.EnsureFrame(pg)
+				k := int(op>>4) % len(src)
+				s.Share(pg, src[k])
+				model[pg] = append([]byte(nil), src[k]...)
+			case 4:
+				wasShared, old := s.Shared(pg), s.Frame(pg)
+				fr := s.EnsureFrame(pg)
+				if s.Shared(pg) || (wasShared && &fr[0] == &old[0]) {
+					t.Errorf("step %d page %d: EnsureFrame returned a shared frame", i, pg)
+					return false
+				}
+				if model[pg] == nil {
+					model[pg] = make([]byte, PageSize)
+				}
+			case 5:
+				if fr := s.WriteFrame(pg); fr != nil {
+					off := int(op>>3) % PageSize
+					fr[off]++
+					model[pg][off]++
+				}
 			}
-			if !check(s, i) {
+			if !check(s, model, i) {
 				return false
 			}
 		}
@@ -161,3 +206,34 @@ func TestFrameTablesFollowProtAndFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// firstTouch maps every page of a fresh 256-page space from one image page,
+// as a processor's first touch of the initial image does: by sharing it, or
+// by copying it into a private frame.
+func firstTouch(b *testing.B, share bool) {
+	const pages = 256
+	img := make([]byte, PageSize)
+	for i := range img {
+		img[i] = byte(i)
+	}
+	b.SetBytes(pages * PageSize)
+	b.ReportAllocs()
+	for range b.N {
+		s := NewSpace(pages)
+		for pg := range pages {
+			if share {
+				s.Share(pg, img)
+			} else {
+				copy(s.EnsureFrame(pg), img)
+			}
+		}
+	}
+}
+
+// BenchmarkFirstTouchShared is a first touch of 256 image pages that share
+// the image.
+func BenchmarkFirstTouchShared(b *testing.B) { firstTouch(b, true) }
+
+// BenchmarkFirstTouchPrivate is the same first touch copying each page into
+// a private frame, as every first touch did before frames could be shared.
+func BenchmarkFirstTouchPrivate(b *testing.B) { firstTouch(b, false) }
