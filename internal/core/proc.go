@@ -127,12 +127,6 @@ func (p *Proc) yield() {
 	p.sp.Yield()
 }
 
-// runLimit is the runaway bound: no processor's clock may pass it. The
-// longest run of the default-size tables (Gauss on 32 processors under
-// csm_int) finishes at 14.3 s, so a run past this bound is not slow but
-// stuck, say in a loop over corrupted shared data that never ends.
-const runLimit = 200 * sim.Second
-
 // checkRunaway panics once p's clock has passed runLimit; core.Run returns
 // the panic as an error naming the program and variant. Every checkpoint
 // that does not elide and every yield calls it, so a processor that keeps
@@ -248,9 +242,10 @@ func (p *Proc) readSlow(a Addr) *[vm.PageSize]byte {
 	return p.space.ReadFrame(page)
 }
 
-// writeSlow is readSlow for a write (WriteFrame, write-fault handler). A
-// writable page whose frame is still nil after the fault check is unmapped
-// or shared: it gets a private copy here, the one place a store makes one.
+// writeSlow is readSlow for a write (WriteFrame, write-fault handler). Past
+// the fault check the page is writable, but its frame may still be unmapped
+// or shared with the initial image: EnsureFrame makes it private here, the
+// one place a store makes a private copy.
 func (p *Proc) writeSlow(a Addr) *[vm.PageSize]byte {
 	page := vm.PageOf(a)
 	if !p.space.Prot(page).CanWrite() {
@@ -260,9 +255,6 @@ func (p *Proc) writeSlow(a Addr) *[vm.PageSize]byte {
 		if !p.space.Prot(page).CanWrite() {
 			panic(fmt.Sprintf("core: proc %d page %d still unwritable after fault", p.sp.ID, page))
 		}
-	}
-	if fr := p.space.WriteFrame(page); fr != nil {
-		return fr
 	}
 	p.MaterializedFrame(page)
 	p.space.EnsureFrame(page)
@@ -373,6 +365,12 @@ func (p *Proc) stepSpin() (bool, sim.Time) {
 // (32 processors queueing on millisecond critical sections under
 // interrupt-based variants) is not mistaken for a livelock.
 const spinLimit = 120 * sim.Second
+
+// runLimit is the runaway bound: no processor's clock may pass it. The
+// longest run of the default-size tables (Gauss on 32 processors under
+// csm_int) finishes at 14.3 s, so a run past this bound is not slow but
+// stuck, say in a loop over corrupted shared data that never ends.
+const runLimit = 200 * sim.Second
 
 // SpinBegin starts a spin at p's current clock: the livelock deadline is set
 // from now and the backoff step starts at its minimum. what names the wait
