@@ -8,6 +8,7 @@ import (
 	"repro/internal/interconnect"
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/vm"
 )
 
 // testConfig builds a Cashmere run configuration in the given variant.
@@ -465,5 +466,37 @@ func TestWriteThroughFenceAtRelease(t *testing.T) {
 	// before the pipe drained.
 	if fenceGap < 2*sim.Millisecond {
 		t.Errorf("write burst + release took %d ns, below the 2.2 ms drain bound", fenceGap)
+	}
+}
+
+// BenchmarkDoubledStore times a Cashmere store on one csm_poll processor
+// past each page's first store: after one store to each of four pages has
+// made its home copy private, every timed store strides to the next page, so
+// each write-through reads another page's home frame. One op is one store:
+// core's accessor, the doubled word and the write-through charge. A store
+// advances the clock about 270 ns, so a b.N past about 700 million runs
+// into core's 200-virtual-second bound on a run.
+func BenchmarkDoubledStore(b *testing.B) {
+	const pages = 4
+	cfg := testConfig(1, 1, "csm_poll", Config{})
+	l := core.NewLayout()
+	arr := l.I64Pages(pages * vm.PageSize / 8)
+	stride := vm.PageSize/8 + 1 // the next page, one word further on
+	n := b.N
+	prog := &core.Program{
+		Name:        "doubled-store",
+		SharedBytes: l.Size(),
+		Body: func(p *core.Proc) {
+			for pg := range pages {
+				arr.Set(p, pg*vm.PageSize/8, 1)
+			}
+			b.ResetTimer()
+			for i := range n {
+				arr.Set(p, i*stride%arr.N, int64(i))
+			}
+		},
+	}
+	if _, err := core.Run(cfg, prog); err != nil {
+		b.Fatal(err)
 	}
 }

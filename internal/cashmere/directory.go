@@ -33,10 +33,6 @@ type entry struct {
 	// neverExcl marks pages that must never re-enter exclusive mode (set
 	// when processing NLE entries, §2.1).
 	neverExcl bool
-	// homeFrame is the unique main-memory copy at the home node, the target
-	// of write-through. Nil until the first doubled store makes it from the
-	// initial image, which stands in for it until then (homeView).
-	homeFrame []byte
 }
 
 // noticeList is a globally accessible list of page descriptors with a bitmap

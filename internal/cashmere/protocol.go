@@ -61,6 +61,10 @@ type Protocol struct {
 
 	dir  []entry
 	home []int32 // home node per page, -1 until first touch
+	// homes holds each page's unique main-memory copy at its home node, the
+	// target of write-through: the initial image page, shared, until the
+	// first doubled store makes it private.
+	homes *vm.Space
 
 	locks    *lockSpace
 	appLocks int
@@ -109,6 +113,11 @@ func (c *Protocol) Setup(rt *core.Runtime) {
 	c.home = make([]int32, numPages)
 	for i := range c.home {
 		c.home[i] = -1
+	}
+	c.homes = vm.NewSpace(numPages)
+	for pg := range numPages {
+		c.homes.Share(pg, rt.InitialPage(pg))
+		c.homes.SetProt(pg, vm.ProtReadWrite)
 	}
 	prog := rt.Program()
 	c.appLocks = prog.Locks
@@ -159,40 +168,14 @@ func (c *Protocol) ensureHome(p *core.Proc, page int) int {
 	return int(c.home[page])
 }
 
-// homeFrame returns the page's unique main-memory copy for writing: its
-// private home frame, made from the initial image by the first doubled
-// store. Until then the home copy is the image itself (homeView).
-func (c *Protocol) homeFrame(page int) []byte {
-	e := &c.dir[page]
-	if e.homeFrame == nil {
-		e.homeFrame = make([]byte, vm.PageSize)
-		if img := c.rt.InitialPage(page); img != nil {
-			copy(e.homeFrame, img)
-		}
-	}
-	return e.homeFrame
-}
-
-// homeView returns the page's home copy for reading: the private home frame
-// once a doubled store has made one, else the initial image (nil: a page of
-// zeros).
-func (c *Protocol) homeView(page int) []byte {
-	if hf := c.dir[page].homeFrame; hf != nil {
-		return hf
-	}
-	return c.rt.InitialPage(page)
-}
-
-// copyHome puts the home copy into p's frame of page. An untouched home is
-// the immutable initial image, which the frame shares instead of copying;
-// the copy is charged by the caller all the same.
+// copyHome puts the home copy into p's frame of page. A home no doubled
+// store has reached is still the immutable initial image, which the frame
+// shares instead of copying; the copy is charged by the caller all the same.
 func (c *Protocol) copyHome(p *core.Proc, page int) {
-	if hf := c.dir[page].homeFrame; hf != nil {
-		copy(p.Space().EnsureFrame(page), hf)
-	} else if img := c.rt.InitialPage(page); img != nil {
-		p.Space().Share(page, img)
+	if c.homes.Shared(page) {
+		p.Space().Share(page, c.homes.Frame(page))
 	} else {
-		clear(p.Space().EnsureFrame(page))
+		p.Space().Load(page, c.homes.Frame(page))
 	}
 }
 
@@ -251,13 +234,12 @@ func (c *Protocol) fetchPage(p *core.Proc, page, home int) {
 		p.Stats().PageCopies++
 		return
 	}
-	frame := p.Space().EnsureFrame(page)
 	target := c.fetchTarget(page, home)
 	c.fetchRequests++
 	reply := p.EP().Call(target.EP(), kindPageFetch, page, 64)
 	data := reply.([]byte)
 	p.ChargeProtocol(p.Costs().Copy(vm.PageSize))
-	copy(frame, data)
+	p.Space().Load(page, data)
 	c.rt.ReleasePage(data) // the snapshot Service took from the run's stack
 	p.Stats().PageTransfers++
 	p.Stats().PageCopies++
@@ -309,9 +291,9 @@ func (c *Protocol) OnSharedWrite(p *core.Proc, addr core.Addr, size int) {
 	p.Account(core.CatDoubling, wd)
 	page := vm.PageOf(addr)
 	off := vm.Offset(addr)
-	hf := c.dir[page].homeFrame
+	hf := c.homes.WriteFrame(page)
 	if hf == nil {
-		hf = c.homeFrame(page)
+		hf = (*[vm.PageSize]byte)(c.homes.EnsureFrame(page)) // first store: the home goes private
 	}
 	binary.LittleEndian.PutUint64(hf[off:], binary.LittleEndian.Uint64(p.Space().Frame(page)[off:]))
 	if c.cfg.DummyDoubling {
@@ -439,11 +421,7 @@ func (c *Protocol) Service(p *core.Proc, m sim.Msg, req msg.Request) {
 		// The snapshot is a recycled buffer, overwritten whole here and
 		// released by the requester's fetchPage after its copy.
 		snapshot := c.rt.PageBuffer()
-		if hv := c.homeView(page); hv != nil {
-			copy(snapshot, hv)
-		} else {
-			clear(snapshot)
-		}
+		copy(snapshot, c.homes.Frame(page))
 		p.EP().ReplyClass(req.From, req, snapshot, vm.PageSize, interconnect.TrafficPage)
 	default:
 		panic(fmt.Sprintf("cashmere: unknown request kind %d", m.Kind))

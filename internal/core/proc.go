@@ -226,8 +226,8 @@ func (p *Proc) store(base Addr, i, n int, v uint64) {
 
 // readSlow returns the frame for a read of a whose page the frame table has
 // no entry for: the page is unreadable, so the protocol's read-fault handler
-// runs first, or readable but never mapped (materialize). load opens with
-// ReadFrame and comes here on nil.
+// runs first, or readable but never mapped (MaterializedFrame). load opens
+// with ReadFrame and comes here on nil.
 func (p *Proc) readSlow(a Addr) *[vm.PageSize]byte {
 	page := vm.PageOf(a)
 	if !p.space.Prot(page).CanRead() {
@@ -261,31 +261,22 @@ func (p *Proc) writeSlow(a Addr) *[vm.PageSize]byte {
 	return p.space.WriteFrame(page)
 }
 
-// materialize lazily maps a page whose protection allows access but whose
-// data was never mapped: the page still holds the initial image distributed
-// (untimed) at startup, as in real TreadMarks, where every processor starts
-// with an identical valid copy. The image is immutable, so the page shares
-// it (vm.Space.Share) until a store needs a private copy; a page the image
-// never wrote gets a zeroed private frame. No cost is charged — the copy
-// logically happened during setup.
-func (p *Proc) materialize(page int) []byte {
-	if img := p.rt.InitialPage(page); img != nil {
-		p.space.Share(page, img)
-		return img
-	}
-	return p.space.EnsureFrame(page)
-}
-
 // MaterializedFrame returns the page's local frame, mapping the initial
-// image if it was never touched. Protocol fault handlers use this when they
-// need to read the page contents (e.g. to twin a page whose first local
+// image if the page was never touched: the page still holds the image
+// distributed (untimed) at startup, as in real TreadMarks, where every
+// processor starts with an identical valid copy. The image is immutable, so
+// the page shares it (vm.Space.Share, the zero page where Init wrote
+// nothing) until a store needs a private copy; no cost is charged, since the
+// copy logically happened during setup. Protocol fault handlers use this when
+// they need to read the page contents (e.g. to twin a page whose first local
 // access is the faulting write); the frame may be shared, so they write
 // through vm.Space.EnsureFrame.
 func (p *Proc) MaterializedFrame(page int) []byte {
 	if fr := p.space.Frame(page); fr != nil {
 		return fr
 	}
-	return p.materialize(page)
+	p.space.Share(page, p.rt.InitialPage(page))
+	return p.space.Frame(page)
 }
 
 // ReadF64 reads a float64 from shared memory.

@@ -14,7 +14,8 @@ type Protocol interface {
 	// Name identifies the protocol variant (e.g. "csm_poll").
 	Name() string
 	// Setup allocates protocol-global state (directories, lock arrays).
-	// Called once before processors start.
+	// Called once before processors start, after the program's Init has
+	// written the initial image (Runtime.InitialPage).
 	Setup(rt *Runtime)
 	// OnReadFault handles a read access to a page without read permission.
 	// On return the page must be readable on p.
@@ -83,15 +84,11 @@ func (n *NullProtocol) Setup(rt *Runtime) {
 	}
 }
 
-// mapPage maps the page read-write holding its initial image: the image
-// itself, shared until the first store copies it (core's writeSlow), or a
-// zeroed private frame for a page the image never wrote.
+// mapPage maps the page read-write holding its initial image: the image page
+// (or the zero page) itself, shared until the first store copies it (core's
+// writeSlow).
 func (n *NullProtocol) mapPage(p *Proc, page int) {
-	if img := n.rt.InitialPage(page); img != nil {
-		p.Space().Share(page, img)
-	} else {
-		p.Space().EnsureFrame(page)
-	}
+	p.Space().Share(page, n.rt.InitialPage(page))
 	p.Space().SetProt(page, vm.ProtReadWrite)
 }
 

@@ -365,6 +365,10 @@ func Run(cfg Config, prog *Program) (res *Result, err error) {
 		eng.SetSchedule(cfg.Schedule)
 	}
 
+	if prog.Init != nil {
+		prog.Init(&ImageWriter{rt: rt})
+	}
+
 	rt.proto.Setup(rt)
 	for _, p := range rt.allProcs {
 		p.proto = rt.proto
@@ -373,10 +377,6 @@ func Run(cfg Config, prog *Program) (res *Result, err error) {
 		p.ep.SetHandler(func(m sim.Msg, req msg.Request) {
 			rt.proto.Service(pp, m, req)
 		})
-	}
-
-	if prog.Init != nil {
-		prog.Init(&ImageWriter{rt: rt})
 	}
 
 	for _, p := range rt.computeProcs {

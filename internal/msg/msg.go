@@ -200,13 +200,7 @@ func (ep *Endpoint) requestEligibility(target *sim.Proc, arrival sim.Time) sim.T
 
 // Send transmits a one-way request (no reply expected) to the target.
 func (ep *Endpoint) Send(target *Endpoint, kind int, data any, bytes int64) {
-	if kind < 0 {
-		panic(fmt.Sprintf("msg: protocol request kind %d must be >= 0", kind))
-	}
-	ep.p.Yield() // scheduling point before a globally visible action
-	arrival := ep.send(target.p, bytes, interconnect.TrafficMessage)
-	at := ep.requestEligibility(target.p, arrival)
-	target.p.Deliver(ep.p.NewMsg(at, kind, Request{From: ep.p.ID, Data: data}))
+	ep.request(target, kind, 0, data, bytes)
 }
 
 // Call transmits a request and blocks until the matching reply arrives,
@@ -220,16 +214,22 @@ func (ep *Endpoint) Call(target *Endpoint, kind int, data any, bytes int64) any 
 // several requests to be in flight at once (TreadMarks issues the diff
 // requests for a page in parallel and then awaits all the replies).
 func (ep *Endpoint) CallStart(target *Endpoint, kind int, data any, bytes int64) uint64 {
+	ep.nextToken++
+	token := ep.nextToken
+	ep.request(target, kind, token, data, bytes)
+	return token
+}
+
+// request delivers a protocol request carrying token (0 from Send, which
+// expects no reply) to the target at the time it becomes eligible.
+func (ep *Endpoint) request(target *Endpoint, kind int, token uint64, data any, bytes int64) {
 	if kind < 0 {
 		panic(fmt.Sprintf("msg: protocol request kind %d must be >= 0", kind))
 	}
-	ep.nextToken++
-	token := ep.nextToken
-	ep.p.Yield()
+	ep.p.Yield() // scheduling point before a globally visible action
 	arrival := ep.send(target.p, bytes, interconnect.TrafficMessage)
 	at := ep.requestEligibility(target.p, arrival)
 	target.p.Deliver(ep.p.NewMsg(at, kind, Request{Token: token, From: ep.p.ID, Data: data}))
-	return token
 }
 
 // WaitReply blocks until the reply with the given token arrives, servicing

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/apps/em3d"
@@ -18,11 +17,12 @@ import (
 // ownershipCheck wraps a protocol and, when the last compute processor
 // finalizes, checks the run's page memory. Only recycled buffers move between
 // owners, so a buffer released too early or twice shows up as a spare that is
-// also a live twin, a stored diff run, a Cashmere home frame, a processor
-// frame or an initial-image page, or as two spares sharing memory. And the
-// initial image is mapped by many processors at once, so a write that reached
-// it through a frame shows up as an image page that no longer holds what Init
-// wrote, or as a private frame aliasing it.
+// also a live twin, a stored diff run, a private frame (a processor's, or a
+// Cashmere home copy), an initial-image page or the zero page, or as two
+// spares sharing memory. And the initial image and the zero page are mapped
+// by many spaces at once, so a write that reached one through a frame shows
+// up as an image page that no longer holds what Init wrote, as a zero page
+// that no longer holds zeros, or as a private frame aliasing one.
 type ownershipCheck struct {
 	core.Protocol
 	rt    *core.Runtime
@@ -30,7 +30,7 @@ type ownershipCheck struct {
 	left  int
 	err   error
 	// private counts the run's private page copies at the end: processor
-	// frames that share nothing, and Cashmere home frames.
+	// frames and Cashmere home copies that share nothing.
 	private int
 }
 
@@ -55,13 +55,39 @@ func spanOf(b []byte, what string) span {
 	return span{v.Pointer(), v.Pointer() + uintptr(v.Cap()), what}
 }
 
+// zeroPage returns the page vm.Space.Share maps for a nil page.
+func zeroPage() []byte {
+	s := vm.NewSpace(1)
+	s.Share(0, nil)
+	return s.Frame(0)
+}
+
+// homesOf returns Cashmere's home copies, a vm.Space the walk does not enter
+// (the type is vm's), or nil if proto is not Cashmere.
+func homesOf(proto core.Protocol) (*vm.Space, error) {
+	if _, ok := proto.(*cashmere.Protocol); !ok {
+		return nil, nil
+	}
+	f := reflect.ValueOf(proto).Elem().FieldByName("homes")
+	if !f.IsValid() || f.Type() != reflect.TypeFor[*vm.Space]() {
+		return nil, fmt.Errorf("cashmere.Protocol has no homes *vm.Space field")
+	}
+	return (*vm.Space)(f.UnsafePointer()), nil
+}
+
 // check returns the number of private page copies and an error naming the
-// first image page that changed, the first private copy that shares memory
-// with an image page, or the first spare buffer that shares memory with
-// another spare or with a buffer the run still uses.
+// first image page that changed (or the zero page, if it holds a non-zero
+// byte), the first shared frame that is not its page's image, the first
+// private copy that shares memory with an image page or the zero page, or the
+// first spare buffer that shares memory with another spare or with a buffer
+// the run still uses.
 func (o *ownershipCheck) check() (int, error) {
 	rt := o.rt
-	var images, private []span
+	zero := zeroPage()
+	if !bytes.Equal(zero, make([]byte, vm.PageSize)) {
+		return 0, fmt.Errorf("the zero page no longer holds zeros")
+	}
+	images := []span{spanOf(zero, "zero page")}
 	for pg := 0; pg < rt.NumPages(); pg++ {
 		if img := rt.InitialPage(pg); img != nil {
 			if !bytes.Equal(img, o.image[pg]) {
@@ -70,35 +96,53 @@ func (o *ownershipCheck) check() (int, error) {
 			images = append(images, spanOf(img, fmt.Sprintf("initial image of page %d", pg)))
 		}
 	}
-	for _, p := range rt.ComputeProcs() {
+	// A shared frame must be its own page's image, or the zero page where
+	// Init wrote nothing; every other frame is a private copy.
+	var private []span
+	frames := func(s *vm.Space, owner string) error {
 		for pg := 0; pg < rt.NumPages(); pg++ {
-			fr := p.Space().Frame(pg)
+			fr := s.Frame(pg)
 			switch {
 			case fr == nil:
-			case p.Space().Shared(pg):
-				if img := rt.InitialPage(pg); img == nil || &fr[0] != &img[0] {
-					return 0, fmt.Errorf("rank %d's shared frame of page %d is not the page's image", p.Rank(), pg)
+			case s.Shared(pg):
+				want := rt.InitialPage(pg)
+				if want == nil {
+					want = zero
+				}
+				if &fr[0] != &want[0] {
+					return fmt.Errorf("%s shared frame of page %d is not the page's image", owner, pg)
 				}
 			default:
-				private = append(private, spanOf(fr, fmt.Sprintf("rank %d's private frame of page %d", p.Rank(), pg)))
+				private = append(private, spanOf(fr, fmt.Sprintf("%s private frame of page %d", owner, pg)))
 			}
 		}
+		return nil
 	}
-	// Twins, stored diff runs and Cashmere home frames are the protocol's:
-	// every byte slice reachable from its state.
-	// The sequential baseline holds none (its state is the runtime).
+	for _, p := range rt.ComputeProcs() {
+		if err := frames(p.Space(), fmt.Sprintf("rank %d's", p.Rank())); err != nil {
+			return 0, err
+		}
+	}
+	homes, err := homesOf(o.Protocol)
+	if err != nil {
+		return 0, err
+	}
+	if homes != nil {
+		if err := frames(homes, "Cashmere's home"); err != nil {
+			return 0, err
+		}
+	}
+	// Twins and stored diff runs are the protocol's: every byte slice
+	// reachable from its state. The sequential baseline holds none (its
+	// state is the runtime), and Cashmere's pages are its home copies.
 	var held []span
-	homes := 0
 	if _, ok := o.Protocol.(*core.NullProtocol); !ok {
 		v := reflect.ValueOf(o.Protocol)
 		walkBytes(v, "", v.Elem().Type().PkgPath(), map[visit]bool{}, func(s span) {
 			held = append(held, s)
-			if strings.HasSuffix(s.what, ".homeFrame") {
-				homes++
-			}
 		})
-		if len(held) == 0 {
-			// Every program here leaves stored diffs or home frames.
+		if len(held) == 0 && homes == nil {
+			// Every program here leaves TreadMarks stored diffs.
 			return 0, fmt.Errorf("found no byte slice in the protocol's state: the walk missed it")
 		}
 	}
@@ -125,7 +169,7 @@ func (o *ownershipCheck) check() (int, error) {
 			}
 		}
 	}
-	return len(private) + homes, nil
+	return len(private), nil
 }
 
 // visit is a pointer walkBytes has followed: a struct and its first field
@@ -233,7 +277,8 @@ func csmConfig(nodes, ppn int, variant string) core.Config {
 // false-sharing program (which needs several writers) on the sequential
 // baseline. At the end of each run no recycled page buffer may still be in
 // use (twins and page replies on TreadMarks, home-page snapshots on
-// Cashmere), and the initial image, which frames share, must be intact.
+// Cashmere), and the initial image and the zero page, which frames and
+// Cashmere's home copies share, must be intact.
 func TestPageBufferOwnership(t *testing.T) {
 	programs := []struct {
 		name string

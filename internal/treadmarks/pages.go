@@ -161,20 +161,20 @@ func (t *Protocol) fetchPage(p *core.Proc, page int) {
 	if manager == p.Rank() {
 		// Our own managed page: the base copy is the initial image, which
 		// the frame shares until a diff or a store needs a private copy.
-		// The copy is still charged: the simulated processor makes it.
-		if img := t.rt.InitialPage(page); img != nil {
-			p.Space().Share(page, img)
+		// The copy of a page Init wrote is still charged: the simulated
+		// processor makes it. A page Init never wrote is zeros, and costs
+		// nothing.
+		img := t.rt.InitialPage(page)
+		p.Space().Share(page, img)
+		if img != nil {
 			p.ChargeProtocol(p.Costs().Copy(vm.PageSize))
-		} else {
-			p.Space().EnsureFrame(page)
 		}
 		return
 	}
-	frame := p.Space().EnsureFrame(page)
 	t.pageRequests++
 	reply := p.EP().Call(t.rt.ProcByRank(manager).EP(), kindPageRequest, pageReqMsg{Page: page}, 16)
 	pr := reply.(pageReply)
-	copy(frame, pr.Data)
+	p.Space().Load(page, pr.Data)
 	t.rt.ReleasePage(pr.Data)
 	p.ChargeProtocol(p.Costs().Copy(vm.PageSize))
 	p.Stats().PageFetches++
@@ -275,13 +275,14 @@ func (t *Protocol) servePage(p *core.Proc, req msg.Request) {
 	// The reply's copy is a recycled buffer, which the requester's
 	// fetchPage releases: every byte of it is written here.
 	data := t.rt.PageBuffer()
-	if frame := p.Space().Frame(page); frame != nil {
-		copy(data, frame)
-	} else if img := t.rt.InitialPage(page); img != nil {
-		copy(data, img)
-	} else {
-		clear(data)
+	src := p.Space().Frame(page)
+	if src == nil {
+		src = t.rt.InitialPage(page) // never mapped here: the initial image
 	}
+	if src == nil {
+		clear(data) // a page Init never wrote
+	}
+	copy(data, src)
 	var applied []int32
 	if st.applied[page] != nil {
 		applied = append([]int32(nil), st.applied[page]...)

@@ -61,8 +61,9 @@ func (p Prot) CanWrite() bool { return p == ProtReadWrite }
 // with protections and local frames holding that processor's copy of each
 // page's data. A frame is private (the processor's own, writable once the
 // protection allows) or shared (an immutable page mapped with Share, such as
-// the run's initial image, which many spaces map at once). A shared frame is
-// copied the first time its holder needs to write it (EnsureFrame).
+// a page of the run's initial image or the zero page, which many spaces map
+// at once). A shared frame is replaced by a private one the first time its
+// holder needs to write it (EnsureFrame) or fill it (Load).
 type Space struct {
 	prot   []Prot
 	frames []*[PageSize]byte
@@ -123,7 +124,7 @@ func (s *Space) WriteFrame(page int) *[PageSize]byte { return s.wr[page] }
 
 // Frame returns page p's local frame, or nil if the page has never been
 // mapped on this processor. The frame may be shared (Shared): callers only
-// read through it, and write through EnsureFrame's.
+// read through it, and write through the frame EnsureFrame or Load returns.
 func (s *Space) Frame(page int) []byte {
 	if f := s.frames[page]; f != nil {
 		return f[:]
@@ -134,24 +135,51 @@ func (s *Space) Frame(page int) []byte {
 // Shared reports whether page p's frame is a shared page mapped by Share.
 func (s *Space) Shared(page int) bool { return s.shared[page] }
 
+// zeroPage is the page Share maps for a nil page. Nothing writes it: a
+// shared frame is never writable, and EnsureFrame and Load drop it without
+// copying.
+var zeroPage [PageSize]byte
+
 // Share maps data, one immutable page, as page p's frame in place of any
-// frame it had. The space never writes it: the first EnsureFrame copies it.
+// frame it had; nil maps the zero page. The space never writes it: the first
+// EnsureFrame copies it.
 func (s *Space) Share(page int, data []byte) {
-	s.frames[page] = (*[PageSize]byte)(data)
-	s.shared[page] = true
+	f := &zeroPage
+	if data != nil {
+		f = (*[PageSize]byte)(data)
+	}
+	s.frames[page], s.shared[page] = f, true
 	s.sync(page)
 }
 
 // EnsureFrame returns page p's private frame, allocating a zeroed one if the
-// page has none and copying the shared page if it is shared.
+// page has none or shares the zero page, and copying the shared page if it
+// shares another.
 func (s *Space) EnsureFrame(page int) []byte {
 	if f := s.frames[page]; f == nil || s.shared[page] {
 		priv := new([PageSize]byte)
-		if f != nil {
+		if f != nil && f != &zeroPage {
 			*priv = *f
 		}
 		s.frames[page], s.shared[page] = priv, false
 		s.sync(page)
 	}
 	return s.frames[page][:]
+}
+
+// Load leaves page p with a private frame holding src, one page (nil for
+// zeros), and returns it. A private frame is reused; a shared one is dropped
+// without being copied.
+func (s *Space) Load(page int, src []byte) []byte {
+	f := s.frames[page]
+	if f == nil || s.shared[page] {
+		f = new([PageSize]byte)
+		s.frames[page], s.shared[page] = f, false
+		s.sync(page)
+	}
+	if src == nil {
+		clear(f[:])
+	}
+	copy(f[:], src)
+	return f[:]
 }

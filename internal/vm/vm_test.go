@@ -108,13 +108,15 @@ func TestProtMonotonicity(t *testing.T) {
 }
 
 // TestFrameTablesFollowProtAndFrame drives random sequences of SetProt,
-// Share, EnsureFrame and stores through WriteFrame, and checks after every
+// Share (of an image page or of nil, the zero page), EnsureFrame, Load (of an
+// image page or of nil) and stores through WriteFrame, and checks after every
 // step, on every page, that ReadFrame and WriteFrame are what a walk of Prot,
 // Frame and Shared would decide: nil exactly when the access would fault, map
 // or (for a write) copy a shared page, the frame's own backing array
 // otherwise. A model of every page's bytes checks the contents: EnsureFrame
-// of a shared page returns an equal private copy, and no step writes a
-// shared page.
+// of a shared page returns an equal private copy, Load a private frame
+// holding its source (reusing a private frame), and no step writes a shared
+// page or the zero page.
 func TestFrameTablesFollowProtAndFrame(t *testing.T) {
 	const pages = 5
 	var src, pristine [2][]byte // the pages Share maps, and what they hold
@@ -162,6 +164,10 @@ func TestFrameTablesFollowProtAndFrame(t *testing.T) {
 				return false
 			}
 		}
+		if zeroPage != [PageSize]byte{} {
+			t.Errorf("step %d: the zero page was written", step)
+			return false
+		}
 		return true
 	}
 	f := func(ops []uint16) bool {
@@ -172,13 +178,18 @@ func TestFrameTablesFollowProtAndFrame(t *testing.T) {
 		}
 		for i, op := range ops {
 			pg := int(op>>8) % pages
-			switch op % 6 {
+			// data is one of the image pages, or nil for zeros.
+			var data []byte
+			if k := int(op>>4) % (len(src) + 1); k < len(src) {
+				data = src[k]
+			}
+			switch op % 7 {
 			case 0, 1, 2:
 				s.SetProt(pg, Prot(op%3))
 			case 3:
-				k := int(op>>4) % len(src)
-				s.Share(pg, src[k])
-				model[pg] = append([]byte(nil), src[k]...)
+				s.Share(pg, data)
+				model[pg] = make([]byte, PageSize)
+				copy(model[pg], data)
 			case 4:
 				wasShared, old := s.Shared(pg), s.Frame(pg)
 				fr := s.EnsureFrame(pg)
@@ -195,6 +206,19 @@ func TestFrameTablesFollowProtAndFrame(t *testing.T) {
 					fr[off]++
 					model[pg][off]++
 				}
+			case 6:
+				wasShared, old := s.Shared(pg), s.Frame(pg)
+				fr := s.Load(pg, data)
+				if s.Shared(pg) || &fr[0] != &s.Frame(pg)[0] {
+					t.Errorf("step %d page %d: Load did not leave the returned frame private", i, pg)
+					return false
+				}
+				if old != nil && wasShared == (&fr[0] == &old[0]) {
+					t.Errorf("step %d page %d: Load reused a shared frame or replaced a private one", i, pg)
+					return false
+				}
+				model[pg] = make([]byte, PageSize)
+				copy(model[pg], data)
 			}
 			if !check(s, model, i) {
 				return false
@@ -204,6 +228,41 @@ func TestFrameTablesFollowProtAndFrame(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadOverSharedFrame loads a page over a frame that shares an image page
+// (and, second, the zero page) with another space: the loader gets a private
+// frame equal to its source, and the shared page keeps its bytes and its
+// address, so the other space still maps it.
+func TestLoadOverSharedFrame(t *testing.T) {
+	img, src := make([]byte, PageSize), make([]byte, PageSize)
+	for i := range img {
+		img[i], src[i] = byte(i*3+1), byte(i*5+2)
+	}
+	pristine := bytes.Clone(img)
+	for _, shared := range [][]byte{img, nil} {
+		s, other := NewSpace(1), NewSpace(1)
+		s.Share(0, shared)
+		other.Share(0, shared)
+		s.SetProt(0, ProtReadWrite)
+		was := other.Frame(0)
+		fr := s.Load(0, src)
+		if s.Shared(0) || &fr[0] == &was[0] {
+			t.Fatalf("shared %v: Load returned the shared frame", shared != nil)
+		}
+		if w := s.WriteFrame(0); w == nil || &w[0] != &fr[0] {
+			t.Errorf("shared %v: the loaded frame is not the writable frame", shared != nil)
+		}
+		if !bytes.Equal(fr, src) {
+			t.Errorf("shared %v: the loaded frame does not hold the source", shared != nil)
+		}
+		if g := other.Frame(0); &g[0] != &was[0] || !other.Shared(0) {
+			t.Errorf("shared %v: the other space no longer maps the shared page", shared != nil)
+		}
+		if !bytes.Equal(img, pristine) || zeroPage != [PageSize]byte{} {
+			t.Errorf("shared %v: Load wrote the shared page", shared != nil)
+		}
 	}
 }
 
@@ -224,7 +283,7 @@ func firstTouch(b *testing.B, share bool) {
 			if share {
 				s.Share(pg, img)
 			} else {
-				copy(s.EnsureFrame(pg), img)
+				s.Load(pg, img)
 			}
 		}
 	}
