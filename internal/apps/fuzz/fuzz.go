@@ -8,9 +8,9 @@
 // parameters. Running the same program under Cashmere, TreadMarks, and the
 // sequential baseline must produce identical results; a protocol bug that
 // loses a diff, misorders a merge, or breaks lock mutual exclusion shows up
-// as a failed oracle check. The dsmcheck harness (internal/check)
-// additionally replays the Corpus configurations under many perturbed
-// schedules.
+// as a failed oracle check. internal/check's FuzzSchedule target
+// additionally runs generated programs under perturbed schedules, with the
+// Corpus configurations as its seed corpus.
 package fuzz
 
 import (
@@ -34,11 +34,11 @@ func Default(seed int64) Config {
 	return Config{Seed: seed, Rounds: 6, Elems: 4096, Locks: 4}
 }
 
-// Corpus returns the fixed set of configurations the dsmcheck differential
-// harness sweeps under perturbed schedules. Sizes are deliberately small:
-// the harness multiplies each by schedules x variants x cluster shapes, and
-// schedule-dependent protocol bugs reproduce at small footprints (fewer
-// pages means more contention per page, not less).
+// Corpus returns the fixed set of configurations FuzzSchedule's seed corpus
+// (internal/check) runs under perturbed schedules. Sizes are deliberately
+// small: the seed corpus multiplies each by schedules x variants x cluster
+// shapes, and schedule-dependent protocol bugs reproduce at small footprints
+// (fewer pages means more contention per page, not less).
 func Corpus() []Config {
 	return []Config{
 		{Seed: 101, Rounds: 2, Elems: 64, Locks: 1},

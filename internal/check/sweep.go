@@ -1,8 +1,8 @@
 package check
 
 import (
-	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -42,25 +42,10 @@ type LitmusRow struct {
 	Missing []string
 }
 
-// Failed reports whether the row violates the memory model or lacks coverage.
-func (r LitmusRow) Failed() bool { return len(r.Violations) > 0 || len(r.Missing) > 0 }
-
 // LitmusReport is the full litmus sweep outcome.
 type LitmusReport struct {
 	Rows []LitmusRow
 	Runs int
-	// FirstViolation replays the first forbidden outcome (nil when healthy).
-	FirstViolation *Repro `json:",omitempty"`
-}
-
-// Failed reports whether any row failed.
-func (r *LitmusReport) Failed() bool {
-	for _, row := range r.Rows {
-		if row.Failed() {
-			return true
-		}
-	}
-	return false
 }
 
 // litmusJob is one simulation of the sweep.
@@ -72,36 +57,42 @@ type litmusJob struct {
 	perm    int
 }
 
-// RunLitmus sweeps every litmus test across the configured variants, shapes,
-// and perturbed schedules. Each individual run is deterministic given its
-// (test, variant, shape, schedule seed); the report aggregation is
-// deterministic too, independent of worker interleaving.
-func RunLitmus(p Params) (*LitmusReport, error) {
-	p = p.withDefaults()
+// at names the job within its (test, variant) row: with the row, everything
+// needed to re-run it.
+func (j litmusJob) at() string {
+	return fmt.Sprintf("shape %s, schedule seed %d, perm %d", j.shape, j.sched.Seed, j.perm)
+}
+
+// litmusJobs lists the sweep's simulations: every litmus test on every
+// variant under p.Schedules perturbed schedules.
+func litmusJobs(p Params) []litmusJob {
 	var jobs []litmusJob
 	for _, test := range Suite() {
-		for _, variant := range p.Variants {
+		for _, variant := range variants.Names {
 			shapes := litmusShapes(test.Roles)
 			for i := 0; i < p.Schedules; i++ {
 				// Rotate the shape fastest and the role permutation slowest
 				// so the sweep covers every (shape, rotation) combination.
 				perm := (i / len(shapes)) % test.Roles
-				jobs = append(jobs, litmusJob{test, variant, shapes[i%len(shapes)], p.schedule(i), perm})
+				jobs = append(jobs, litmusJob{test, variant, shapes[i%len(shapes)], schedule(i), perm})
 			}
 		}
 	}
+	return jobs
+}
+
+// RunLitmus sweeps every litmus test across all six variants, its shapes,
+// and perturbed schedules. Each individual run is deterministic given its
+// (test, variant, shape, schedule seed, perm); the report aggregation is
+// deterministic too, independent of worker interleaving.
+func RunLitmus(p Params) (*LitmusReport, error) {
+	jobs := litmusJobs(p)
 	regs := make([][]int64, len(jobs))
 	errs := make([]error, len(jobs))
-	runPool(p.Jobs, len(jobs), func(j int) {
-		var reason string
-		if regs[j], reason, errs[j] = runLitmusJob(jobs[j]); reason != "" {
-			errs[j] = errors.New(reason)
-		}
-	})
+	runPool(p.Jobs, len(jobs), func(j int) { regs[j], errs[j] = runLitmusJob(jobs[j]) })
 	for j, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s/%s seed %d: %w",
-				jobs[j].test.Name, jobs[j].variant, jobs[j].shape, jobs[j].sched.Seed, err)
+			return nil, fmt.Errorf("%s/%s (%s): %w", jobs[j].test.Name, jobs[j].variant, jobs[j].at(), err)
 		}
 	}
 
@@ -113,7 +104,6 @@ func RunLitmus(p Params) (*LitmusReport, error) {
 		forb     map[string]bool
 	}
 	var order []string
-	var firstViolation *Repro
 	cells := map[string]*cell{}
 	for j, job := range jobs {
 		key := job.test.Name + "/" + job.variant
@@ -137,21 +127,11 @@ func RunLitmus(p Params) (*LitmusReport, error) {
 		if job.test.Forbidden(regs[j]) {
 			c.forb[out] = true
 			if len(c.row.Violations) < 8 {
-				c.row.Violations = append(c.row.Violations,
-					fmt.Sprintf("forbidden outcome %s (shape %s, schedule seed %d)",
-						out, job.shape, job.sched.Seed))
-			}
-			if firstViolation == nil {
-				firstViolation = &Repro{
-					Kind: KindLitmus, Litmus: job.test.Name, Perm: job.perm,
-					Variant: job.variant, Nodes: job.shape.Nodes, PPN: job.shape.PPN,
-					Schedule: job.sched,
-					Reason:   fmt.Sprintf("forbidden outcome %s", out),
-				}
+				c.row.Violations = append(c.row.Violations, fmt.Sprintf("forbidden outcome %s (%s)", out, job.at()))
 			}
 		}
 	}
-	report := &LitmusReport{Runs: len(jobs), FirstViolation: firstViolation}
+	report := &LitmusReport{Runs: len(jobs)}
 	for _, key := range order {
 		c := cells[key]
 		names := make([]string, 0, len(c.outcomes))
@@ -176,26 +156,24 @@ func RunLitmus(p Params) (*LitmusReport, error) {
 }
 
 // runLitmusJob executes one litmus simulation and extracts its registers.
-// Replay shares it, so a repro re-runs the sweep's exact simulation. The
-// error is a variant that cannot be configured (a malformed job); a run that
-// fails or leaves a register unreported is the reason.
-func runLitmusJob(job litmusJob) (regs []int64, reason string, err error) {
+func runLitmusJob(job litmusJob) ([]int64, error) {
 	cfg, err := variants.Config(job.variant, job.shape.Nodes, job.shape.PPN, variants.Options{Schedule: job.sched})
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	res, err := core.Run(cfg, job.test.New(job.perm))
 	if err != nil {
-		return nil, fmt.Sprintf("run failed: %v", err), nil
+		return nil, fmt.Errorf("run failed: %w", err)
 	}
-	if regs, err = job.test.outcome(res.Checks); err != nil {
-		return nil, err.Error(), nil
-	}
-	return regs, "", nil
+	return job.test.outcome(res.Checks)
 }
 
-// runPool runs fn(0..n-1) on a fixed-width worker pool.
+// runPool runs fn(0..n-1) on a fixed-width worker pool (GOMAXPROCS wide
+// when workers <= 0).
 func runPool(workers, n int, fn func(int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}

@@ -44,7 +44,7 @@ type Config struct {
 	// Variant is the reporting name (e.g. "csm_poll", "tmk_udp_int").
 	Variant string
 	// Schedule requests a seed-derived perturbation of the simulated event
-	// schedule (schedule-space exploration; internal/check, cmd/dsmcheck).
+	// schedule (schedule-space exploration; internal/check).
 	// The zero value runs the canonical order. Validate rejects a CostJitter
 	// outside [0, sim.MaxCostJitter].
 	Schedule sim.Schedule

@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // Schedule describes a seed-derived perturbation of the engine's event
-// schedule, used for schedule-space exploration (internal/check, cmd/dsmcheck).
+// schedule, used for schedule-space exploration (internal/check).
 //
 // The deterministic engine executes exactly one legal ordering per program:
 // the minimum-virtual-time rule with FIFO tie-breaking. A Schedule reshapes

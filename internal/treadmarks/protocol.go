@@ -31,9 +31,9 @@ const (
 type Config struct {
 	// TestDropDiffRuns, when N > 0, deliberately corrupts every Nth diff
 	// served by serveDiff: the reply's copy of that diff loses its last run.
-	// This is the dsmcheck harness's injected diff-loss bug — a fault the
-	// schedule-exploration checker must detect and shrink to a minimal
-	// repro — and exists only for that self-test. Variants never set it.
+	// This is internal/check's injected diff-loss bug, a fault its self-test
+	// (TestInjectedBugCaughtAndShrunk) must detect and shrink to a minimal
+	// repro; it exists only for that test. Variants never set it.
 	TestDropDiffRuns int
 }
 

@@ -43,12 +43,12 @@ type Options struct {
 	Cashmere cashmere.Config
 	// TreadMarks carries protocol-specific knobs (the zero value is the
 	// paper's configuration). Includes the test-only fault-injection switch
-	// dsmcheck's self-test uses to prove the harness catches protocol bugs.
+	// internal/check's self-test uses to prove it catches protocol bugs.
 	TreadMarks treadmarks.Config
 	// Schedule perturbs the simulated event schedule (schedule-space
-	// exploration; internal/check, cmd/dsmcheck). The zero value runs the
-	// canonical order. Perturbed runs carry the schedule in their canonical
-	// run key, so they never share a cache entry with canonical runs.
+	// exploration; internal/check). The zero value runs the canonical
+	// order. Perturbed runs carry the schedule in their canonical run key,
+	// so they never share a cache entry with canonical runs.
 	Schedule sim.Schedule
 }
 

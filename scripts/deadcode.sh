@@ -6,13 +6,14 @@
 #                                    the JSON document its sha256 pins
 #   dsmbench -netsweep -size small   the interconnect x node-count sweep
 #   dsmrun                           both pinned report layouts
-#   dsmcheck                         scripts/check.sh's sweep and self-test,
-#                                    and a replay of the self-test's repro
+#   go test ./internal/check         the litmus sweep, FuzzSchedule's seed
+#                                    corpus and the injected-fault self-test
 #   perfbench                        one traced pass of every workload
 #
 # Every binary is built with -cover over internal/ and its own main package
-# (without the main package it writes no counters), so each run adds its
-# counters to one GOCOVERDIR, and the merged profile's internal/ functions at
+# (without the main package it writes no counters), and the check tests run
+# with -cover over internal/, so each run adds its counters to one
+# GOCOVERDIR, and the merged profile's internal/ functions at
 # 0.0 % are printed. A printed function is either deleted or kept for a reason
 # DESIGN.md §7a records. It is not a CI gate: error paths and the
 # SIM_NO_FASTPATH reference path are expected in the list.
@@ -23,7 +24,7 @@ cd "$(dirname "$0")/.."
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-for c in dsmbench dsmrun dsmcheck; do
+for c in dsmbench dsmrun; do
     go build -cover -coverpkg="./internal/...,./cmd/$c" -o "$tmp/$c" "./cmd/$c"
 done
 (cd perfbench && GOFLAGS=-mod=mod GOWORK=off go build -cover -coverpkg=repro/internal/...,repro/perfbench -o "$tmp/perfbench" .)
@@ -34,11 +35,7 @@ mkdir -p "$GOCOVERDIR"
 "$tmp/dsmbench" -netsweep -size small -progress=false >/dev/null
 "$tmp/dsmrun" -app SOR -size small -procs 8 -variant csm_poll >/dev/null
 "$tmp/dsmrun" -app SOR -size small -procs 8 -variant csm_poll,tmk_mc_poll >/dev/null
-"$tmp/dsmcheck" -schedules 200 -diff-schedules 25 -seed 1 -repro "$tmp/sweep.json" >/dev/null
-"$tmp/dsmcheck" -selftest -diff-schedules 25 -repro "$tmp/selftest.json" >/dev/null
-status=0
-"$tmp/dsmcheck" -replay "$tmp/selftest.json" >/dev/null || status=$?
-[ "$status" -eq 1 ] || { echo "replaying the self-test's repro exited $status, want 1" >&2; exit 1; }
+go test -count=1 -cover -coverpkg=./internal/... ./internal/check -args -test.gocoverdir="$GOCOVERDIR" >/dev/null
 for w in access_path sync_storm protocol_mix sweep_parallel; do
     "$tmp/perfbench" -workload "$w" -seconds 0 -trace 1 >/dev/null
 done
